@@ -10,7 +10,6 @@ from .cloning import (
     ShrinkingFactor,
     TransformationOutput,
     cnot_fidelity,
-    cnot_output,
     eqcm_fidelity,
     gcnot_fidelity,
     gcnot_output,
@@ -27,16 +26,12 @@ from .montecarlo import (
     TrialReport,
     mixed_ensemble_distribution,
     simulate,
-    simulate_measurement,
-    simulate_unified,
 )
 from .numerics import (
-    EquatorialState,
     Phase,
     QubitDensityMatrix,
     as_phase,
     binom,
-    binomial_row,
     clone_state,
     equatorial_state,
     overlap,
@@ -70,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ANALYTIC_FACTOR",
     "CheckResult",
-    "EquatorialState",
     "FULL_MIXED",
     "MEASUREMENT",
     "Phase",
@@ -85,10 +79,8 @@ __all__ = [
     "UNIFIED_PAIR",
     "as_phase",
     "binom",
-    "binomial_row",
     "clone_state",
     "cnot_fidelity",
-    "cnot_output",
     "curve_table",
     "dicke_embedding",
     "eqcm_fidelity",
@@ -113,8 +105,6 @@ __all__ = [
     "shrinking_factor",
     "shrinking_factor_limit",
     "simulate",
-    "simulate_measurement",
-    "simulate_unified",
     "sqrt_binom_sum",
     "sqrt_binom_sum_scaled",
     "symmetric_state",

@@ -11,40 +11,23 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from . import montecarlo
-from .montecarlo import TrialConfig, simulate
-from .povm import estimate_phase, outcome_distribution
-from .strategies import curve_table
+from .montecarlo import TrialConfig, TrialReport, simulate
+from .povm import outcome_distribution, phase_estimates
+from .strategies import StrategyCurvePoint, curve_table
 from .verify import run_checks
 
-CURVE_COLUMNS = (
-    "N",
-    "f_bar",
-    "f_eqcm",
-    "f_cnot",
-    "f_gcnot",
-    "p_measurement",
-    "p_cloning",
-    "p_unified_pair",
-    "p_unified_collective",
-)
-
+_CONFIG_FIELDS = [f.name for f in fields(TrialConfig)]
+_REPORT_SCALARS = [f.name for f in fields(TrialReport) if f.name != "tallies"]
+# The simulate CSV row: the configuration fields the report repeats, then the
+# phases only the configuration holds, then the report's results.
 SIMULATE_COLUMNS = (
-    "strategy",
-    "n_copies",
-    "trials",
-    "seed",
-    "mixed_mode",
-    "phase_a",
-    "phase_b",
-    "mean_overlap_product",
-    "overlap_product_se",
-    "mean_abs_fidelity_error",
-    "abs_fidelity_error_se",
-    "analytic_probability",
-    "perp_probability",
+    *[c for c in _REPORT_SCALARS if c in _CONFIG_FIELDS],
+    *[c for c in _CONFIG_FIELDS if c not in _REPORT_SCALARS],
+    *[c for c in _REPORT_SCALARS if c not in _CONFIG_FIELDS],
 )
 
 
@@ -78,46 +61,17 @@ def _parse_phase(raw: str, degrees: bool) -> float | None:
 
 
 def cmd_curves(args) -> int:
-    points = curve_table(args.n_min, args.n_max)
+    rows = [astuple(p) for p in curve_table(args.n_min, args.n_max)]
+    # The first field, n_copies, is written as N in CSV and n in JSON.
+    names = [f.name for f in fields(StrategyCurvePoint)][1:]
     out = _resolve_out(args.out)
     if args.format == "csv":
-        lines = [",".join(CURVE_COLUMNS)]
-        for p in points:
-            lines.append(
-                ",".join(
-                    [str(p.n_copies)]
-                    + [
-                        fmt(v)
-                        for v in (
-                            p.f_bar,
-                            p.f_eqcm,
-                            p.f_cnot,
-                            p.f_gcnot,
-                            p.p_measurement,
-                            p.p_cloning,
-                            p.p_unified_pair,
-                            p.p_unified_collective,
-                        )
-                    ]
-                )
-            )
+        lines = [",".join(["N", *names])]
+        lines += [",".join([str(n), *map(fmt, values)]) for n, *values in rows]
         _emit("\n".join(lines) + "\n", out)
     else:
-        rows = [
-            {
-                "n": p.n_copies,
-                "f_bar": p.f_bar,
-                "f_eqcm": p.f_eqcm,
-                "f_cnot": p.f_cnot,
-                "f_gcnot": p.f_gcnot,
-                "p_measurement": p.p_measurement,
-                "p_cloning": p.p_cloning,
-                "p_unified_pair": p.p_unified_pair,
-                "p_unified_collective": p.p_unified_collective,
-            }
-            for p in points
-        ]
-        _emit(json.dumps(rows, indent=2) + "\n", out)
+        table = [{"n": n, **dict(zip(names, values))} for n, *values in rows]
+        _emit(json.dumps(table, indent=2) + "\n", out)
     if args.gnuplot:
         if out is None or args.format != "csv":
             raise ValueError("--gnuplot requires --out together with --format csv")
@@ -147,7 +101,7 @@ def cmd_simulate(args) -> int:
         strategy=args.strategy,
         mixed_mode=args.mixed_mode,
     )
-    report = simulate(config)
+    report = asdict(simulate(config))
     out = _resolve_out(args.out)
     config_echo = {
         "strategy": config.strategy,
@@ -159,29 +113,22 @@ def cmd_simulate(args) -> int:
         "mixed_mode": config.mixed_mode,
     }
     if args.format == "json":
-        payload = {"config": config_echo, "report": report.as_dict()}
+        payload = {"config": config_echo, "report": report}
         _emit(json.dumps(payload, indent=2) + "\n", out)
     else:
-        row = {
-            **config_echo,
-            "mean_overlap_product": fmt(report.mean_overlap_product),
-            "overlap_product_se": fmt(report.overlap_product_se),
-            "mean_abs_fidelity_error": fmt(report.mean_abs_fidelity_error),
-            "abs_fidelity_error_se": fmt(report.abs_fidelity_error_se),
-            "analytic_probability": fmt(report.analytic_probability),
-            "perp_probability": ""
-            if report.perp_probability is None
-            else fmt(report.perp_probability),
-        }
-        for key in ("phase_a", "phase_b"):
-            if isinstance(row[key], float):
-                row[key] = fmt(row[key])
+        row = {**config_echo, **report}
         lines = [
             ",".join(SIMULATE_COLUMNS),
-            ",".join(str(row[c]) for c in SIMULATE_COLUMNS),
+            ",".join(_csv_cell(row[c]) for c in SIMULATE_COLUMNS),
         ]
         _emit("\n".join(lines) + "\n", out)
     return 0
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return fmt(value) if isinstance(value, float) else str(value)
 
 
 def cmd_povm(args) -> int:
@@ -189,7 +136,7 @@ def cmd_povm(args) -> int:
     if phase is None:
         raise ValueError("povm requires a literal phase, not 'uniform'")
     probabilities = outcome_distribution(args.n, phase)
-    estimates = [estimate_phase(k, args.n) for k in range(args.n + 1)]
+    estimates = phase_estimates(args.n).tolist()
     out = _resolve_out(args.out)
     if args.format == "json":
         payload = {

@@ -98,8 +98,3 @@ def gcnot_output(n_copies: int, phase_a, phase_b) -> TransformationOutput:
         eta=eta,
     )
 
-
-def cnot_output(phase_a, phase_b) -> TransformationOutput:
-    """Output of the pairwise gate on one qubit from each ensemble; the
-    N = 1 case of gcnot_output, shrunk by eta(1, 2)."""
-    return gcnot_output(1, phase_a, phase_b)

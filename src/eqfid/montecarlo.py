@@ -1,5 +1,12 @@
 """Seeded Monte Carlo simulation of the fidelity-estimation strategies.
 
+One kernel, simulate, runs every strategy over registers. A register is one
+measured phase with its draw column, its outcome law (pure rows, or
+full-mixed rows with a trailing slot outside the symmetric subspace) and its
+tally name. The measurement strategy measures ensemble_a and ensemble_b at
+phi_a and phi_b; each unified strategy measures one register, difference, at
+(phi_b - phi_a) mod 2 pi.
+
 Reproducibility contract
 ------------------------
 All randomness comes from a counter-based Philox stream keyed by the seed.
@@ -13,20 +20,21 @@ summation (math.fsum), which is independent of summation order; identical
 Per-trial uniform layout (columns of the draw matrix):
   0  phase of ensemble a (ignored when the phase is fixed)
   1  phase of ensemble b (ignored when the phase is fixed)
-  2  measurement outcome for ensemble a, or for the difference ensemble
-  3  measurement outcome for ensemble b (measurement strategy), or the
-     fallback phase estimate when a full-mixed trial lands outside the
-     symmetric subspace (unified strategies); unused otherwise
+  2  outcome of register ensemble_a or difference
+  3  outcome of register ensemble_b, or the fallback phase estimate when a
+     full-mixed trial lands outside the symmetric subspace; unused otherwise
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .cloning import cnot_fidelity, gcnot_fidelity, shrinking_factor
 from .numerics import TWO_PI, as_phase, clone_state
-from .povm import estimate_phase, povm_basis
+from .povm import phase_estimates, povm_basis
 from .strategies import p_measurement, p_unified_collective, p_unified_pair
 from .symmetric import EMBEDDING_CAP, dicke_embedding, symmetric_state
 
@@ -100,21 +108,23 @@ class TrialReport:
     analytic_probability: float
     perp_probability: float | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "n_copies": self.n_copies,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mixed_mode": self.mixed_mode,
-            "mean_overlap_product": self.mean_overlap_product,
-            "overlap_product_se": self.overlap_product_se,
-            "mean_abs_fidelity_error": self.mean_abs_fidelity_error,
-            "abs_fidelity_error_se": self.abs_fidelity_error_se,
-            "tallies": {k: list(v) for k, v in self.tallies.items()},
-            "analytic_probability": self.analytic_probability,
-            "perp_probability": self.perp_probability,
-        }
+
+class _Register(NamedTuple):
+    """One measured phase of a trial: its tally name, the draw column that
+    samples its outcome, and its phase as a function of (phi_a, phi_b)."""
+
+    tally: str
+    column: int
+    phase: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+MEASUREMENT_REGISTERS = (
+    _Register("ensemble_a", 2, lambda phi_a, phi_b: phi_a),
+    _Register("ensemble_b", 3, lambda phi_a, phi_b: phi_b),
+)
+UNIFIED_REGISTERS = (
+    _Register("difference", 2, lambda phi_a, phi_b: (phi_b - phi_a) % TWO_PI),
+)
 
 
 def mixed_ensemble_distribution(n_copies: int, delta, eta_value: float) -> np.ndarray:
@@ -154,138 +164,90 @@ def _apply_to_each_qubit(rho: np.ndarray, vec: np.ndarray, n_copies: int) -> np.
 
 
 def simulate(config: TrialConfig) -> TrialReport:
-    """Dispatch to the simulator matching config.strategy."""
-    if config.strategy == MEASUREMENT:
-        return simulate_measurement(config)
-    return simulate_unified(config)
+    """Run config.trials seeded trials of config.strategy over its registers.
 
+    Each trial scores the product over registers of cos^2((est - phi)/2) and
+    the fidelity error |cos^2(est_diff/2) - cos^2(d/2)|, where est_diff and d
+    are the estimated and true phase differences (b - a over the two
+    measurement registers, the difference register itself otherwise). With
+    uniform phases the mean converges to the strategy's success probability.
 
-def simulate_measurement(config: TrialConfig) -> TrialReport:
-    """Strategy 1: sample one phase measurement per ensemble and score the
-    product of the two reconstruction overlaps.
-
-    Per trial, outcomes k_a and k_b are drawn from the exact outcome laws at
-    the (fixed or uniform) true phases; the trial value is
-    cos^2((est_a - phi_a)/2) * cos^2((est_b - phi_b)/2) and the fidelity
-    error is |F_hat - F| with F_hat computed from the estimated phases. With
-    uniform phases the mean trial value converges to p_measurement(N).
+    Analytic mode samples the pure difference state and multiplies the mean
+    by the analytic gate factor. Full-mixed mode instead samples the exact
+    outcome law of the shrunk N-copy product state in the 2^N space; trials
+    that land outside the symmetric subspace record a uniformly random phase
+    estimate and are counted in perp_probability, and no gate factor is
+    applied. The measurement strategy has no gate and ignores mixed_mode.
     """
-    if config.strategy != MEASUREMENT:
-        raise ValueError(f"simulate_measurement got strategy {config.strategy!r}")
     n = config.n_copies
-    weights = np.abs(symmetric_state(n, 0.0))
-    basis_conj = povm_basis(n).conj()
-    estimates = np.array([estimate_phase(k, n) for k in range(n + 1)])
-    ns = np.arange(n + 1)
-
-    values = np.empty(config.trials)
-    errors = np.empty(config.trials)
-    tally_a = np.zeros(n + 1, dtype=np.int64)
-    tally_b = np.zeros(n + 1, dtype=np.int64)
-
-    for start, draws in _uniform_blocks(config.seed, config.trials):
-        stop = start + len(draws)
-        phi_a = _block_phases(draws[:, 0], config.phase_a)
-        phi_b = _block_phases(draws[:, 1], config.phase_b)
-        k_a = _sample_rows(_pure_probability_rows(phi_a, weights, basis_conj, ns), draws[:, 2])
-        k_b = _sample_rows(_pure_probability_rows(phi_b, weights, basis_conj, ns), draws[:, 3])
-        est_a = estimates[k_a]
-        est_b = estimates[k_b]
-        values[start:stop] = (
-            np.cos((est_a - phi_a) / 2.0) ** 2 * np.cos((est_b - phi_b) / 2.0) ** 2
-        )
-        errors[start:stop] = np.abs(
-            np.cos((est_b - est_a) / 2.0) ** 2 - np.cos((phi_b - phi_a) / 2.0) ** 2
-        )
-        tally_a += np.bincount(k_a, minlength=n + 1)
-        tally_b += np.bincount(k_b, minlength=n + 1)
-
-    mean, se = _mean_and_se(values)
-    err_mean, err_se = _mean_and_se(errors)
-    return TrialReport(
-        strategy=config.strategy,
-        n_copies=n,
-        trials=config.trials,
-        seed=config.seed,
-        mixed_mode=config.mixed_mode,
-        mean_overlap_product=mean,
-        overlap_product_se=se,
-        mean_abs_fidelity_error=err_mean,
-        abs_fidelity_error_se=err_se,
-        tallies={"ensemble_a": tuple(tally_a.tolist()), "ensemble_b": tuple(tally_b.tolist())},
-        analytic_probability=p_measurement(n),
+    rows = partial(
+        _pure_probability_rows,
+        weights=np.abs(symmetric_state(n, 0.0)),
+        basis_conj=povm_basis(n).conj(),
+        ns=np.arange(n + 1),
     )
-
-
-def simulate_unified(config: TrialConfig) -> TrialReport:
-    """Strategies 2b/3: difference gate followed by phase estimation.
-
-    Analytic mode samples the phase measurement on the pure difference state
-    (one N-copy round) and multiplies the mean reconstruction overlap by the
-    analytic gate factor, reproducing the strategy probability in
-    expectation. Full-mixed mode instead samples the exact outcome law of
-    the shrunk N-copy product state in the 2^N space; trials that land
-    outside the symmetric subspace record a uniformly random phase estimate
-    and are counted in perp_probability, and no gate factor is applied.
-    """
-    if config.strategy not in (UNIFIED_PAIR, UNIFIED_COLLECTIVE):
-        raise ValueError(f"simulate_unified got strategy {config.strategy!r}")
-    n = config.n_copies
-    if config.strategy == UNIFIED_PAIR:
-        gate_eta = shrinking_factor(1, 2).value
-        gate_factor = cnot_fidelity()
-        analytic = p_unified_pair(n)
+    full = False
+    gate_factor = 1.0
+    if config.strategy == MEASUREMENT:
+        registers = MEASUREMENT_REGISTERS
+        analytic = p_measurement(n)
     else:
-        gate_eta = shrinking_factor(n, 2 * n).value
-        gate_factor = gcnot_fidelity(n)
-        analytic = p_unified_collective(n)
-
-    full = config.mixed_mode == FULL_MIXED
-    weights = np.abs(symmetric_state(n, 0.0))
-    basis_conj = povm_basis(n).conj()
-    estimates = np.array([estimate_phase(k, n) for k in range(n + 1)])
-    ns = np.arange(n + 1)
-    if full:
-        coeff_matrix, frequencies = _mixed_harmonic_expansion(n, gate_eta)
+        registers = UNIFIED_REGISTERS
+        pair = config.strategy == UNIFIED_PAIR
+        analytic = p_unified_pair(n) if pair else p_unified_collective(n)
+        full = config.mixed_mode == FULL_MIXED
+        if full:
+            eta = shrinking_factor(1, 2) if pair else shrinking_factor(n, 2 * n)
+            coeff_matrix, frequencies = _mixed_harmonic_expansion(n, eta.value)
+            rows = partial(
+                _mixed_probability_rows, coeff_matrix=coeff_matrix, frequencies=frequencies
+            )
+        else:
+            gate_factor = cnot_fidelity() if pair else gcnot_fidelity(n)
+    estimates = phase_estimates(n)
 
     n_slots = n + 2 if full else n + 1
     values = np.empty(config.trials)
     errors = np.empty(config.trials)
-    tally = np.zeros(n_slots, dtype=np.int64)
+    tallies = {r.tally: np.zeros(n_slots, dtype=np.int64) for r in registers}
 
     for start, draws in _uniform_blocks(config.seed, config.trials):
-        stop = start + len(draws)
         phi_a = _block_phases(draws[:, 0], config.phase_a)
         phi_b = _block_phases(draws[:, 1], config.phase_b)
-        delta = (phi_b - phi_a) % TWO_PI
-        if full:
-            rows = _mixed_probability_rows(delta, coeff_matrix, frequencies)
-        else:
-            rows = _pure_probability_rows(delta, weights, basis_conj, ns)
-        k = _sample_rows(rows, draws[:, 2])
-        est = np.where(k <= n, estimates[np.minimum(k, n)], TWO_PI * draws[:, 3])
-        values[start:stop] = np.cos((est - delta) / 2.0) ** 2
-        errors[start:stop] = np.abs(np.cos(est / 2.0) ** 2 - np.cos(delta / 2.0) ** 2)
-        tally += np.bincount(k, minlength=n_slots)
+        # Sample every register before scoring: fewer live arrays while rows are built.
+        phis = [r.phase(phi_a, phi_b) for r in registers]
+        ks = [_sample_rows(rows(phi), draws[:, r.column]) for r, phi in zip(registers, phis)]
+        value = 1.0
+        est_diff = phase_diff = 0.0
+        for register, phi, k in zip(registers, phis, ks):
+            if full:
+                est = np.where(k <= n, estimates[np.minimum(k, n)], TWO_PI * draws[:, 3])
+            else:
+                est = estimates[k]
+            value = value * np.cos((est - phi) / 2.0) ** 2
+            # Differences run register to register, from 0: b - a over two
+            # registers, the register itself over one.
+            est_diff, phase_diff = est - est_diff, phi - phase_diff
+            tallies[register.tally] += np.bincount(k, minlength=n_slots)
+        stop = start + len(draws)
+        values[start:stop] = value
+        errors[start:stop] = np.abs(np.cos(est_diff / 2.0) ** 2 - np.cos(phase_diff / 2.0) ** 2)
 
     mean, se = _mean_and_se(values)
     err_mean, err_se = _mean_and_se(errors)
-    if not full:
-        mean *= gate_factor
-        se *= gate_factor
     return TrialReport(
         strategy=config.strategy,
         n_copies=n,
         trials=config.trials,
         seed=config.seed,
         mixed_mode=config.mixed_mode,
-        mean_overlap_product=mean,
-        overlap_product_se=se,
+        mean_overlap_product=mean * gate_factor,
+        overlap_product_se=se * gate_factor,
         mean_abs_fidelity_error=err_mean,
         abs_fidelity_error_se=err_se,
-        tallies={"difference": tuple(tally.tolist())},
+        tallies={name: tuple(t.tolist()) for name, t in tallies.items()},
         analytic_probability=analytic,
-        perp_probability=(tally[-1] / config.trials) if full else None,
+        perp_probability=(tallies["difference"][-1] / config.trials) if full else None,
     )
 
 
@@ -306,10 +268,20 @@ def _block_phases(column: np.ndarray, fixed: float | None) -> np.ndarray:
 
 
 def _pure_probability_rows(phis, weights, basis_conj, ns) -> np.ndarray:
-    """Outcome probabilities of the pure-state phase measurement, one row
-    per trial phase."""
-    c = weights * np.exp(1j * np.outer(phis, ns))
-    return np.clip(np.abs(c @ basis_conj) ** 2, 0.0, None)
+    """Outcome probabilities |weights e^{i phi n} @ basis_conj|^2 of the
+    pure-state phase measurement, one row per trial phase.
+
+    Each row-sized matrix is built in place and freed once used, because the
+    allocator can keep freed blocks resident and so raise the peak memory.
+    """
+    c = np.outer(1j * phis, ns)
+    np.exp(c, out=c)
+    c *= weights
+    c = c @ basis_conj
+    p = np.abs(c)
+    del c
+    p **= 2
+    return np.clip(p, 0.0, None, out=p)
 
 
 def _mixed_harmonic_expansion(n_copies: int, eta_value: float):
@@ -326,15 +298,15 @@ def _mixed_harmonic_expansion(n_copies: int, eta_value: float):
     q = np.array([mixed_ensemble_distribution(n_copies, x, eta_value)[0] for x in xs])
     coeffs = np.fft.fft(q) / m
     frequencies = np.where(np.arange(m) <= n_copies, np.arange(m), np.arange(m) - m)
-    estimates = np.array([estimate_phase(k, n_copies) for k in range(n_copies + 1)])
-    coeff_matrix = coeffs[:, None] * np.exp(-1j * np.outer(frequencies, estimates))
+    coeff_matrix = coeffs[:, None] * np.exp(-1j * np.outer(frequencies, phase_estimates(n_copies)))
     return coeff_matrix, frequencies
 
 
 def _mixed_probability_rows(deltas, coeff_matrix, frequencies) -> np.ndarray:
     """Mixed outcome probabilities (with trailing perp column), one row per
     trial phase difference."""
-    basis = np.exp(1j * np.outer(deltas, frequencies))
+    basis = np.outer(1j * deltas, frequencies)
+    np.exp(basis, out=basis)  # in place, as in _pure_probability_rows
     p = np.clip(np.real(basis @ coeff_matrix), 0.0, None)
     perp = np.clip(1.0 - p.sum(axis=1), 0.0, None)
     return np.concatenate([p, perp[:, None]], axis=1)

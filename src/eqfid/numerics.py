@@ -25,12 +25,15 @@ IDENTITY = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True)
 class Phase:
-    """An angle in radians, normalized into [0, 2*pi) at construction."""
+    """A finite angle in radians, normalized into [0, 2*pi) at construction."""
 
     value: float
 
     def __post_init__(self):
-        v = float(self.value) % TWO_PI
+        v = float(self.value)
+        if not math.isfinite(v):
+            raise ValueError(f"phase must be finite, got {v}")
+        v %= TWO_PI
         if v >= TWO_PI:  # modulo of a tiny negative input can round up to 2*pi
             v = 0.0
         object.__setattr__(self, "value", v)
@@ -42,17 +45,6 @@ class Phase:
 def as_phase(phi) -> Phase:
     """Coerce a float (radians) or Phase into a normalized Phase."""
     return phi if isinstance(phi, Phase) else Phase(float(phi))
-
-
-@dataclass(frozen=True)
-class EquatorialState:
-    """Single-qubit pure state (|0> + e^{i phi} |1>) / sqrt(2)."""
-
-    phase: Phase
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([1.0, np.exp(1j * self.phase.value)]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -87,11 +79,6 @@ def binom(n: int, i: int) -> int:
     if n < 0 or i < 0 or i > n:
         raise ValueError(f"binomial index out of range: C({n}, {i})")
     return math.comb(n, i)
-
-
-def binomial_row(n: int) -> tuple[int, ...]:
-    """Row n of Pascal's triangle as exact integers, C(n, 0) .. C(n, n)."""
-    return tuple(binom(n, i) for i in range(n + 1))
 
 
 def _log_binom(n: int, i: int) -> float:
@@ -131,9 +118,9 @@ def sqrt_binom_sum_scaled(n: int) -> float:
     )
 
 
-def equatorial_state(phi) -> EquatorialState:
-    """Equatorial Bloch-sphere state with the given azimuthal phase."""
-    return EquatorialState(as_phase(phi))
+def equatorial_state(phi) -> np.ndarray:
+    """Amplitudes of the equatorial qubit state (|0> + e^{i phi} |1>) / sqrt(2)."""
+    return np.array([1.0, np.exp(1j * as_phase(phi).value)]) / math.sqrt(2.0)
 
 
 def pure_fidelity(phase_a, phase_b) -> float:
@@ -146,11 +133,11 @@ def clone_state(phase, eta: float) -> QubitDensityMatrix:
     """Shrunk copy eta |psi><psi| + (1 - eta)/2 I of an equatorial state."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"shrinking factor must lie in [0, 1], got {eta}")
-    amp = equatorial_state(phase).amplitudes
+    amp = equatorial_state(phase)
     return QubitDensityMatrix(eta * np.outer(amp, amp.conj()) + (1.0 - eta) / 2.0 * IDENTITY)
 
 
 def overlap(rho: QubitDensityMatrix, phase) -> float:
     """Expectation <psi(phi)| rho |psi(phi)> of rho on an equatorial state."""
-    amp = equatorial_state(phase).amplitudes
+    amp = equatorial_state(phase)
     return float(np.real(amp.conj() @ rho.matrix @ amp))

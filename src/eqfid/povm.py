@@ -49,6 +49,11 @@ def estimate_phase(outcome: int, n_copies: int) -> float:
     return 2.0 * math.pi * outcome / (n_copies + 1)
 
 
+def phase_estimates(n_copies: int) -> np.ndarray:
+    """Phase estimates of all outcomes k = 0 .. N, in outcome order."""
+    return np.array([estimate_phase(k, n_copies) for k in range(n_copies + 1)])
+
+
 def mean_fidelity_closed(n_copies: int) -> float:
     """Phase-averaged fidelity between true and estimated state, closed form:
     1/2 + 2^{-(N+1)} * sum_i sqrt(C(N,i) C(N,i+1))."""
@@ -61,7 +66,8 @@ def mean_fidelity_numeric(n_copies: int, phase_grid: int = DEFAULT_PHASE_GRID) -
     """Phase-averaged estimation fidelity by direct quadrature.
 
     For each grid phase phi the integrand sum_k p_k(phi) cos^2((est_k - phi)/2)
-    is evaluated from the outcome law and the estimator. Measurement and
+    is evaluated from the outcome law and the estimator; the outcome law of
+    every grid phase comes from one matrix product. Measurement and
     estimator are covariant under phase shifts by 2 pi / (N+1), so the
     integrand is a trigonometric polynomial whose only non-constant harmonic
     is cos((N+1) phi). Offsetting the uniform grid by pi / (2(N+1)) makes the
@@ -70,11 +76,11 @@ def mean_fidelity_numeric(n_copies: int, phase_grid: int = DEFAULT_PHASE_GRID) -
     """
     if phase_grid < 1:
         raise ValueError("phase_grid must be >= 1")
-    estimates = np.array([estimate_phase(k, n_copies) for k in range(n_copies + 1)])
     offset = math.pi / (2.0 * (n_copies + 1))
-    total = 0.0
-    for j in range(phase_grid):
-        phi = 2.0 * math.pi * j / phase_grid + offset
-        p = outcome_distribution(n_copies, phi)
-        total += float(np.sum(p * np.cos((estimates - phi) / 2.0) ** 2))
-    return total / phase_grid
+    phis = 2.0 * math.pi * np.arange(phase_grid) / phase_grid + offset
+    amplitudes = symmetric_state(n_copies, 0.0) * np.exp(
+        1j * np.outer(phis, np.arange(n_copies + 1))
+    )
+    p = np.abs(amplitudes @ povm_basis(n_copies).conj()) ** 2
+    fidelity = np.cos((phase_estimates(n_copies) - phis[:, None]) / 2.0) ** 2
+    return float(np.sum(p * fidelity)) / phase_grid

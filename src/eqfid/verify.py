@@ -8,6 +8,7 @@ from .cloning import shrinking_factor, shrinking_factor_limit
 from .povm import mean_fidelity_closed, mean_fidelity_numeric, outcome_distribution, povm_basis
 from .strategies import (
     CURVE_N_CAP,
+    EQUIVALENCE_TOL,
     p_cloning,
     p_measurement,
     p_unified_collective,
@@ -16,7 +17,6 @@ from .strategies import (
 
 STRUCTURE_TOL = 1e-12
 AGREEMENT_TOL = 1e-10
-EQUIVALENCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)

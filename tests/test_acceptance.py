@@ -4,6 +4,7 @@ single PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`)."""
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -126,7 +127,7 @@ def test_criterion_6_monte_carlo_validation():
         first = simulate(config)
         elapsed = time.perf_counter() - start
         second = simulate(config)
-        identical = json.dumps(first.as_dict()) == json.dumps(second.as_dict())
+        identical = json.dumps(asdict(first)) == json.dumps(asdict(second))
         dev = abs(first.mean_overlap_product - first.analytic_probability)
         within = dev <= 3.0 * first.overlap_product_se
         ok = ok and identical and within and elapsed < 30.0

@@ -215,6 +215,19 @@ def test_simulate_usage_errors():
     )
 
 
+@pytest.mark.parametrize("degrees", [[], ["--degrees"]])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_phases_exit_2(raw, degrees, capsys):
+    simulate = ["simulate", "--strategy", "measurement", "--n", "1", "--trials", "10"]
+    # "--flag=value" lets argparse take "-inf" as a value, not an option
+    for flag in ("--phase-a", "--phase-b"):
+        assert run(simulate + [f"{flag}={raw}"] + degrees) == 2
+    assert run(["povm", "--n", "1", f"--phase={raw}"] + degrees) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("phase must be finite") == 3
+
+
 def test_simulate_unknown_strategy_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["simulate", "--strategy", "bogus", "--n", "1", "--trials", "10"])

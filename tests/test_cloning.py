@@ -5,7 +5,6 @@ import pytest
 
 from eqfid.cloning import (
     cnot_fidelity,
-    cnot_output,
     eqcm_fidelity,
     gcnot_fidelity,
     gcnot_output,
@@ -107,7 +106,7 @@ def test_eqcm_equals_mean_estimation_fidelity():
 
 
 def test_cnot_output_zero_difference():
-    out = cnot_output(1.3, 1.3)
+    out = gcnot_output(1, 1.3, 1.3)
     assert out.copies_per_side == 1
     assert abs(out.eta - 1.0 / math.sqrt(2.0)) < 1e-15
     # difference state is the shrunk phase-0 state
@@ -116,24 +115,21 @@ def test_cnot_output_zero_difference():
 
 def test_cnot_output_overlaps():
     a, b = 0.9, 2.4
-    out = cnot_output(a, b)
+    out = gcnot_output(1, a, b)
     assert abs(overlap(out.difference_state, b - a) - cnot_fidelity()) < 1e-12
     assert abs(overlap(out.control_state, a) - cnot_fidelity()) < 1e-12
 
 
 def test_cnot_output_difference_phase_wraps():
     a, b = 5.5, 1.1  # b - a is negative before reduction mod 2*pi
-    out = cnot_output(a, b)
+    out = gcnot_output(1, a, b)
     assert abs(overlap(out.difference_state, b - a) - cnot_fidelity()) < 1e-12
 
 
 def test_gcnot_output_reduces_to_pairwise():
-    a, b = 0.4, 1.9
-    single = cnot_output(a, b)
-    collective = gcnot_output(1, a, b)
-    assert np.allclose(single.control_state.matrix, collective.control_state.matrix)
-    assert np.allclose(single.difference_state.matrix, collective.difference_state.matrix)
-    assert single.eta == collective.eta
+    single = gcnot_output(1, 0.4, 1.9)
+    assert single.eta == shrinking_factor(1, 2).value
+    assert (1.0 + single.eta) / 2.0 == cnot_fidelity()
 
 
 def test_gcnot_output_two_copies():

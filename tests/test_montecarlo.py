@@ -16,8 +16,6 @@ from eqfid.montecarlo import (
     _mixed_probability_rows,
     mixed_ensemble_distribution,
     simulate,
-    simulate_measurement,
-    simulate_unified,
 )
 from eqfid.povm import outcome_distribution
 from eqfid.strategies import p_measurement, p_unified_collective, p_unified_pair
@@ -50,13 +48,6 @@ def test_config_normalizes_fixed_phases():
     c = config(phase_a=-math.pi / 2, phase_b=7.0 * math.pi)
     assert abs(c.phase_a - 3.0 * math.pi / 2) < 1e-12
     assert abs(c.phase_b - math.pi) < 1e-12
-
-
-def test_simulators_reject_wrong_strategy():
-    with pytest.raises(ValueError):
-        simulate_measurement(config(strategy=UNIFIED_PAIR))
-    with pytest.raises(ValueError):
-        simulate_unified(config(strategy=MEASUREMENT))
 
 
 # --- deterministic single trial ------------------------------------------

@@ -8,7 +8,6 @@ from eqfid.numerics import (
     Phase,
     as_phase,
     binom,
-    binomial_row,
     clone_state,
     equatorial_state,
     overlap,
@@ -39,7 +38,7 @@ def test_binom_against_pascal_recurrence():
 
 def test_binom_row_symmetry_and_sums():
     for n in range(61):
-        row = binomial_row(n)
+        row = tuple(binom(n, i) for i in range(n + 1))
         assert sum(row) == 2**n
         assert row == row[::-1]
         assert all(binom(n, i) == row[i] for i in range(n + 1))
@@ -90,6 +89,12 @@ def test_phase_normalization():
         assert Phase(v).value == v  # idempotent
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_phase_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        Phase(value)
+
+
 def test_as_phase_passthrough():
     p = Phase(1.25)
     assert as_phase(p) is p
@@ -97,17 +102,17 @@ def test_as_phase_passthrough():
 
 
 def test_equatorial_state_examples():
-    s = equatorial_state(0.0).amplitudes
+    s = equatorial_state(0.0)
     assert np.allclose(s, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
-    s = equatorial_state(math.pi).amplitudes
+    s = equatorial_state(math.pi)
     assert np.allclose(s, [1 / math.sqrt(2), -1 / math.sqrt(2)], atol=1e-12)
-    s = equatorial_state(math.pi / 2).amplitudes
+    s = equatorial_state(math.pi / 2)
     assert np.allclose(s, [1 / math.sqrt(2), 1j / math.sqrt(2)], atol=1e-12)
 
 
 def test_equatorial_state_normalized():
     for phi in np.linspace(0, 2 * math.pi, 17):
-        amp = equatorial_state(float(phi)).amplitudes
+        amp = equatorial_state(float(phi))
         assert abs(np.vdot(amp, amp).real - 1.0) < 1e-14
 
 
@@ -130,7 +135,7 @@ def test_pure_fidelity_symmetry_and_periodicity():
 
 def test_clone_state_limits():
     phi = 1.3
-    amp = equatorial_state(phi).amplitudes
+    amp = equatorial_state(phi)
     pure = clone_state(phi, 1.0)
     assert np.allclose(pure.matrix, np.outer(amp, amp.conj()), atol=1e-15)
     mixed = clone_state(phi, 0.0)

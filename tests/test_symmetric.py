@@ -17,13 +17,13 @@ def tensor_power(psi, n):
 def test_single_copy_matches_equatorial():
     for phi in (0.0, 1.1, 4.4):
         assert np.allclose(
-            symmetric_state(1, phi), equatorial_state(phi).amplitudes, atol=1e-15
+            symmetric_state(1, phi), equatorial_state(phi), atol=1e-15
         )
 
 
 def test_two_copies_phase_zero():
     # brute-force expansion of the 4-dim product state into the Dicke basis
-    full = tensor_power(equatorial_state(0.0).amplitudes, 2)
+    full = tensor_power(equatorial_state(0.0), 2)
     expected = np.array(
         [full[0b00], (full[0b01] + full[0b10]) / math.sqrt(2.0), full[0b11]]
     )
@@ -67,7 +67,7 @@ def test_embedding_reproduces_tensor_product():
     for n in range(1, 7):
         for phi in (0.0, 0.7, 2.9, 5.5):
             lhs = dicke_embedding(n) @ symmetric_state(n, phi)
-            rhs = tensor_power(equatorial_state(phi).amplitudes, n)
+            rhs = tensor_power(equatorial_state(phi), n)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -93,7 +93,7 @@ def test_overlap_power_law_against_tensor_product():
     for n in range(1, 7):
         lhs = np.vdot(symmetric_state(n, a), symmetric_state(n, b))
         rhs = np.vdot(
-            tensor_power(equatorial_state(a).amplitudes, n),
-            tensor_power(equatorial_state(b).amplitudes, n),
+            tensor_power(equatorial_state(a), n),
+            tensor_power(equatorial_state(b), n),
         )
         assert abs(lhs - rhs) < 1e-12
