@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # overflow: N past float range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -7,6 +7,12 @@ tally name. The measurement strategy measures ensemble_a and ensemble_b at
 phi_a and phi_b; each unified strategy measures one register, difference, at
 (phi_b - phi_a) mod 2 pi.
 
+Outcome laws are built once per distinct law. A fixed phase is a length-1
+array, so its register builds one outcome row per block and broadcasts it
+against the block's draws; only phases that vary per trial get a row per
+trial. The full-mixed set-up evaluates the single k = 0 projector at the
+2N+1 phases of its Fourier expansion, with one Dicke embedding.
+
 Reproducibility contract
 ------------------------
 All randomness comes from a counter-based Philox stream keyed by the seed.
@@ -148,19 +154,19 @@ def mixed_ensemble_distribution(n_copies: int, delta, eta_value: float) -> np.nd
     basis = povm_basis(n_copies)
     p = np.empty(n_copies + 2)
     for k in range(n_copies + 1):
-        w = emb @ basis[:, k]
-        p[k] = np.real(np.vdot(w, _apply_to_each_qubit(rho, w, n_copies)))
+        p[k] = _product_expectation(rho, emb @ basis[:, k], n_copies)
     p[: n_copies + 1] = np.clip(p[: n_copies + 1], 0.0, None)
     p[n_copies + 1] = max(0.0, 1.0 - p[: n_copies + 1].sum())
     return p
 
 
-def _apply_to_each_qubit(rho: np.ndarray, vec: np.ndarray, n_copies: int) -> np.ndarray:
-    """Apply rho^{(x) N} to a 2^N vector one tensor factor at a time."""
-    v = vec.reshape((2,) * n_copies)
+def _product_expectation(rho: np.ndarray, w: np.ndarray, n_copies: int) -> float:
+    """Re <w| rho^{(x) N} |w> for a 2^N vector w, applying rho one tensor
+    factor at a time."""
+    v = w.reshape((2,) * n_copies)
     for axis in range(n_copies):
         v = np.moveaxis(np.tensordot(rho, v, axes=([1], [axis])), 0, axis)
-    return v.reshape(-1)
+    return np.real(np.vdot(w, v.reshape(-1)))
 
 
 def simulate(config: TrialConfig) -> TrialReport:
@@ -262,9 +268,11 @@ def _uniform_blocks(seed: int, trials: int):
 
 
 def _block_phases(column: np.ndarray, fixed: float | None) -> np.ndarray:
+    """Per-trial phases, or one phase that every trial of the block shares:
+    its outcome row is built once and broadcast against the block's draws."""
     if fixed is None:
         return TWO_PI * column
-    return np.full(len(column), fixed)
+    return np.array([fixed])
 
 
 def _pure_probability_rows(phis, weights, basis_conj, ns) -> np.ndarray:
@@ -292,10 +300,19 @@ def _mixed_harmonic_expansion(n_copies: int, eta_value: float):
     recovers it exactly. Returns (coeff_matrix, frequencies) with
     coeff_matrix[f, k] = a_f e^{-i f est_k}; the probability rows are then
     Re(e^{i delta f} @ coeff_matrix).
+
+    Only q = p_0 is needed, so the embedding and the k = 0 vector are built
+    once and rho^{(x) N} is applied to that one vector at each phase: the
+    same arithmetic as mixed_ensemble_distribution(n_copies, x, eta)[0].
     """
+    w = dicke_embedding(n_copies).astype(complex) @ povm_basis(n_copies)[:, 0]
     m = 2 * n_copies + 1
     xs = TWO_PI * np.arange(m) / m
-    q = np.array([mixed_ensemble_distribution(n_copies, x, eta_value)[0] for x in xs])
+    q = np.clip(
+        [_product_expectation(clone_state(x, eta_value).matrix, w, n_copies) for x in xs],
+        0.0,
+        None,
+    )
     coeffs = np.fft.fft(q) / m
     frequencies = np.where(np.arange(m) <= n_copies, np.arange(m), np.arange(m) - m)
     coeff_matrix = coeffs[:, None] * np.exp(-1j * np.outer(frequencies, phase_estimates(n_copies)))

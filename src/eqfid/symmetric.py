@@ -28,7 +28,8 @@ def symmetric_state(n_copies: int, phase) -> np.ndarray:
         raise ValueError("n_copies must be >= 1")
     phi = as_phase(phase).value
     ns = np.arange(n_copies + 1)
-    w = np.sqrt([binom(n_copies, int(k)) for k in ns]) / 2.0 ** (n_copies / 2.0)
+    # float() first: past 2^64 numpy would hold the integers as objects.
+    w = np.sqrt([float(binom(n_copies, int(k))) for k in ns]) / 2.0 ** (n_copies / 2.0)
     return w * np.exp(1j * phi * ns)
 
 

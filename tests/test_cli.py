@@ -275,6 +275,31 @@ def test_povm_invalid_n_exits_2():
     assert run(["povm", "--n", "0", "--phase", "0"]) == 2
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"invalid JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_n_past_uint64_binomials_runs(capsys):
+    # C(68, 34) > 2^64: the Dicke weights must not reach numpy as Python ints.
+    assert run(["simulate", "--strategy", "measurement", "--n", "68", "--trials", "200"]) == 0
+    report = _strict_json(capsys.readouterr().out)["report"]
+    assert 0.0 < report["mean_overlap_product"] <= 1.0
+    assert run(["povm", "--n", "68", "--phase", "0.3"]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert abs(sum(payload["probabilities"]) - 1.0) < 1e-10
+
+
+def test_n_past_float_range_exits_2(capsys):
+    assert run(["povm", "--n", "1100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 # --- verify -------------------------------------------------------------------
 
 def test_verify_passes(capsys):

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from eqfid import montecarlo
 from eqfid.cloning import shrinking_factor
 from eqfid.montecarlo import (
     ANALYTIC_FACTOR,
     BLOCK,
     FULL_MIXED,
     MEASUREMENT,
+    MIXED_MODES,
+    STRATEGIES,
     UNIFIED_COLLECTIVE,
     UNIFIED_PAIR,
     TrialConfig,
@@ -17,7 +20,8 @@ from eqfid.montecarlo import (
     mixed_ensemble_distribution,
     simulate,
 )
-from eqfid.povm import outcome_distribution
+from eqfid.numerics import TWO_PI
+from eqfid.povm import outcome_distribution, phase_estimates
 from eqfid.strategies import p_measurement, p_unified_collective, p_unified_pair
 
 
@@ -172,6 +176,73 @@ def test_harmonic_expansion_matches_direct_evaluation():
             for row, delta in zip(rows, deltas):
                 direct = mixed_ensemble_distribution(n, float(delta), eta)
                 assert np.max(np.abs(row - direct)) < 1e-10
+
+
+def test_harmonic_expansion_samples_equal_direct_distribution():
+    # Same arithmetic as sampling mixed_ensemble_distribution(...)[0]: exact.
+    for n, eta in ((1, 0.3), (4, 0.8), (12, 0.55)):
+        coeff_matrix, frequencies = _mixed_harmonic_expansion(n, eta)
+        m = 2 * n + 1
+        q = [mixed_ensemble_distribution(n, x, eta)[0] for x in TWO_PI * np.arange(m) / m]
+        expected = (np.fft.fft(q) / m)[:, None] * np.exp(
+            -1j * np.outer(frequencies, phase_estimates(n))
+        )
+        np.testing.assert_array_equal(coeff_matrix, expected)
+
+
+def test_harmonic_expansion_builds_one_embedding(monkeypatch):
+    embedded = []
+    original = montecarlo.dicke_embedding
+    monkeypatch.setattr(
+        montecarlo, "dicke_embedding", lambda n: embedded.append(n) or original(n)
+    )
+
+    def forbidden(*args):
+        raise AssertionError("mixed_ensemble_distribution called by the expansion")
+
+    monkeypatch.setattr(montecarlo, "mixed_ensemble_distribution", forbidden)
+    _mixed_harmonic_expansion(5, 0.7)
+    assert embedded == [5]
+
+
+def test_harmonic_expansion_domain_errors():
+    with pytest.raises(ValueError):
+        _mixed_harmonic_expansion(13, 0.5)
+    with pytest.raises(ValueError):
+        _mixed_harmonic_expansion(2, 1.5)
+
+
+# --- outcome rows per block -------------------------------------------------
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("mode", MIXED_MODES)
+@pytest.mark.parametrize(
+    "phases, per_register",
+    [
+        # Rows built per block (BLOCK trials, then 7) by each register.
+        ({"phase_a": 0.4, "phase_b": 1.9}, {"ensemble_a": [1, 1], "ensemble_b": [1, 1],
+                                            "difference": [1, 1]}),
+        ({"phase_a": 0.4}, {"ensemble_a": [1, 1], "ensemble_b": [BLOCK, 7],
+                            "difference": [BLOCK, 7]}),
+    ],
+    ids=["both-fixed", "a-fixed"],
+)
+def test_fixed_phase_builds_one_row_per_register_per_block(
+    strategy, mode, phases, per_register, monkeypatch
+):
+    built = []
+    for name in ("_pure_probability_rows", "_mixed_probability_rows"):
+        def counting(phis, _original=getattr(montecarlo, name), **kw):
+            rows = _original(phis, **kw)
+            built.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(montecarlo, name, counting)
+    simulate(config(strategy=strategy, mixed_mode=mode, n_copies=3, trials=BLOCK + 7, **phases))
+    tallies = ("ensemble_a", "ensemble_b") if strategy == MEASUREMENT else ("difference",)
+    # Registers are sampled in order within each block.
+    expected = [per_register[t][block] for block in (0, 1) for t in tallies]
+    assert built == expected
 
 
 # --- full-mixed simulation -------------------------------------------------
