@@ -1,7 +1,8 @@
 """Command-line interface: curve tables, Monte Carlo runs, measurement
 inspection and the invariant verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error
+(an N past the measurement-basis cap, or arrays too large to allocate),
 3 I/O error. The only environment override is EQFID_OUT_DIR, which prefixes
 relative --out paths; all science parameters are flags.
 """
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError) as exc:  # overflow: N past float range
+    except (ValueError, OverflowError, MemoryError) as exc:  # memory: e.g. --trials 10**15
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -3,15 +3,7 @@
 import math
 from dataclasses import dataclass
 
-from .numerics import (
-    EXACT_BINOM_CAP,
-    Phase,
-    QubitDensityMatrix,
-    as_phase,
-    clone_state,
-    sqrt_binom_sum,
-    sqrt_binom_sum_scaled,
-)
+from .numerics import Phase, QubitDensityMatrix, as_phase, clone_state, sqrt_binom_sum_scaled
 
 
 @dataclass(frozen=True)
@@ -40,18 +32,14 @@ class TransformationOutput:
 def shrinking_factor(n_in: int, m_out: int) -> ShrinkingFactor:
     """eta(N, M) = 2^{M-N} S_N / S_M with S_n = sum_i sqrt(C(n,i) C(n,i+1)).
 
-    Beyond the exact-integer cap the 2^{M-N} factor is folded into the ratio
-    (S_N / 2^N) / (S_M / 2^M), evaluated in log space, so arbitrarily large
-    output ensembles stay finite.
+    Evaluated as the ratio (S_N / 2^N) / (S_M / 2^M) of scaled sums, which is
+    finite for every N and M, with relative error below 1.5e-15.
     """
     if n_in < 1:
         raise ValueError("n_in must be >= 1")
     if m_out < n_in:
         raise ValueError(f"m_out must be >= n_in, got ({n_in}, {m_out})")
-    if m_out <= EXACT_BINOM_CAP:
-        value = 2.0 ** (m_out - n_in) * sqrt_binom_sum(n_in) / sqrt_binom_sum(m_out)
-    else:
-        value = sqrt_binom_sum_scaled(n_in) / sqrt_binom_sum_scaled(m_out)
+    value = sqrt_binom_sum_scaled(n_in) / sqrt_binom_sum_scaled(m_out)
     return ShrinkingFactor(n_in, m_out, value)
 
 

@@ -11,10 +11,14 @@ import math
 
 import numpy as np
 
-from .numerics import sqrt_binom_sum
+from .numerics import sqrt_binom_sum_scaled
 from .symmetric import symmetric_state
 
 DEFAULT_PHASE_GRID = 64
+
+# Largest N with a measurement basis, the one (N+1) x (N+1) object: every N
+# that ever ran, and one 65536-trial simulate block of rows takes 1.1 GB.
+BASIS_CAP = 1029
 
 
 def povm_basis(n_copies: int) -> np.ndarray:
@@ -24,8 +28,8 @@ def povm_basis(n_copies: int) -> np.ndarray:
     The columns are pairwise orthonormal and their projectors sum to the
     identity, so the N+1 outcomes form a complete projective measurement.
     """
-    if n_copies < 1:
-        raise ValueError("n_copies must be >= 1")
+    if not 1 <= n_copies <= BASIS_CAP:
+        raise ValueError(f"n_copies must lie in 1..{BASIS_CAP}, got {n_copies}")
     dim = n_copies + 1
     grid = np.outer(np.arange(dim), np.arange(dim))
     return np.exp(2j * np.pi * grid / dim) / math.sqrt(dim)
@@ -56,10 +60,8 @@ def phase_estimates(n_copies: int) -> np.ndarray:
 
 def mean_fidelity_closed(n_copies: int) -> float:
     """Phase-averaged fidelity between true and estimated state, closed form:
-    1/2 + 2^{-(N+1)} * sum_i sqrt(C(N,i) C(N,i+1))."""
-    if n_copies < 1:
-        raise ValueError("n_copies must be >= 1")
-    return 0.5 + sqrt_binom_sum(n_copies) / 2.0 ** (n_copies + 1)
+    1/2 + 2^{-(N+1)} * sum_i sqrt(C(N,i) C(N,i+1)), finite at every N."""
+    return 0.5 + sqrt_binom_sum_scaled(n_copies) / 2.0
 
 
 def mean_fidelity_numeric(n_copies: int, phase_grid: int = DEFAULT_PHASE_GRID) -> float:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .numerics import as_phase, binom
+from .numerics import as_phase, binomial_log_pmf
 
 # Largest N for which the 2^N-dimensional embedding is materialized (4096-dim
 # at the cap); only the mixed-ensemble machinery needs the full space.
@@ -23,14 +23,15 @@ def symmetric_state(n_copies: int, phase) -> np.ndarray:
     Component n is sqrt(C(N, n)) e^{i n phi} / 2^{N/2}: the modulus carries
     the binomial weight of strings with n excitations and the phase winds
     linearly, which is what makes covariant phase measurements tractable.
+    Weights outside the window of binomial_log_pmf are exactly zero.
     """
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
     phi = as_phase(phase).value
-    ns = np.arange(n_copies + 1)
-    # float() first: past 2^64 numpy would hold the integers as objects.
-    w = np.sqrt([float(binom(n_copies, int(k))) for k in ns]) / 2.0 ** (n_copies / 2.0)
-    return w * np.exp(1j * phi * ns)
+    lo, logs = binomial_log_pmf(n_copies)
+    w = np.zeros(n_copies + 1)
+    w[lo : lo + len(logs)] = np.exp(0.5 * logs)
+    return w * np.exp(1j * phi * np.arange(n_copies + 1))
 
 
 def dicke_embedding(n_copies: int) -> np.ndarray:
@@ -49,7 +50,7 @@ def dicke_embedding(n_copies: int) -> np.ndarray:
         )
     v = np.zeros((2**n_copies, n_copies + 1))
     for weight in range(n_copies + 1):
-        for positions in itertools.combinations(range(n_copies), weight):
-            v[sum(1 << p for p in positions), weight] = 1.0
-        v[:, weight] /= math.sqrt(binom(n_copies, weight))
+        rows = [sum(1 << p for p in positions)
+                for positions in itertools.combinations(range(n_copies), weight)]
+        v[rows, weight] = 1.0 / math.sqrt(len(rows))
     return v

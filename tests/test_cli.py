@@ -5,7 +5,7 @@ import time
 import pytest
 
 from eqfid.cli import main
-from eqfid.povm import mean_fidelity_closed
+from eqfid.povm import BASIS_CAP, mean_fidelity_closed
 from eqfid.strategies import p_measurement, p_unified_pair
 
 
@@ -292,8 +292,31 @@ def test_n_past_uint64_binomials_runs(capsys):
     assert abs(sum(payload["probabilities"]) - 1.0) < 1e-10
 
 
-def test_n_past_float_range_exits_2(capsys):
-    assert run(["povm", "--n", "1100"]) == 2
+def test_n_at_basis_cap_runs(capsys):
+    # The whole accepted range runs, past N = 1024 where S_N leaves float range.
+    assert run(["povm", "--n", str(BASIS_CAP), "--phase", "0.3"]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert abs(sum(payload["probabilities"]) - 1.0) < 1e-10
+    for strategy in ("measurement", "unified-collective"):
+        args = ["simulate", "--strategy", strategy, "--n", str(BASIS_CAP), "--trials", "200"]
+        assert run(args) == 0
+        report = _strict_json(capsys.readouterr().out)["report"]
+        assert 0.0 < report["analytic_probability"] <= 1.0
+
+
+def test_n_past_basis_cap_exits_2(capsys):
+    assert run(["povm", "--n", str(BASIS_CAP + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(BASIS_CAP) in captured.err and str(BASIS_CAP + 1) in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_unallocatable_trial_count_exits_2(capsys):
+    # 10^15 trials ask numpy for 7 PiB at once, which fails before touching memory.
+    args = ["simulate", "--strategy", "measurement", "--n", "1", "--trials", "1000000000000000"]
+    assert run(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -8,6 +8,7 @@ from eqfid.numerics import (
     Phase,
     as_phase,
     binom,
+    binomial_log_pmf,
     clone_state,
     equatorial_state,
     overlap,
@@ -61,14 +62,30 @@ def test_sqrt_binom_sum_domain_error():
         sqrt_binom_sum(0)
 
 
-def test_sqrt_binom_sum_log_gamma_switch_agrees():
-    # n = 61..70 take the log-gamma route; compare against exact products
-    for n in range(61, 71):
-        exact = math.fsum(
-            math.sqrt(math.comb(n, i) * math.comb(n, i + 1)) for i in range(n)
-        )
-        assert abs(sqrt_binom_sum(n) - exact) / exact < 1e-12
-        assert abs(sqrt_binom_sum_scaled(n) - exact / 2.0**n) / (exact / 2.0**n) < 1e-12
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 60, 1500, 1501, 1600, 10**5, 2 * 10**6 + 1])
+def test_binomial_log_pmf_window(n):
+    lo, logs = binomial_log_pmf(n)
+    hi = lo + len(logs) - 1
+    pmf = np.exp(logs)
+    assert abs(math.fsum(pmf) - 1.0) < 1e-15
+    # The row decreases away from its centre, so once the cut-off ends round
+    # to zero every dropped index would add exactly zero.
+    assert lo == 0 or pmf[0] == 0.0
+    assert hi == n or pmf[-1] == 0.0
+
+
+def test_binomial_log_pmf_small_rows_exact():
+    for n in range(0, 61):
+        lo, logs = binomial_log_pmf(n)
+        assert (lo, len(logs)) == (0, n + 1)
+        for i, value in enumerate(logs):
+            exact = math.log(binom(n, i)) - n * math.log(2.0)
+            assert abs(value - exact) <= 4e-15 * max(1.0, abs(exact))
+
+
+def test_binomial_log_pmf_domain_error():
+    with pytest.raises(ValueError):
+        binomial_log_pmf(-1)
 
 
 def test_sqrt_binom_sum_scaled_matches_direct_ratio():

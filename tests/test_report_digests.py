@@ -63,50 +63,50 @@ CASES = {
 }
 
 DIGESTS = {
-    "curves-csv": "7887d59387bf93a164d77eab11fec93b36339504fe6c19c420ec6bfea09e89e3",
-    "curves-json": "a52086bf66642d5e449fb0750850c4a1de1019ebba5c1839090782160e75ea35",
-    "measurement-analytic-a-fixed-block-plus-7": "f14faec72c6ffe0835efc46e03607d576a74239a3fbfe317a1b3e0954b482650",
-    "measurement-analytic-b-fixed-block-plus-7": "aebee621bfcd5be5c60ccd3f4e27335e2895954da3405e43ea2d635f10902657",
-    "measurement-analytic-fixed-csv": "4214919e33088b44ebbc0b0d989268a42c52575d2ff3a8fbf5ccad0e44a5fe5b",
-    "measurement-analytic-fixed-json": "005b95fc612f1d59e8f1135dc68c100865194fde280049cd20051365108d7fab",
-    "measurement-analytic-uniform-csv": "29efeec90c1b5c75b19a6fed68da8e5457489ff0eff8382a1940bc759a72a840",
-    "measurement-analytic-uniform-json": "53ad7d188386bed896b63efee286a3af3e0bdca3bc694af88565c22cca69c4e5",
+    "curves-csv": "515a89a01386435aaed17420a5f699cee02fb0de15d743918804c4b23e09d423",
+    "curves-json": "7f6b84f9324dec022073e15d4872161fa9d06d76048912fbeb59107d3ca5f7d5",
+    "measurement-analytic-a-fixed-block-plus-7": "737b8ab1a2a95da4d4fa2b02552c37a0fc492ac4ae3d4706b1858ae75e82fc2b",
+    "measurement-analytic-b-fixed-block-plus-7": "018a967a266dc482c791ba44915f6cdc031da410d9e7babf6aa49f0af1bf6c44",
+    "measurement-analytic-fixed-csv": "4401501abfc10d291964e38437e1b8bc3277164dc7b8a6264758515440fb2eab",
+    "measurement-analytic-fixed-json": "a54560372a0519dfb104cb016c83fd71b3b8d82cfc382abc00db91c6e45e8901",
+    "measurement-analytic-uniform-csv": "1b075547b8399bffc99ffe54231460e40676ff702d5355d1ea3e5728d6d620ea",
+    "measurement-analytic-uniform-json": "0fccb3484f292fbe6fc1dfee3b1316eb551303866e2f0789c8a0bf52337ff916",
     "measurement-analytic-uniform-n60-csv": "f1dacd6f2a23a21ff791e6c639a57c51edb5b5f688174d1b440d2789e13358fd",
     "measurement-analytic-uniform-n60-json": "cd7ac7399733447b94f7bd90b1752ac4ea3ef80f40b38ef63683c9ef3ac58b90",
     "measurement-block-plus-7-csv": "b38d498a294c76c396b02f12a4fe17fe945083511c2979966bbe7f9a554badf6",
     "measurement-block-plus-7-json": "4554f1090ec0c9ad3df15e4e0388a3dbdea280cf5a0a1d36595dcf04c50986c6",
-    "measurement-full-a-fixed-block-plus-7": "322aaa7bcd7f6db5b865f3ff52ecb27bb080e24115f57513ceac0426d2068e9b",
-    "measurement-full-b-fixed-block-plus-7": "2add8f89dc3aeaa161572445e7696a922e5eec71cdfd76a29c2baebd4830dadd",
-    "measurement-full-fixed-csv": "245fb8c718889dfcc5e0461424b688cde9d84bb612b535c6b0cdfb7e0981eea1",
-    "measurement-full-fixed-json": "452a7a83328a409db210950e6ca3a4b680917093543c53ffc91904e8e8e7d44a",
-    "measurement-full-uniform-csv": "2dd845d61baf0f22b2e2576c5d64f3b837d1fb55dd018e2e59497530ea58fbb2",
-    "measurement-full-uniform-json": "b2962f63cc2a6e45f3ff29817d5db1aadde2db6f3dd926bc4eaadad051752500",
-    "povm-csv": "487bff1169d2f894f4595bacfcfc04efea02c1f164c063a531fa25af1e96ff78",
-    "povm-json": "7f12b8e1d7d2e0ce4e6ec32c4260975352946dde6dedcf6e6c7c5018aba46f82",
-    "unified-collective-analytic-a-fixed-block-plus-7": "1789fcc0e208e24f48552ba6ecfcda14a15c39ced577f5d6d6c4408a90014bb1",
-    "unified-collective-analytic-b-fixed-block-plus-7": "ef91ca05e083dcba15f397e5a7b890f5df9a2db31082bfcec6821774d7bda354",
-    "unified-collective-analytic-fixed-csv": "3c309e7ede8e305ad48f9f9227b0e7b743aa9dcd954f3b82ecc18a0fd3b825ed",
-    "unified-collective-analytic-fixed-json": "e1919d74374e1f6c5c4d13e248194bce40ad4606ddf19975895165a133f38b7a",
-    "unified-collective-analytic-uniform-csv": "eed4846cc114f0050d64a37d4d6b31dc57c20ac1076aa38846944586b1df87ec",
-    "unified-collective-analytic-uniform-json": "981182b0ed5ca60a365481cc8137b78a9b628ab5c3efe15d1aa8c835b1b97a5b",
-    "unified-collective-full-a-fixed-block-plus-7": "03ad1c3fd567e52373aec7d8c624804d62ae197aecac695751577c82a09bb99b",
-    "unified-collective-full-b-fixed-block-plus-7": "4f1db5ec31e250b1fb739321a9f13fdcd55bee99589370c71c53e55e98ce2753",
-    "unified-collective-full-fixed-csv": "09536340e47a56e8b8d62ce9420fa607a94b9e21b26d5aeb3908bdb2985d2d88",
-    "unified-collective-full-fixed-json": "5ce4df7e55be3b7261d8f9323cd74dc34d7d24903f91f6d1b5c8d2b387167fd4",
-    "unified-collective-full-uniform-csv": "654fabe594eca07e011fd60d0af8eb6255e30b4617ae394df3c61ae48cda9408",
-    "unified-collective-full-uniform-json": "4a459a725a7aaf8bb294f6f97fbeaa9d9ab3374d8ccb7ddb38f1a4b0169f57db",
-    "unified-pair-analytic-a-fixed-block-plus-7": "ab9733c1f116c2094cdb1c4a15bb89a95a3eaae731f7d5a0d5c54799dd68aab3",
-    "unified-pair-analytic-b-fixed-block-plus-7": "cc98b87ca7c97c66b1331b7786263214f90b16f88ed8c8c05db5f40f6179e7f7",
-    "unified-pair-analytic-fixed-csv": "68fdf59f93bb4cf3d7137ca94c84646abf72051d22fe31415b837b7c54fc2f23",
-    "unified-pair-analytic-fixed-json": "3ba63608a3e14b3a96d0d17892200fd3e2535e2bf4e3084333bbf4fc67e5c2df",
-    "unified-pair-analytic-uniform-csv": "923696396c2199ce4e84537fdc25640bd9321647f0c8624d2f20b66099556ebb",
-    "unified-pair-analytic-uniform-json": "eb12c9c76649a371642c40fd14ee9dcb6e6fdbb8559af5b5b0e36db7b3225404",
-    "unified-pair-full-a-fixed-block-plus-7": "a3eeec5e710c31e3a003ca1fc7ac7b8603df3174eed90f3a36685220057a490d",
-    "unified-pair-full-b-fixed-block-plus-7": "fa2897134582c9eb3ee5d0eca351960557986e1ea82fdc9382896982795dc562",
-    "unified-pair-full-fixed-csv": "a32f7e4796d396bd1a522abe700e28b1264e358a9a0440ea72506b0903d9ded7",
-    "unified-pair-full-fixed-json": "c01a1d4cb20681fda80efa37f4d71ceb708034243bb2ae7d09d0c8604e94d9db",
-    "unified-pair-full-uniform-csv": "36669613c2ff9d7aafb55b2d01df7698ac8d089290cf61906fbf8d3144f035ff",
-    "unified-pair-full-uniform-json": "03467527d35d99f0915940af8070708d9e2365029c2fbf45482679cd880af848",
+    "measurement-full-a-fixed-block-plus-7": "4bbf8f5a8bcba954288ebc230cefd2104e33354a8bc963b6c1e2f9bc778545e9",
+    "measurement-full-b-fixed-block-plus-7": "e814b4dad98f1e389155630b81239557b12a695f46fc5c11d5e86625327b7122",
+    "measurement-full-fixed-csv": "6f16908540663f2f9846dbf1e442d685e7f211f3eb2fa3f4d74dd80fa1f6a624",
+    "measurement-full-fixed-json": "3da0c61e98f71bed5e86ef9ccda5c46ff7b0a0fe65e48d46cf625c7095a9b3f9",
+    "measurement-full-uniform-csv": "9ace084be17da292bb3e403af5fdb41c5b47824d21f3a83793faa13cf874499c",
+    "measurement-full-uniform-json": "5f0df7e80716f3d8d2cb890ed8132483e700be23428908550e586640e7e449fc",
+    "povm-csv": "3932bcebbc23a4689957cc375de83468fdddfe43cee16e1fd3e99e425405312c",
+    "povm-json": "e3815e36d72f2b4bc7a16af76c6152fd0e175cb3d059873aa6a8d038e5180bce",
+    "unified-collective-analytic-a-fixed-block-plus-7": "a7e1403f919acc295b09e61ec3eea9f7b131c5e9674b6904f1f69901cfaeadae",
+    "unified-collective-analytic-b-fixed-block-plus-7": "3da064941097d6740a25f72ebc620675275716ef52b54fabb96b85635f08abae",
+    "unified-collective-analytic-fixed-csv": "62cc59b2254f506730762924d606b9f7cd64b249cabcae6f78e932f5b6bef55d",
+    "unified-collective-analytic-fixed-json": "7ccd54ddac10d05ad97a341a24b5c3494baa15b930b4cbd81297a2cf79abcf92",
+    "unified-collective-analytic-uniform-csv": "85ee510db5eab65e38dbee17f84979732c70baed97a32ac10211de89b2e17b0a",
+    "unified-collective-analytic-uniform-json": "e9dd87e15798e5f031c852ec7dda01b183513216507b3f17c078690c6c5d2abe",
+    "unified-collective-full-a-fixed-block-plus-7": "d038ccbe18677394d1f51b6b94c0d819e24dcefc7d73aa0adc222043164048f6",
+    "unified-collective-full-b-fixed-block-plus-7": "e8739f15c4391918601ad55906080561fa651d6943317828f0f2c3a38437e32e",
+    "unified-collective-full-fixed-csv": "e84c31812c1fce0551a39ea235d695f903edb331149e57285d396af1a2b2a6cd",
+    "unified-collective-full-fixed-json": "f80b4f395daf48a32c4698f63decf28874fabd153f55295d9ba2fa0e3230e6cc",
+    "unified-collective-full-uniform-csv": "d723aa92d22fc2dc02c0653fe4a7f428975f6c328199128d87b529d395f5aa75",
+    "unified-collective-full-uniform-json": "ac544a5da0a8d01b228b1f89cc07d1b73c846c364cb8cff5ea0711799a9ba993",
+    "unified-pair-analytic-a-fixed-block-plus-7": "e90be55090a7e730662f2d97c98d8826bbd67c33ebb6d80e24150fd6f080c58a",
+    "unified-pair-analytic-b-fixed-block-plus-7": "8cdb36ec3a4429c8375055383cb890c7a43b9aff522c6aca897efc4f6c84cd8d",
+    "unified-pair-analytic-fixed-csv": "3f8445a017447b4962e82ea619142aa020ece36f88a044940064e08f8d98ca7d",
+    "unified-pair-analytic-fixed-json": "2d4d6cfe9e6d3d8999ed27f8008c6f7642530c316f08c5066f2a99aeda13fccc",
+    "unified-pair-analytic-uniform-csv": "b5ab879f0ac296a572e065462332ffd7c81324cba1e3f635828b63eeb733f1e4",
+    "unified-pair-analytic-uniform-json": "6cb1516ea76195be1eaa9de27b5eef227994e040dcce0d5b8ddaeb9f240393bf",
+    "unified-pair-full-a-fixed-block-plus-7": "f625ad1b5d5b4ed59178ea6baf5abd559337b637d4b2b4c6b2f0e6d2e36f6ba2",
+    "unified-pair-full-b-fixed-block-plus-7": "f701181122ec1d14e2053f0f7bd29e37387c81676798dd189ed775b9ff5080b6",
+    "unified-pair-full-fixed-csv": "bd1788c23331a7783432b2d0d47e874dfb3e6ef9c49a7e249911c2e0c3ddc9b5",
+    "unified-pair-full-fixed-json": "7a7b97a873a16b2bcffc983317476c5a931a6e0d7a4d0db40491bd6d7e48bcb4",
+    "unified-pair-full-uniform-csv": "ea107a51356b4fd594a0824d29e73caa45e266a27448e39ebc694f56b173d3e9",
+    "unified-pair-full-uniform-json": "5b8739922971a68be274ccd8f1a8ec115f58b05d251c7555564d62b2f79b577d",
 }
 
 

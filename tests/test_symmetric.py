@@ -38,6 +38,15 @@ def test_unit_norm_any_n():
             assert abs(np.vdot(c, c).real - 1.0) < 1e-12
 
 
+def test_weights_past_float_range():
+    # C(N, n) leaves float range from N = 1030; the weights must not.
+    c = symmetric_state(5000, 1.1)
+    assert np.all(np.isfinite(c))
+    assert abs(np.vdot(c, c).real - 1.0) < 1e-12
+    # Outside the binomial window the weights are exactly zero.
+    assert c[0] == 0 and c[-1] == 0 and np.count_nonzero(c) < 5001
+
+
 def test_modulus_independent_of_phase():
     for n in (2, 5):
         ref = np.abs(symmetric_state(n, 0.0))
