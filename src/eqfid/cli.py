@@ -62,10 +62,12 @@ def _parse_phase(raw: str, degrees: bool) -> float | None:
 
 
 def cmd_curves(args) -> int:
+    out = _resolve_out(args.out)
+    if args.gnuplot and (out is None or args.format != "csv"):
+        raise ValueError("--gnuplot requires --out together with --format csv")
     rows = [astuple(p) for p in curve_table(args.n_min, args.n_max)]
     # The first field, n_copies, is written as N in CSV and n in JSON.
     names = [f.name for f in fields(StrategyCurvePoint)][1:]
-    out = _resolve_out(args.out)
     if args.format == "csv":
         lines = [",".join(["N", *names])]
         lines += [",".join([str(n), *map(fmt, values)]) for n, *values in rows]
@@ -74,10 +76,7 @@ def cmd_curves(args) -> int:
         table = [{"n": n, **dict(zip(names, values))} for n, *values in rows]
         _emit(json.dumps(table, indent=2) + "\n", out)
     if args.gnuplot:
-        if out is None or args.format != "csv":
-            raise ValueError("--gnuplot requires --out together with --format csv")
-        script = _gnuplot_script(out.name)
-        out.with_suffix(".gp").write_text(script, newline="\n")
+        out.with_suffix(".gp").write_text(_gnuplot_script(out.name), newline="\n")
     return 0
 
 
@@ -218,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     povm.add_argument("--out", help="output path (default stdout)")
     povm.set_defaults(func=cmd_povm)
 
-    verify = sub.add_parser("verify", help="run the cross-module invariant suite")
+    verify = sub.add_parser("verify", help="check the paper's claims and cross-module invariants")
     verify.add_argument("--n-max", type=int, default=30)
     verify.set_defaults(func=cmd_verify)
 

@@ -40,9 +40,9 @@ import numpy as np
 
 from .cloning import cnot_fidelity, gcnot_fidelity, shrinking_factor
 from .numerics import TWO_PI, as_phase, clone_state
-from .povm import phase_estimates, povm_basis
+from .povm import outcome_rows, phase_estimates, povm_basis
 from .strategies import p_measurement, p_unified_collective, p_unified_pair
-from .symmetric import EMBEDDING_CAP, dicke_embedding, symmetric_state
+from .symmetric import EMBEDDING_CAP, dicke_embedding
 
 MEASUREMENT = "measurement"
 UNIFIED_PAIR = "unified-pair"
@@ -186,12 +186,7 @@ def simulate(config: TrialConfig) -> TrialReport:
     applied. The measurement strategy has no gate and ignores mixed_mode.
     """
     n = config.n_copies
-    rows = partial(
-        _pure_probability_rows,
-        weights=np.abs(symmetric_state(n, 0.0)),
-        basis_conj=povm_basis(n).conj(),
-        ns=np.arange(n + 1),
-    )
+    rows = partial(outcome_rows, n)
     full = False
     gate_factor = 1.0
     if config.strategy == MEASUREMENT:
@@ -275,23 +270,6 @@ def _block_phases(column: np.ndarray, fixed: float | None) -> np.ndarray:
     return np.array([fixed])
 
 
-def _pure_probability_rows(phis, weights, basis_conj, ns) -> np.ndarray:
-    """Outcome probabilities |weights e^{i phi n} @ basis_conj|^2 of the
-    pure-state phase measurement, one row per trial phase.
-
-    Each row-sized matrix is built in place and freed once used, because the
-    allocator can keep freed blocks resident and so raise the peak memory.
-    """
-    c = np.outer(1j * phis, ns)
-    np.exp(c, out=c)
-    c *= weights
-    c = c @ basis_conj
-    p = np.abs(c)
-    del c
-    p **= 2
-    return np.clip(p, 0.0, None, out=p)
-
-
 def _mixed_harmonic_expansion(n_copies: int, eta_value: float):
     """Fourier data reproducing mixed_ensemble_distribution at any phase.
 
@@ -323,7 +301,7 @@ def _mixed_probability_rows(deltas, coeff_matrix, frequencies) -> np.ndarray:
     """Mixed outcome probabilities (with trailing perp column), one row per
     trial phase difference."""
     basis = np.outer(1j * deltas, frequencies)
-    np.exp(basis, out=basis)  # in place, as in _pure_probability_rows
+    np.exp(basis, out=basis)  # in place, as in povm.outcome_rows
     p = np.clip(np.real(basis @ coeff_matrix), 0.0, None)
     perp = np.clip(1.0 - p.sum(axis=1), 0.0, None)
     return np.concatenate([p, perp[:, None]], axis=1)

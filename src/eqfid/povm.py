@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .numerics import sqrt_binom_sum_scaled
+from .numerics import as_phase, sqrt_binom_sum_scaled
 from .symmetric import symmetric_state
 
 DEFAULT_PHASE_GRID = 64
@@ -35,15 +35,30 @@ def povm_basis(n_copies: int) -> np.ndarray:
     return np.exp(2j * np.pi * grid / dim) / math.sqrt(dim)
 
 
-def outcome_distribution(n_copies: int, phase) -> np.ndarray:
-    """Outcome probabilities p_k = |<basis_k | Phi(phi)>|^2, k = 0 .. N.
+def outcome_rows(n_copies: int, phis) -> np.ndarray:
+    """Outcome probabilities p_k(phi) = |<basis_k | Phi(phi)>|^2, k = 0 .. N,
+    one row per phase in phis.
 
-    Tiny negative rounding residues are clamped to zero; the entries sum to
-    one because the basis is complete and the input state is normalized.
+    Each row-sized matrix is built in place and freed once used, because the
+    allocator can keep freed blocks resident and so raise the peak memory.
+    Tiny negative rounding residues are clamped to zero; each row sums to one
+    because the basis is complete and the input state is normalized.
     """
-    c = symmetric_state(n_copies, phase)
-    p = np.abs(povm_basis(n_copies).conj().T @ c) ** 2
-    return np.clip(p, 0.0, None)
+    basis_conj = povm_basis(n_copies).conj()
+    weights = np.abs(symmetric_state(n_copies, 0.0))
+    c = np.outer(1j * np.asarray(phis), np.arange(n_copies + 1))
+    np.exp(c, out=c)
+    c *= weights
+    c = c @ basis_conj
+    p = np.abs(c)
+    del c
+    p **= 2
+    return np.clip(p, 0.0, None, out=p)
+
+
+def outcome_distribution(n_copies: int, phase) -> np.ndarray:
+    """Outcome probabilities p_k = |<basis_k | Phi(phi)>|^2 at one phase."""
+    return outcome_rows(n_copies, [as_phase(phase).value])[0]
 
 
 def estimate_phase(outcome: int, n_copies: int) -> float:
@@ -68,8 +83,8 @@ def mean_fidelity_numeric(n_copies: int, phase_grid: int = DEFAULT_PHASE_GRID) -
     """Phase-averaged estimation fidelity by direct quadrature.
 
     For each grid phase phi the integrand sum_k p_k(phi) cos^2((est_k - phi)/2)
-    is evaluated from the outcome law and the estimator; the outcome law of
-    every grid phase comes from one matrix product. Measurement and
+    is evaluated from the outcome law and the estimator; the outcome laws of
+    all grid phases come from one outcome_rows call. Measurement and
     estimator are covariant under phase shifts by 2 pi / (N+1), so the
     integrand is a trigonometric polynomial whose only non-constant harmonic
     is cos((N+1) phi). Offsetting the uniform grid by pi / (2(N+1)) makes the
@@ -80,9 +95,6 @@ def mean_fidelity_numeric(n_copies: int, phase_grid: int = DEFAULT_PHASE_GRID) -
         raise ValueError("phase_grid must be >= 1")
     offset = math.pi / (2.0 * (n_copies + 1))
     phis = 2.0 * math.pi * np.arange(phase_grid) / phase_grid + offset
-    amplitudes = symmetric_state(n_copies, 0.0) * np.exp(
-        1j * np.outer(phis, np.arange(n_copies + 1))
-    )
-    p = np.abs(amplitudes @ povm_basis(n_copies).conj()) ** 2
+    p = outcome_rows(n_copies, phis)
     fidelity = np.cos((phase_estimates(n_copies) - phis[:, None]) / 2.0) ** 2
     return float(np.sum(p * fidelity)) / phase_grid

@@ -1,20 +1,15 @@
-"""Cross-module invariant suite backing the `verify` CLI command."""
+"""Cross-module invariant suite backing the `verify` CLI command; the one
+owner of the paper's claims, read off one curve_table."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .cloning import shrinking_factor, shrinking_factor_limit
-from .povm import mean_fidelity_closed, mean_fidelity_numeric, outcome_distribution, povm_basis
-from .strategies import (
-    CURVE_N_CAP,
-    EQUIVALENCE_TOL,
-    p_cloning,
-    p_measurement,
-    p_unified_collective,
-    p_unified_pair,
-)
+from .povm import mean_fidelity_closed, mean_fidelity_numeric, povm_basis
+from .strategies import CURVE_N_CAP, StrategyCurvePoint, curve_table
 
+EQUIVALENCE_TOL = 1e-12
 STRUCTURE_TOL = 1e-12
 AGREEMENT_TOL = 1e-10
 
@@ -30,14 +25,16 @@ def run_checks(n_max: int) -> list[CheckResult]:
     """Run all named invariant checks up to ensemble size n_max."""
     if not 1 <= n_max <= CURVE_N_CAP:
         raise ValueError(f"n_max must lie in 1..{CURVE_N_CAP}, got {n_max}")
+    table = curve_table(1, n_max)
     return [
         _check_povm_structure(n_max),
         _check_mean_fidelity_agreement(n_max),
-        _check_strategy_equivalence(n_max),
+        _check_strategy_equivalence(table),
         _check_shrinking_monotonicity(n_max),
-        _check_collective_ordering(n_max),
-        _check_pairwise_crossover(n_max),
+        _check_collective_ordering(table),
+        _check_pairwise_crossover(table),
         _check_shrinking_bound(n_max),
+        _check_probabilities_in_range(table),
     ]
 
 
@@ -69,12 +66,12 @@ def _check_mean_fidelity_agreement(n_max: int) -> CheckResult:
     )
 
 
-def _check_strategy_equivalence(n_max: int) -> CheckResult:
-    worst = max(abs(p_measurement(n) - p_cloning(n)) for n in range(1, n_max + 1))
+def _check_strategy_equivalence(table: list[StrategyCurvePoint]) -> CheckResult:
+    worst = max(abs(p.p_measurement - p.p_cloning) for p in table)
     return CheckResult(
         "measurement-cloning-equivalence",
         worst <= EQUIVALENCE_TOL,
-        f"max |p_measurement - p_cloning| {worst:.3e} over N=1..{n_max}",
+        f"max |p_measurement - p_cloning| {worst:.3e} over N=1..{len(table)}",
     )
 
 
@@ -91,29 +88,29 @@ def _check_shrinking_monotonicity(n_max: int) -> CheckResult:
     )
 
 
-def _check_collective_ordering(n_max: int) -> CheckResult:
-    meas = [p_measurement(n) for n in range(1, n_max + 1)]
-    coll = [p_unified_collective(n) for n in range(1, n_max + 1)]
+def _check_collective_ordering(table: list[StrategyCurvePoint]) -> CheckResult:
+    meas = [p.p_measurement for p in table]
+    coll = [p.p_unified_collective for p in table]
     ok = all(c > m for c, m in zip(coll, meas))
     ok = ok and all(meas[i + 1] > meas[i] for i in range(len(meas) - 1))
     ok = ok and all(coll[i + 1] > coll[i] for i in range(len(coll) - 1))
-    detail = f"collective above measurement, both increasing, N=1..{n_max}"
-    if n_max > 5:
+    detail = f"collective above measurement, both increasing, N=1..{len(table)}"
+    if len(table) > 5:
         gap_small, gap_large = coll[4] - meas[4], coll[-1] - meas[-1]
         ok = ok and gap_large < gap_small
         detail += f"; gap {gap_small:.3e} -> {gap_large:.3e}"
     return CheckResult("collective-strategy-ordering", ok, detail)
 
 
-def _check_pairwise_crossover(n_max: int) -> CheckResult:
-    ok = p_unified_pair(1) > p_measurement(1)
-    if n_max >= 2:
-        ok = ok and abs(p_unified_pair(2) - p_measurement(2)) <= EQUIVALENCE_TOL
-    ok = ok and all(p_unified_pair(n) < p_measurement(n) for n in range(3, n_max + 1))
+def _check_pairwise_crossover(table: list[StrategyCurvePoint]) -> CheckResult:
+    ok = table[0].p_unified_pair > table[0].p_measurement
+    if len(table) >= 2:
+        ok = ok and abs(table[1].p_unified_pair - table[1].p_measurement) <= EQUIVALENCE_TOL
+    ok = ok and all(p.p_unified_pair < p.p_measurement for p in table[2:])
     return CheckResult(
         "pairwise-crossover",
         ok,
-        f"advantage at N=1, tie at N=2, reversal for N=3..{n_max}",
+        f"advantage at N=1, tie at N=2, reversal for N=3..{len(table)}",
     )
 
 
@@ -126,4 +123,14 @@ def _check_shrinking_bound(n_max: int) -> CheckResult:
         "collective-shrinking-above-limit",
         ok,
         f"eta(N, 2N) > eta(N, inf) over N=1..{n_max}",
+    )
+
+
+def _check_probabilities_in_range(table: list[StrategyCurvePoint]) -> CheckResult:
+    probs = [v for p in table for k, v in asdict(p).items() if k.startswith("p_")]
+    return CheckResult(
+        "strategy-probabilities-in-range",
+        all(0.0 < v <= 1.0 for v in probs),
+        f"success probabilities in [{min(probs):.3e}, {max(probs):.3e}], "
+        f"need (0, 1], over N=1..{len(table)}",
     )

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from eqfid import strategies
 from eqfid.cli import main
 from eqfid.povm import BASIS_CAP, mean_fidelity_closed
 from eqfid.strategies import p_measurement, p_unified_pair
@@ -80,8 +81,16 @@ def test_curves_gnuplot_script(tmp_path):
     assert "plot" in script
 
 
-def test_curves_gnuplot_requires_out():
-    assert run(["curves", "--n-min", "1", "--n-max", "2", "--gnuplot"]) == 2
+def test_curves_gnuplot_requires_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["curves", "--n-min", "1", "--n-max", "3", "--gnuplot"]) == 2
+    assert run(
+        ["curves", "--n-min", "1", "--n-max", "3", "--format", "json", "--out", "t.json",
+         "--gnuplot"]
+    ) == 2
+    # The flag combination is rejected before anything is written.
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_env_out_dir_prefixes_relative_paths(tmp_path, monkeypatch):
@@ -332,6 +341,25 @@ def test_verify_passes(capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
     assert len(lines) >= 6
     assert all(l.startswith("PASS ") for l in lines)
+
+
+@pytest.mark.parametrize(
+    "name, offset, failing",
+    [
+        ("p_cloning", 1e-9, "measurement-cloning-equivalence"),
+        # Above 1 at every N, yet still increasing and above measurement.
+        ("p_unified_collective", 0.6, "strategy-probabilities-in-range"),
+    ],
+    ids=["equivalence", "range"],
+)
+def test_verify_fails_only_the_broken_claim(name, offset, failing, capsys, monkeypatch):
+    original = getattr(strategies, name)
+    monkeypatch.setattr(strategies, name, lambda n: original(n) + offset)
+    assert run(["verify", "--n-max", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8
+    failed = [l for l in lines if not l.startswith("PASS ")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL {failing}: "), failed
 
 
 def test_verify_invalid_n_max_exits_2():

@@ -231,9 +231,9 @@ def test_fixed_phase_builds_one_row_per_register_per_block(
     strategy, mode, phases, per_register, monkeypatch
 ):
     built = []
-    for name in ("_pure_probability_rows", "_mixed_probability_rows"):
-        def counting(phis, _original=getattr(montecarlo, name), **kw):
-            rows = _original(phis, **kw)
+    for name in ("outcome_rows", "_mixed_probability_rows"):
+        def counting(*args, _original=getattr(montecarlo, name), **kw):
+            rows = _original(*args, **kw)
             built.append(len(rows))
             return rows
 

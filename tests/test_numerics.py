@@ -14,7 +14,6 @@ from eqfid.numerics import (
     overlap,
     pure_fidelity,
     sqrt_binom_sum,
-    sqrt_binom_sum_scaled,
 )
 
 
@@ -86,13 +85,6 @@ def test_binomial_log_pmf_small_rows_exact():
 def test_binomial_log_pmf_domain_error():
     with pytest.raises(ValueError):
         binomial_log_pmf(-1)
-
-
-def test_sqrt_binom_sum_scaled_matches_direct_ratio():
-    for n in range(1, 61):
-        assert math.isclose(
-            sqrt_binom_sum_scaled(n), sqrt_binom_sum(n) / 2.0**n, rel_tol=1e-14
-        )
 
 
 def test_phase_normalization():

@@ -12,7 +12,7 @@ import pytest
 
 from eqfid.cloning import shrinking_factor
 from eqfid.numerics import sqrt_binom_sum_scaled
-from eqfid.povm import mean_fidelity_closed
+from eqfid.povm import mean_fidelity_closed, outcome_distribution, outcome_rows
 from eqfid.strategies import curve_table, p_unified_collective
 
 mpmath = pytest.importorskip("mpmath")
@@ -99,3 +99,34 @@ def test_closed_forms_finite_and_exact_past_float_range():
     for value, exact in cases:
         assert math.isfinite(value)
         assert rel_err(value, exact) <= REL_TOL
+
+
+def oracle_outcome_row(n, phi):
+    """p_k(phi) = |sum_m sqrt(C(n,m) / 2^n) e^{i m (phi - 2 pi k/(n+1))}|^2 / (n+1),
+    each sum by Horner's rule in the phase factor."""
+    weights = [mpmath.sqrt(mpmath.mpf(math.comb(n, m)) / 2**n) for m in range(n + 1)]
+    row = []
+    for k in range(n + 1):
+        z = mpmath.expj(mpmath.mpf(phi) - 2 * mpmath.pi * k / (n + 1))
+        amplitude = mpmath.mpc(0)
+        for w in reversed(weights):
+            amplitude = amplitude * z + w
+        row.append(abs(amplitude) ** 2 / (n + 1))
+    return row
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 60, 200])
+def test_outcome_rows_match_oracle(n):
+    phases = [0.0, 0.3, 2.0, math.pi, 6.2]
+    rows = outcome_rows(n, phases)
+    assert rows.shape == (len(phases), n + 1)
+    # A one-phase product may round differently from a batched one (BLAS
+    # sums them in different orders), so each is held to the oracle alone.
+    for phi, row in zip(phases, rows):
+        exact = oracle_outcome_row(n, phi)
+        # e^{i phi m} is taken of the rounded product phi * m, whose error
+        # grows with it: 6.6e-15 at N = 200, phi = 5.97.
+        tol = 2e-15 + 1e-17 * n * phi
+        for law in (row, outcome_distribution(n, phi)):
+            worst = max(abs(float(p - q)) for p, q in zip(law, exact))
+            assert worst <= tol, (n, phi, worst)

@@ -115,7 +115,6 @@ def test_curve_table_rows_and_ordering():
     assert len(points) == 10
     assert [p.n_copies for p in points] == list(range(1, 11))
     for p in points:
-        p.validate()
         assert p.p_unified_collective > p.p_measurement
 
 
