@@ -8,11 +8,9 @@ reconstructed.
 
 from .cloning import (
     ShrinkingFactor,
-    TransformationOutput,
     cnot_fidelity,
     eqcm_fidelity,
     gcnot_fidelity,
-    gcnot_output,
     shrinking_factor,
     shrinking_factor_limit,
 )
@@ -31,11 +29,9 @@ from .numerics import (
     Phase,
     QubitDensityMatrix,
     as_phase,
-    binom,
     clone_state,
     equatorial_state,
     overlap,
-    pure_fidelity,
     sqrt_binom_sum,
     sqrt_binom_sum_scaled,
 )
@@ -72,13 +68,11 @@ __all__ = [
     "QubitDensityMatrix",
     "ShrinkingFactor",
     "StrategyCurvePoint",
-    "TransformationOutput",
     "TrialConfig",
     "TrialReport",
     "UNIFIED_COLLECTIVE",
     "UNIFIED_PAIR",
     "as_phase",
-    "binom",
     "clone_state",
     "cnot_fidelity",
     "curve_table",
@@ -87,7 +81,6 @@ __all__ = [
     "equatorial_state",
     "estimate_phase",
     "gcnot_fidelity",
-    "gcnot_output",
     "mean_fidelity_closed",
     "mean_fidelity_numeric",
     "mixed_ensemble_distribution",
@@ -100,7 +93,6 @@ __all__ = [
     "p_unified_collective_unequal",
     "p_unified_pair",
     "povm_basis",
-    "pure_fidelity",
     "run_checks",
     "shrinking_factor",
     "shrinking_factor_limit",

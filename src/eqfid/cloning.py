@@ -1,9 +1,9 @@
-"""Shrinking factors and output states of the equatorial difference gates."""
+"""Shrinking factors and fidelities of the equatorial cloner and difference gates."""
 
 import math
 from dataclasses import dataclass
 
-from .numerics import Phase, QubitDensityMatrix, as_phase, clone_state, sqrt_binom_sum_scaled
+from .numerics import sqrt_binom_sum_scaled
 
 
 @dataclass(frozen=True)
@@ -13,20 +13,6 @@ class ShrinkingFactor:
     n_in: int
     m_out: float  # integer count, or math.inf for the asymptotic machine
     value: float
-
-
-@dataclass(frozen=True)
-class TransformationOutput:
-    """Per-copy output states of the pairwise or collective difference gate.
-
-    The control side keeps the first input phase, the difference side carries
-    the phase difference; both are shrunk by the same factor.
-    """
-
-    control_state: QubitDensityMatrix
-    difference_state: QubitDensityMatrix
-    copies_per_side: int
-    eta: float
 
 
 def shrinking_factor(n_in: int, m_out: int) -> ShrinkingFactor:
@@ -66,23 +52,3 @@ def gcnot_fidelity(n_copies: int) -> float:
     """Reconstruction probability of the collective N -> 2N difference gate,
     (1 + eta(N, 2N)) / 2."""
     return (1.0 + shrinking_factor(n_copies, 2 * n_copies).value) / 2.0
-
-
-def gcnot_output(n_copies: int, phase_a, phase_b) -> TransformationOutput:
-    """Output of the collective gate on N copies of each input phase.
-
-    Both sides come out as shrunk equatorial states with eta(N, 2N); the
-    difference side carries phase_b - phase_a reduced mod 2 pi.
-    """
-    if n_copies < 1:
-        raise ValueError("n_copies must be >= 1")
-    eta = shrinking_factor(n_copies, 2 * n_copies).value
-    pa = as_phase(phase_a)
-    diff = Phase(as_phase(phase_b).value - pa.value)
-    return TransformationOutput(
-        control_state=clone_state(pa, eta),
-        difference_state=clone_state(diff, eta),
-        copies_per_side=n_copies,
-        eta=eta,
-    )
-

@@ -1,17 +1,21 @@
 """Seeded Monte Carlo simulation of the fidelity-estimation strategies.
 
 One kernel, simulate, runs every strategy over registers. A register is one
-measured phase with its draw column, its outcome law (pure rows, or
-full-mixed rows with a trailing slot outside the symmetric subspace) and its
-tally name. The measurement strategy measures ensemble_a and ensemble_b at
-phi_a and phi_b; each unified strategy measures one register, difference, at
+measured phase with its draw column, its outcome law and its tally name. The
+measurement strategy measures ensemble_a and ensemble_b at phi_a and phi_b;
+each unified strategy measures one register, difference, at
 (phi_b - phi_a) mod 2 pi.
+
+Both outcome laws, pure and full-mixed, are shift covariant, and
+povm.covariant_rows builds the rows of each from its Fourier coefficients.
+A full-mixed trial has one more slot, N+1, outside the symmetric subspace.
+Its probability is what a row leaves of one; no row holds it.
 
 Outcome laws are built once per distinct law. A fixed phase is a length-1
 array, so its register builds one outcome row per block and broadcasts it
 against the block's draws; only phases that vary per trial get a row per
-trial. The full-mixed set-up evaluates the single k = 0 projector at the
-2N+1 phases of its Fourier expansion, with one Dicke embedding.
+trial. The full-mixed set-up evaluates the single k = 0 projector at 2N+1
+phases, with one Dicke embedding, and keeps the N+1 coefficients.
 
 Reproducibility contract
 ------------------------
@@ -40,7 +44,7 @@ import numpy as np
 
 from .cloning import cnot_fidelity, gcnot_fidelity, shrinking_factor
 from .numerics import TWO_PI, as_phase, clone_state
-from .povm import outcome_rows, phase_estimates, povm_basis
+from .povm import covariant_rows, outcome_rows, phase_estimates, povm_basis
 from .strategies import p_measurement, p_unified_collective, p_unified_pair
 from .symmetric import EMBEDDING_CAP, dicke_embedding
 
@@ -199,10 +203,7 @@ def simulate(config: TrialConfig) -> TrialReport:
         full = config.mixed_mode == FULL_MIXED
         if full:
             eta = shrinking_factor(1, 2) if pair else shrinking_factor(n, 2 * n)
-            coeff_matrix, frequencies = _mixed_harmonic_expansion(n, eta.value)
-            rows = partial(
-                _mixed_probability_rows, coeff_matrix=coeff_matrix, frequencies=frequencies
-            )
+            rows = partial(covariant_rows, _mixed_harmonic_expansion(n, eta.value))
         else:
             gate_factor = cnot_fidelity() if pair else gcnot_fidelity(n)
     estimates = phase_estimates(n)
@@ -217,7 +218,10 @@ def simulate(config: TrialConfig) -> TrialReport:
         phi_b = _block_phases(draws[:, 1], config.phase_b)
         # Sample every register before scoring: fewer live arrays while rows are built.
         phis = [r.phase(phi_a, phi_b) for r in registers]
-        ks = [_sample_rows(rows(phi), draws[:, r.column]) for r, phi in zip(registers, phis)]
+        ks = [
+            _sample_rows(rows(phi), draws[:, r.column], n_slots)
+            for r, phi in zip(registers, phis)
+        ]
         value = 1.0
         est_diff = phase_diff = 0.0
         for register, phi, k in zip(registers, phis, ks):
@@ -270,14 +274,15 @@ def _block_phases(column: np.ndarray, fixed: float | None) -> np.ndarray:
     return np.array([fixed])
 
 
-def _mixed_harmonic_expansion(n_copies: int, eta_value: float):
-    """Fourier data reproducing mixed_ensemble_distribution at any phase.
+def _mixed_harmonic_expansion(n_copies: int, eta_value: float) -> np.ndarray:
+    """One-sided Fourier coefficients of mixed_ensemble_distribution's
+    outcomes k = 0 .. N, for povm.covariant_rows.
 
     The outcome law is shift covariant: p_k(delta) = q(delta - est_k) where q
-    is a trigonometric polynomial of degree N, so sampling q at 2N+1 phases
-    recovers it exactly. Returns (coeff_matrix, frequencies) with
-    coeff_matrix[f, k] = a_f e^{-i f est_k}; the probability rows are then
-    Re(e^{i delta f} @ coeff_matrix).
+    is a real trigonometric polynomial of degree N, so sampling q at 2N+1
+    phases recovers it exactly. Its coefficients q_m, m = 0 .. N, come from
+    one FFT, and q_{-m} is the conjugate of q_m, so c_0 = q_0 and
+    c_m = 2 q_m describe it whole.
 
     Only q = p_0 is needed, so the embedding and the k = 0 vector are built
     once and rho^{(x) N} is applied to that one vector at each phase: the
@@ -291,27 +296,20 @@ def _mixed_harmonic_expansion(n_copies: int, eta_value: float):
         0.0,
         None,
     )
-    coeffs = np.fft.fft(q) / m
-    frequencies = np.where(np.arange(m) <= n_copies, np.arange(m), np.arange(m) - m)
-    coeff_matrix = coeffs[:, None] * np.exp(-1j * np.outer(frequencies, phase_estimates(n_copies)))
-    return coeff_matrix, frequencies
+    coeffs = np.fft.fft(q)[: n_copies + 1] / m
+    coeffs[1:] *= 2.0
+    return coeffs
 
 
-def _mixed_probability_rows(deltas, coeff_matrix, frequencies) -> np.ndarray:
-    """Mixed outcome probabilities (with trailing perp column), one row per
-    trial phase difference."""
-    basis = np.outer(1j * deltas, frequencies)
-    np.exp(basis, out=basis)  # in place, as in povm.outcome_rows
-    p = np.clip(np.real(basis @ coeff_matrix), 0.0, None)
-    perp = np.clip(1.0 - p.sum(axis=1), 0.0, None)
-    return np.concatenate([p, perp[:, None]], axis=1)
+def _sample_rows(probability_rows: np.ndarray, uniforms: np.ndarray, n_slots: int) -> np.ndarray:
+    """Inverse-CDF sample of one categorical outcome per row, among n_slots.
 
-
-def _sample_rows(probability_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sample of one categorical outcome per row."""
-    cdf = np.cumsum(probability_rows, axis=1)
-    k = (cdf < uniforms[:, None]).sum(axis=1)
-    return np.minimum(k, probability_rows.shape[1] - 1)
+    A row may hold fewer than n_slots entries: a draw past the row's sum
+    lands in the last slot, which takes what the row leaves of one (the
+    full-mixed perp outcome), or absorbs rounding when the row sums to one.
+    """
+    k = (np.cumsum(probability_rows, axis=1) < uniforms[:, None]).sum(axis=1)
+    return np.minimum(k, n_slots - 1)
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:

@@ -70,13 +70,6 @@ class QubitDensityMatrix:
             raise ValueError("matrix has a negative eigenvalue")
 
 
-def binom(n: int, i: int) -> int:
-    """Exact binomial coefficient C(n, i)."""
-    if n < 0 or i < 0 or i > n:
-        raise ValueError(f"binomial index out of range: C({n}, {i})")
-    return math.comb(n, i)
-
-
 def binomial_log_pmf(n: int) -> tuple[int, np.ndarray]:
     """Window start lo and log(C(n, i) / 2^n) for i = lo .. lo + len - 1.
 
@@ -124,12 +117,6 @@ def sqrt_binom_sum(n: int) -> float:
 def equatorial_state(phi) -> np.ndarray:
     """Amplitudes of the equatorial qubit state (|0> + e^{i phi} |1>) / sqrt(2)."""
     return np.array([1.0, np.exp(1j * as_phase(phi).value)]) / math.sqrt(2.0)
-
-
-def pure_fidelity(phase_a, phase_b) -> float:
-    """Fidelity |<psi_a|psi_b>|^2 = cos^2((phi_b - phi_a) / 2)."""
-    d = as_phase(phase_b).value - as_phase(phase_a).value
-    return math.cos(d / 2.0) ** 2
 
 
 def clone_state(phase, eta: float) -> QubitDensityMatrix:

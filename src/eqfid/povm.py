@@ -3,8 +3,9 @@
 The optimal projective measurement for the phase of N identical equatorial
 qubits is the discrete Fourier basis of the (N+1)-dimensional symmetric
 subspace; outcome k carries the phase estimate 2 pi k / (N+1). This module
-provides the basis, the outcome law, the estimator and the mean estimation
-fidelity both in closed form and by direct quadrature.
+provides the basis, the one row builder for shift-covariant outcome laws,
+the pure outcome law, the estimator and the mean estimation fidelity both in
+closed form and by direct quadrature.
 """
 
 import math
@@ -16,9 +17,14 @@ from .symmetric import symmetric_state
 
 DEFAULT_PHASE_GRID = 64
 
-# Largest N with a measurement basis, the one (N+1) x (N+1) object: every N
-# that ever ran, and one 65536-trial simulate block of rows takes 1.1 GB.
+# Largest N with an outcome law: every N that ever ran. Rows grow as N^2, and
+# building one 65536-trial simulate block of them peaks at 1.9 GB at the cap.
 BASIS_CAP = 1029
+
+
+def _check_cap(n_copies: int) -> None:
+    if not 1 <= n_copies <= BASIS_CAP:
+        raise ValueError(f"n_copies must lie in 1..{BASIS_CAP}, got {n_copies}")
 
 
 def povm_basis(n_copies: int) -> np.ndarray:
@@ -27,33 +33,58 @@ def povm_basis(n_copies: int) -> np.ndarray:
 
     The columns are pairwise orthonormal and their projectors sum to the
     identity, so the N+1 outcomes form a complete projective measurement.
+    The outcome law is built from Fourier coefficients instead; verify holds
+    it to this basis.
     """
-    if not 1 <= n_copies <= BASIS_CAP:
-        raise ValueError(f"n_copies must lie in 1..{BASIS_CAP}, got {n_copies}")
+    _check_cap(n_copies)
     dim = n_copies + 1
     grid = np.outer(np.arange(dim), np.arange(dim))
     return np.exp(2j * np.pi * grid / dim) / math.sqrt(dim)
 
 
+def covariant_rows(coeffs, phis) -> np.ndarray:
+    """Rows p_k(phi) = Re sum_m c_m e^{i m (phi - est_k)}, k = 0 .. N, of a
+    shift-covariant outcome law with one-sided Fourier coefficients
+    c_0 .. c_N, one row per phase in phis.
+
+    The law is q(phi - est_k) with q(x) = sum_{|m| <= N} q_m e^{i m x}, so
+    c_0 = q_0 and c_m = 2 q_m. Each row is one real product of the
+    interleaved (Re, Im) phase factors with a (2N+2) x (N+1) table; its
+    phases e^{-i m est_k} use m k reduced mod N+1. Tiny negative rounding
+    residues are clamped to zero.
+    """
+    n = len(coeffs) - 1
+    _check_cap(n)
+    m = np.arange(n + 1)
+    roots = np.exp(-2j * np.pi * m / (n + 1))
+    shift = roots[np.outer(m, m) % (n + 1)] * np.asarray(coeffs)[:, None]
+    table = np.empty((2 * n + 2, n + 1))
+    table[0::2] = shift.real
+    table[1::2] = -shift.imag
+    waves = np.outer(1j * np.asarray(phis), m)
+    np.exp(waves, out=waves)
+    p = waves.view(float) @ table
+    return np.clip(p, 0.0, None, out=p)
+
+
+def pure_coefficients(n_copies: int) -> np.ndarray:
+    """One-sided Fourier coefficients of the pure outcome law.
+
+    p_k(phi) = |<basis_k | Phi(phi)>|^2 has q_m = a_m / (N+1), where
+    a_m = sum_n w_n w_{n+m} is the autocorrelation of the Dicke weights w.
+    N is checked first, before any N-sized array is built.
+    """
+    _check_cap(n_copies)
+    w = np.abs(symmetric_state(n_copies, 0.0))
+    c = np.correlate(w, w, "full")[n_copies:] / (n_copies + 1)
+    c[1:] *= 2.0
+    return c
+
+
 def outcome_rows(n_copies: int, phis) -> np.ndarray:
     """Outcome probabilities p_k(phi) = |<basis_k | Phi(phi)>|^2, k = 0 .. N,
-    one row per phase in phis.
-
-    Each row-sized matrix is built in place and freed once used, because the
-    allocator can keep freed blocks resident and so raise the peak memory.
-    Tiny negative rounding residues are clamped to zero; each row sums to one
-    because the basis is complete and the input state is normalized.
-    """
-    basis_conj = povm_basis(n_copies).conj()
-    weights = np.abs(symmetric_state(n_copies, 0.0))
-    c = np.outer(1j * np.asarray(phis), np.arange(n_copies + 1))
-    np.exp(c, out=c)
-    c *= weights
-    c = c @ basis_conj
-    p = np.abs(c)
-    del c
-    p **= 2
-    return np.clip(p, 0.0, None, out=p)
+    one row per phase in phis; each row sums to one."""
+    return covariant_rows(pure_coefficients(n_copies), phis)
 
 
 def outcome_distribution(n_copies: int, phase) -> np.ndarray:

@@ -6,12 +6,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cloning import shrinking_factor, shrinking_factor_limit
-from .povm import mean_fidelity_closed, mean_fidelity_numeric, povm_basis
+from .povm import mean_fidelity_closed, mean_fidelity_numeric, outcome_rows, povm_basis
 from .strategies import CURVE_N_CAP, StrategyCurvePoint, curve_table
+from .symmetric import symmetric_state
 
 EQUIVALENCE_TOL = 1e-12
 STRUCTURE_TOL = 1e-12
 AGREEMENT_TOL = 1e-10
+# Phases at which the outcome law is held to the basis, up to 2 pi.
+LAW_PHASES = (0.0, 0.3, 2.0, 5.97)
 
 
 @dataclass(frozen=True)
@@ -39,19 +42,24 @@ def run_checks(n_max: int) -> list[CheckResult]:
 
 
 def _check_povm_structure(n_max: int) -> CheckResult:
+    """The basis is orthonormal and complete, and outcome_rows, built from
+    Fourier coefficients, equals |basis^dagger Phi(phi)|^2."""
     worst = 0.0
     for n in range(1, n_max + 1):
         basis = povm_basis(n)
         eye = np.eye(n + 1)
+        states = symmetric_state(n, 0.0) * np.exp(1j * np.outer(LAW_PHASES, np.arange(n + 1)))
+        law = np.abs(states @ basis.conj()) ** 2
         worst = max(
             worst,
             float(np.max(np.abs(basis.conj().T @ basis - eye))),
             float(np.max(np.abs(basis @ basis.conj().T - eye))),
+            float(np.max(np.abs(outcome_rows(n, LAW_PHASES) - law))),
         )
     return CheckResult(
         "povm-orthonormality-completeness",
         worst <= STRUCTURE_TOL,
-        f"max deviation {worst:.3e} over N=1..{n_max}",
+        f"max deviation {worst:.3e} of basis and outcome law over N=1..{n_max}",
     )
 
 

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from eqfid import strategies
+from eqfid import povm, strategies
 from eqfid.cli import main
 from eqfid.povm import BASIS_CAP, mean_fidelity_closed
 from eqfid.strategies import p_measurement, p_unified_pair
@@ -344,17 +344,20 @@ def test_verify_passes(capsys):
 
 
 @pytest.mark.parametrize(
-    "name, offset, failing",
+    "module, name, offset, failing",
     [
-        ("p_cloning", 1e-9, "measurement-cloning-equivalence"),
+        (strategies, "p_cloning", 1e-9, "measurement-cloning-equivalence"),
         # Above 1 at every N, yet still increasing and above measurement.
-        ("p_unified_collective", 0.6, "strategy-probabilities-in-range"),
+        (strategies, "p_unified_collective", 0.6, "strategy-probabilities-in-range"),
+        # Every outcome row off by 1e-11: past the basis check's 1e-12, while
+        # the numeric mean fidelity moves by under its 1e-10 tolerance.
+        (povm, "covariant_rows", 1e-11, "povm-orthonormality-completeness"),
     ],
-    ids=["equivalence", "range"],
+    ids=["equivalence", "range", "outcome-law"],
 )
-def test_verify_fails_only_the_broken_claim(name, offset, failing, capsys, monkeypatch):
-    original = getattr(strategies, name)
-    monkeypatch.setattr(strategies, name, lambda n: original(n) + offset)
+def test_verify_fails_only_the_broken_claim(module, name, offset, failing, capsys, monkeypatch):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: original(*args) + offset)
     assert run(["verify", "--n-max", "5"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 8

@@ -1,17 +1,14 @@
 import math
 
-import numpy as np
 import pytest
 
 from eqfid.cloning import (
     cnot_fidelity,
     eqcm_fidelity,
     gcnot_fidelity,
-    gcnot_output,
     shrinking_factor,
     shrinking_factor_limit,
 )
-from eqfid.numerics import overlap
 from eqfid.povm import mean_fidelity_closed
 
 
@@ -103,53 +100,3 @@ def test_eqcm_fidelity_values():
 def test_eqcm_equals_mean_estimation_fidelity():
     for n in range(1, 51):
         assert abs(eqcm_fidelity(n) - mean_fidelity_closed(n)) <= 1e-12
-
-
-def test_cnot_output_zero_difference():
-    out = gcnot_output(1, 1.3, 1.3)
-    assert out.copies_per_side == 1
-    assert abs(out.eta - 1.0 / math.sqrt(2.0)) < 1e-15
-    # difference state is the shrunk phase-0 state
-    assert abs(overlap(out.difference_state, 0.0) - cnot_fidelity()) < 1e-12
-
-
-def test_cnot_output_overlaps():
-    a, b = 0.9, 2.4
-    out = gcnot_output(1, a, b)
-    assert abs(overlap(out.difference_state, b - a) - cnot_fidelity()) < 1e-12
-    assert abs(overlap(out.control_state, a) - cnot_fidelity()) < 1e-12
-
-
-def test_cnot_output_difference_phase_wraps():
-    a, b = 5.5, 1.1  # b - a is negative before reduction mod 2*pi
-    out = gcnot_output(1, a, b)
-    assert abs(overlap(out.difference_state, b - a) - cnot_fidelity()) < 1e-12
-
-
-def test_gcnot_output_reduces_to_pairwise():
-    single = gcnot_output(1, 0.4, 1.9)
-    assert single.eta == shrinking_factor(1, 2).value
-    assert (1.0 + single.eta) / 2.0 == cnot_fidelity()
-
-
-def test_gcnot_output_two_copies():
-    out = gcnot_output(2, 0.2, 3.0)
-    assert out.copies_per_side == 2
-    assert abs(out.eta - 0.8199552211058639) < 1e-15
-    assert abs(overlap(out.difference_state, 2.8) - gcnot_fidelity(2)) < 1e-12
-    assert abs(overlap(out.control_state, 0.2) - gcnot_fidelity(2)) < 1e-12
-
-
-def test_gcnot_output_states_are_valid_density_matrices():
-    for n in (1, 3, 8):
-        out = gcnot_output(n, 1.0, 2.0)
-        for rho in (out.control_state, out.difference_state):
-            m = rho.matrix
-            assert np.max(np.abs(m - m.conj().T)) < 1e-12
-            assert abs(np.trace(m) - 1.0) < 1e-12
-            assert np.linalg.eigvalsh(m).min() > -1e-12
-
-
-def test_gcnot_output_domain_error():
-    with pytest.raises(ValueError):
-        gcnot_output(0, 0.0, 1.0)

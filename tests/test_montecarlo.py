@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eqfid import montecarlo
+from eqfid import montecarlo, povm
 from eqfid.cloning import shrinking_factor
 from eqfid.montecarlo import (
     ANALYTIC_FACTOR,
@@ -16,12 +16,11 @@ from eqfid.montecarlo import (
     UNIFIED_PAIR,
     TrialConfig,
     _mixed_harmonic_expansion,
-    _mixed_probability_rows,
     mixed_ensemble_distribution,
     simulate,
 )
 from eqfid.numerics import TWO_PI
-from eqfid.povm import outcome_distribution, phase_estimates
+from eqfid.povm import covariant_rows, outcome_distribution, pure_coefficients
 from eqfid.strategies import p_measurement, p_unified_collective, p_unified_pair
 
 
@@ -170,24 +169,23 @@ def test_mixed_distribution_domain_errors():
 def test_harmonic_expansion_matches_direct_evaluation():
     for n in (1, 2, 5):
         for eta in (0.2, 0.9):
-            coeff_matrix, frequencies = _mixed_harmonic_expansion(n, eta)
             deltas = np.array([0.123, 2.5, 5.9])
-            rows = _mixed_probability_rows(deltas, coeff_matrix, frequencies)
+            rows = covariant_rows(_mixed_harmonic_expansion(n, eta), deltas)
             for row, delta in zip(rows, deltas):
                 direct = mixed_ensemble_distribution(n, float(delta), eta)
-                assert np.max(np.abs(row - direct)) < 1e-10
+                assert np.max(np.abs(row - direct[: n + 1])) < 1e-10
+                # The perp slot takes what the row leaves of one.
+                assert abs((1.0 - row.sum()) - direct[n + 1]) < 1e-10
 
 
 def test_harmonic_expansion_samples_equal_direct_distribution():
     # Same arithmetic as sampling mixed_ensemble_distribution(...)[0]: exact.
     for n, eta in ((1, 0.3), (4, 0.8), (12, 0.55)):
-        coeff_matrix, frequencies = _mixed_harmonic_expansion(n, eta)
         m = 2 * n + 1
         q = [mixed_ensemble_distribution(n, x, eta)[0] for x in TWO_PI * np.arange(m) / m]
-        expected = (np.fft.fft(q) / m)[:, None] * np.exp(
-            -1j * np.outer(frequencies, phase_estimates(n))
-        )
-        np.testing.assert_array_equal(coeff_matrix, expected)
+        expected = np.fft.fft(q)[: n + 1] / m
+        expected[1:] *= 2.0
+        np.testing.assert_array_equal(_mixed_harmonic_expansion(n, eta), expected)
 
 
 def test_harmonic_expansion_builds_one_embedding(monkeypatch):
@@ -231,13 +229,14 @@ def test_fixed_phase_builds_one_row_per_register_per_block(
     strategy, mode, phases, per_register, monkeypatch
 ):
     built = []
-    for name in ("outcome_rows", "_mixed_probability_rows"):
-        def counting(*args, _original=getattr(montecarlo, name), **kw):
-            rows = _original(*args, **kw)
+    # The pure law reaches covariant_rows through povm.outcome_rows.
+    for module in (povm, montecarlo):
+        def counting(*args, _original=module.covariant_rows):
+            rows = _original(*args)
             built.append(len(rows))
             return rows
 
-        monkeypatch.setattr(montecarlo, name, counting)
+        monkeypatch.setattr(module, "covariant_rows", counting)
     simulate(config(strategy=strategy, mixed_mode=mode, n_copies=3, trials=BLOCK + 7, **phases))
     tallies = ("ensemble_a", "ensemble_b") if strategy == MEASUREMENT else ("difference",)
     # Registers are sampled in order within each block.
@@ -273,16 +272,11 @@ def test_full_mixed_collective_reports_perp():
 
 
 def test_full_mixed_sampling_law_at_eta_one_matches_pure():
-    # at eta = 1 the sampling rows used by the full-mixed simulator reduce to
-    # the pure outcome law (plus an empty perp column)
-    for n in (1, 2, 4):
-        coeff_matrix, frequencies = _mixed_harmonic_expansion(n, 1.0)
-        deltas = np.linspace(0.0, 2 * math.pi, 9, endpoint=False)
-        rows = _mixed_probability_rows(deltas, coeff_matrix, frequencies)
-        for row, delta in zip(rows, deltas):
-            pure = outcome_distribution(n, float(delta))
-            assert np.max(np.abs(row[:-1] - pure)) < 1e-10
-            assert row[-1] < 1e-10
+    # At eta = 1 the coefficients derived in the 2^N space equal the pure
+    # law's Dicke-weight autocorrelation: two derivations of one law.
+    for n in (1, 2, 4, 12):
+        mixed = _mixed_harmonic_expansion(n, 1.0)
+        assert np.max(np.abs(mixed - pure_coefficients(n))) <= 1e-15, n
 
 
 def test_full_mixed_single_copy_tallies_match_exact_law():

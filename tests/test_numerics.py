@@ -7,47 +7,12 @@ from eqfid.numerics import (
     IDENTITY,
     Phase,
     as_phase,
-    binom,
     binomial_log_pmf,
     clone_state,
     equatorial_state,
     overlap,
-    pure_fidelity,
     sqrt_binom_sum,
 )
-
-
-def pascal_row(n):
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row
-
-
-def test_binom_small_values():
-    assert binom(4, 2) == 6
-    assert binom(1, 0) == 1
-    assert binom(0, 0) == 1
-
-
-def test_binom_against_pascal_recurrence():
-    row = pascal_row(60)
-    assert binom(60, 30) == 118264581564861424
-    assert all(binom(60, i) == row[i] for i in range(61))
-
-
-def test_binom_row_symmetry_and_sums():
-    for n in range(61):
-        row = tuple(binom(n, i) for i in range(n + 1))
-        assert sum(row) == 2**n
-        assert row == row[::-1]
-        assert all(binom(n, i) == row[i] for i in range(n + 1))
-
-
-@pytest.mark.parametrize("n,i", [(4, 5), (4, -1), (-1, 0)])
-def test_binom_domain_errors(n, i):
-    with pytest.raises(ValueError):
-        binom(n, i)
 
 
 def test_sqrt_binom_sum_values():
@@ -78,7 +43,7 @@ def test_binomial_log_pmf_small_rows_exact():
         lo, logs = binomial_log_pmf(n)
         assert (lo, len(logs)) == (0, n + 1)
         for i, value in enumerate(logs):
-            exact = math.log(binom(n, i)) - n * math.log(2.0)
+            exact = math.log(math.comb(n, i)) - n * math.log(2.0)
             assert abs(value - exact) <= 4e-15 * max(1.0, abs(exact))
 
 
@@ -123,23 +88,6 @@ def test_equatorial_state_normalized():
     for phi in np.linspace(0, 2 * math.pi, 17):
         amp = equatorial_state(float(phi))
         assert abs(np.vdot(amp, amp).real - 1.0) < 1e-14
-
-
-def test_pure_fidelity_examples():
-    assert pure_fidelity(0.3, 0.3) == 1.0
-    assert pure_fidelity(0.0, math.pi) < 1e-30
-    assert abs(pure_fidelity(0.0, math.pi / 2) - 0.5) < 1e-14
-
-
-def test_pure_fidelity_symmetry_and_periodicity():
-    for a in np.linspace(0, 2 * math.pi, 9):
-        for b in np.linspace(0, 2 * math.pi, 9):
-            f = pure_fidelity(float(a), float(b))
-            assert abs(f - pure_fidelity(float(b), float(a))) < 1e-14
-            assert abs(f - pure_fidelity(float(a) + 2 * math.pi, float(b))) < 1e-12
-            # matches the amplitude-level definition |1 + e^{i(b-a)}|^2 / 4
-            direct = abs(1.0 + np.exp(1j * (b - a))) ** 2 / 4.0
-            assert abs(f - direct) < 1e-12
 
 
 def test_clone_state_limits():

@@ -81,8 +81,8 @@ DIGESTS = {
     "measurement-full-fixed-json": "3da0c61e98f71bed5e86ef9ccda5c46ff7b0a0fe65e48d46cf625c7095a9b3f9",
     "measurement-full-uniform-csv": "9ace084be17da292bb3e403af5fdb41c5b47824d21f3a83793faa13cf874499c",
     "measurement-full-uniform-json": "5f0df7e80716f3d8d2cb890ed8132483e700be23428908550e586640e7e449fc",
-    "povm-csv": "3932bcebbc23a4689957cc375de83468fdddfe43cee16e1fd3e99e425405312c",
-    "povm-json": "e3815e36d72f2b4bc7a16af76c6152fd0e175cb3d059873aa6a8d038e5180bce",
+    "povm-csv": "37da3c43dafda0629be1a345688a1e6b4f90d236608d959c40db89acc248e8ba",
+    "povm-json": "3f791b4614e25648475a9712a9fbdea3e26e69d0d67be74dfc4d1d93132af25e",
     "unified-collective-analytic-a-fixed-block-plus-7": "a7e1403f919acc295b09e61ec3eea9f7b131c5e9674b6904f1f69901cfaeadae",
     "unified-collective-analytic-b-fixed-block-plus-7": "3da064941097d6740a25f72ebc620675275716ef52b54fabb96b85635f08abae",
     "unified-collective-analytic-fixed-csv": "62cc59b2254f506730762924d606b9f7cd64b249cabcae6f78e932f5b6bef55d",
