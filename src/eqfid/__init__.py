@@ -43,10 +43,8 @@ from .povm import (
     povm_basis,
 )
 from .strategies import (
-    PhaseInfoTradeoff,
     StrategyCurvePoint,
     curve_table,
-    other_ensemble_tradeoff,
     p_cloning,
     p_measurement,
     p_unified_collective,
@@ -64,7 +62,6 @@ __all__ = [
     "FULL_MIXED",
     "MEASUREMENT",
     "Phase",
-    "PhaseInfoTradeoff",
     "QubitDensityMatrix",
     "ShrinkingFactor",
     "StrategyCurvePoint",
@@ -84,7 +81,6 @@ __all__ = [
     "mean_fidelity_closed",
     "mean_fidelity_numeric",
     "mixed_ensemble_distribution",
-    "other_ensemble_tradeoff",
     "outcome_distribution",
     "overlap",
     "p_cloning",

@@ -7,15 +7,18 @@ each unified strategy measures one register, difference, at
 (phi_b - phi_a) mod 2 pi.
 
 Both outcome laws, pure and full-mixed, are shift covariant, and
-povm.covariant_rows builds the rows of each from its Fourier coefficients.
-A full-mixed trial has one more slot, N+1, outside the symmetric subspace.
-Its probability is what a row leaves of one; no row holds it.
+povm.covariant_rows builds the rows of each from its Fourier coefficients
+(povm.pure_coefficients, povm.mixed_coefficients), both computed in the
+(N+1)-dimensional symmetric subspace. A full-mixed trial has one more slot,
+N+1, outside the symmetric subspace. Its probability is what a row leaves of
+one; no row holds it. mixed_ensemble_distribution evaluates the full-mixed
+law in the 2^N space instead; it is the reference the fast route is checked
+against, and no simulation uses it.
 
 Outcome laws are built once per distinct law. A fixed phase is a length-1
 array, so its register builds one outcome row per block and broadcasts it
 against the block's draws; only phases that vary per trial get a row per
-trial. The full-mixed set-up evaluates the single k = 0 projector at 2N+1
-phases, with one Dicke embedding, and keeps the N+1 coefficients.
+trial.
 
 Reproducibility contract
 ------------------------
@@ -44,7 +47,14 @@ import numpy as np
 
 from .cloning import cnot_fidelity, gcnot_fidelity, shrinking_factor
 from .numerics import TWO_PI, as_phase, clone_state
-from .povm import covariant_rows, outcome_rows, phase_estimates, povm_basis
+from .povm import (
+    check_cap,
+    covariant_rows,
+    mixed_coefficients,
+    outcome_rows,
+    phase_estimates,
+    povm_basis,
+)
 from .strategies import p_measurement, p_unified_collective, p_unified_pair
 from .symmetric import EMBEDDING_CAP, dicke_embedding
 
@@ -74,8 +84,7 @@ class TrialConfig:
     mixed_mode: str = ANALYTIC_FACTOR
 
     def __post_init__(self):
-        if self.n_copies < 1:
-            raise ValueError("n_copies must be >= 1")
+        check_cap(self.n_copies)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -84,10 +93,6 @@ class TrialConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.mixed_mode not in MIXED_MODES:
             raise ValueError(f"unknown mixed mode {self.mixed_mode!r}")
-        if self.mixed_mode == FULL_MIXED and self.n_copies > EMBEDDING_CAP:
-            raise ValueError(
-                f"full-mixed simulation capped at n_copies <= {EMBEDDING_CAP}"
-            )
         for name in ("phase_a", "phase_b"):
             v = getattr(self, name)
             if v is not None:
@@ -140,9 +145,10 @@ UNIFIED_REGISTERS = (
 def mixed_ensemble_distribution(n_copies: int, delta, eta_value: float) -> np.ndarray:
     """Outcome law of the phase measurement on N independent shrunk copies.
 
-    The product state rho(delta, eta)^{(x) N} lives in the full 2^N space, so
-    each projector is embedded through the Dicke isometry and applied matrix
-    free, one qubit factor at a time. Returns n_copies + 2 entries: outcomes
+    The reference evaluation in the full 2^N space: each projector is
+    embedded through the Dicke isometry and rho(delta, eta)^{(x) N} is
+    applied matrix free, one qubit factor at a time. simulate samples the
+    same law from povm.mixed_coefficients. Returns n_copies + 2 entries: outcomes
     k = 0 .. N followed by the probability of landing outside the symmetric
     subspace, where the phase measurement is undefined. Entries are clamped
     at zero and sum to one.
@@ -184,7 +190,8 @@ def simulate(config: TrialConfig) -> TrialReport:
 
     Analytic mode samples the pure difference state and multiplies the mean
     by the analytic gate factor. Full-mixed mode instead samples the exact
-    outcome law of the shrunk N-copy product state in the 2^N space; trials
+    outcome law of the shrunk N-copy product state, built in the symmetric
+    subspace by povm.mixed_coefficients at every N up to povm.BASIS_CAP; trials
     that land outside the symmetric subspace record a uniformly random phase
     estimate and are counted in perp_probability, and no gate factor is
     applied. The measurement strategy has no gate and ignores mixed_mode.
@@ -203,7 +210,7 @@ def simulate(config: TrialConfig) -> TrialReport:
         full = config.mixed_mode == FULL_MIXED
         if full:
             eta = shrinking_factor(1, 2) if pair else shrinking_factor(n, 2 * n)
-            rows = partial(covariant_rows, _mixed_harmonic_expansion(n, eta.value))
+            rows = partial(covariant_rows, mixed_coefficients(n, eta.value))
         else:
             gate_factor = cnot_fidelity() if pair else gcnot_fidelity(n)
     estimates = phase_estimates(n)
@@ -272,33 +279,6 @@ def _block_phases(column: np.ndarray, fixed: float | None) -> np.ndarray:
     if fixed is None:
         return TWO_PI * column
     return np.array([fixed])
-
-
-def _mixed_harmonic_expansion(n_copies: int, eta_value: float) -> np.ndarray:
-    """One-sided Fourier coefficients of mixed_ensemble_distribution's
-    outcomes k = 0 .. N, for povm.covariant_rows.
-
-    The outcome law is shift covariant: p_k(delta) = q(delta - est_k) where q
-    is a real trigonometric polynomial of degree N, so sampling q at 2N+1
-    phases recovers it exactly. Its coefficients q_m, m = 0 .. N, come from
-    one FFT, and q_{-m} is the conjugate of q_m, so c_0 = q_0 and
-    c_m = 2 q_m describe it whole.
-
-    Only q = p_0 is needed, so the embedding and the k = 0 vector are built
-    once and rho^{(x) N} is applied to that one vector at each phase: the
-    same arithmetic as mixed_ensemble_distribution(n_copies, x, eta)[0].
-    """
-    w = dicke_embedding(n_copies).astype(complex) @ povm_basis(n_copies)[:, 0]
-    m = 2 * n_copies + 1
-    xs = TWO_PI * np.arange(m) / m
-    q = np.clip(
-        [_product_expectation(clone_state(x, eta_value).matrix, w, n_copies) for x in xs],
-        0.0,
-        None,
-    )
-    coeffs = np.fft.fft(q)[: n_copies + 1] / m
-    coeffs[1:] *= 2.0
-    return coeffs
 
 
 def _sample_rows(probability_rows: np.ndarray, uniforms: np.ndarray, n_slots: int) -> np.ndarray:

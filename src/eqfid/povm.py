@@ -4,8 +4,9 @@ The optimal projective measurement for the phase of N identical equatorial
 qubits is the discrete Fourier basis of the (N+1)-dimensional symmetric
 subspace; outcome k carries the phase estimate 2 pi k / (N+1). This module
 provides the basis, the one row builder for shift-covariant outcome laws,
-the pure outcome law, the estimator and the mean estimation fidelity both in
-closed form and by direct quadrature.
+the Fourier coefficients of the pure and the full-mixed outcome law, the
+estimator and the mean estimation fidelity both in closed form and by direct
+quadrature.
 """
 
 import math
@@ -22,7 +23,9 @@ DEFAULT_PHASE_GRID = 64
 BASIS_CAP = 1029
 
 
-def _check_cap(n_copies: int) -> None:
+def check_cap(n_copies: int) -> None:
+    """Refuse an N outside 1..BASIS_CAP; every outcome law and simulate share
+    this bound and its message."""
     if not 1 <= n_copies <= BASIS_CAP:
         raise ValueError(f"n_copies must lie in 1..{BASIS_CAP}, got {n_copies}")
 
@@ -36,7 +39,7 @@ def povm_basis(n_copies: int) -> np.ndarray:
     The outcome law is built from Fourier coefficients instead; verify holds
     it to this basis.
     """
-    _check_cap(n_copies)
+    check_cap(n_copies)
     dim = n_copies + 1
     grid = np.outer(np.arange(dim), np.arange(dim))
     return np.exp(2j * np.pi * grid / dim) / math.sqrt(dim)
@@ -54,7 +57,7 @@ def covariant_rows(coeffs, phis) -> np.ndarray:
     residues are clamped to zero.
     """
     n = len(coeffs) - 1
-    _check_cap(n)
+    check_cap(n)
     m = np.arange(n + 1)
     roots = np.exp(-2j * np.pi * m / (n + 1))
     shift = roots[np.outer(m, m) % (n + 1)] * np.asarray(coeffs)[:, None]
@@ -74,9 +77,42 @@ def pure_coefficients(n_copies: int) -> np.ndarray:
     a_m = sum_n w_n w_{n+m} is the autocorrelation of the Dicke weights w.
     N is checked first, before any N-sized array is built.
     """
-    _check_cap(n_copies)
+    check_cap(n_copies)
     w = np.abs(symmetric_state(n_copies, 0.0))
     c = np.correlate(w, w, "full")[n_copies:] / (n_copies + 1)
+    c[1:] *= 2.0
+    return c
+
+
+def mixed_coefficients(n_copies: int, eta_value: float) -> np.ndarray:
+    """One-sided Fourier coefficients of the full-mixed outcome law: the phase
+    measurement on N shrunk copies rho = eta |psi(delta)><psi(delta)| + (1-eta) I/2.
+
+    R, the Dicke-basis block of rho(0)^{(x) N}, grows one copy at a time
+    along |D^N_n> = sqrt(n/N) |D^{N-1}_{n-1}>|1> + sqrt((N-n)/N) |D^{N-1}_n>|0>,
+    with rho(0) = [[1, eta], [eta, 1]] / 2: every term is nonnegative, so
+    nothing cancels. p_k(delta) = <basis_k| R(delta) |basis_k> has
+    q_m = tr_m R / (N+1), where tr_m sums R's m-th off-diagonal. The rows sum
+    to tr R, and 1 - tr R is the weight outside the symmetric subspace.
+    O(N^3) time and O(N^2) memory; N is checked before R is built.
+    """
+    check_cap(n_copies)
+    if not 0.0 <= eta_value <= 1.0:
+        raise ValueError(f"shrinking factor must lie in [0, 1], got {eta_value}")
+    r = np.ones((1, 1))
+    for n in range(1, n_copies + 1):
+        j = np.arange(n + 1)
+        up, stay = np.sqrt(j / n), np.sqrt((n - j) / n)
+        # Column side: the appended ket is |0> (stay) or |1> (up).
+        ket0, ket1 = np.zeros((n, n + 1)), np.zeros((n, n + 1))
+        ket0[:, :n] = r * stay[:n]
+        ket1[:, 1:] = r * up[1:]
+        # Row side: the appended bra, weighted by <bra| rho(0) |ket>.
+        r = np.zeros((n + 1, n + 1))
+        r[:n] = stay[:n, None] * (ket0 + eta_value * ket1)
+        r[1:] += up[1:, None] * (eta_value * ket0 + ket1)
+        r *= 0.5
+    c = np.array([np.trace(r, m) for m in range(n_copies + 1)]) / (n_copies + 1)
     c[1:] *= 2.0
     return c
 

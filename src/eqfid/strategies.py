@@ -48,25 +48,6 @@ def p_unified_collective_unequal(n_a: int, n_b: int) -> float:
 
 
 @dataclass(frozen=True)
-class PhaseInfoTradeoff:
-    """What the collective gate costs on the control-side ensemble."""
-
-    p_phase_a_after_gcnot: float
-    p_phase_a_direct: float
-
-
-def other_ensemble_tradeoff(n_copies: int) -> PhaseInfoTradeoff:
-    """Probability of recovering the control phase from the gate's control
-    output (fbar * f_gcnot) versus from the untouched ensemble (fbar).
-
-    The first is strictly smaller: the gate trades single-phase information
-    for phase-difference information.
-    """
-    fbar = mean_fidelity_closed(n_copies)
-    return PhaseInfoTradeoff(fbar * gcnot_fidelity(n_copies), fbar)
-
-
-@dataclass(frozen=True)
 class StrategyCurvePoint:
     """All per-N quantities behind the strategy comparison curves."""
 

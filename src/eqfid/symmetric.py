@@ -13,7 +13,8 @@ import numpy as np
 from .numerics import as_phase, binomial_log_pmf
 
 # Largest N for which the 2^N-dimensional embedding is materialized (4096-dim
-# at the cap); only the mixed-ensemble machinery needs the full space.
+# at the cap); only the full-space reference mixed_ensemble_distribution needs
+# it, and simulate never does.
 EMBEDDING_CAP = 12
 
 

@@ -213,7 +213,7 @@ def test_simulate_usage_errors():
                 "--strategy",
                 "unified-collective",
                 "--n",
-                "13",
+                str(BASIS_CAP + 1),
                 "--trials",
                 "10",
                 "--mixed-mode",
@@ -314,12 +314,20 @@ def test_n_at_basis_cap_runs(capsys):
 
 
 def test_n_past_basis_cap_exits_2(capsys):
-    assert run(["povm", "--n", str(BASIS_CAP + 1)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert str(BASIS_CAP) in captured.err and str(BASIS_CAP + 1) in captured.err
-    assert "Traceback" not in captured.err
+    # One N bound covers every law: povm, analytic and full-mixed simulate.
+    simulate = ["simulate", "--strategy", "unified-collective", "--trials", "10"]
+    for n in (BASIS_CAP + 1, 10**8):
+        for args in (
+            ["povm", "--n", str(n)],
+            simulate + ["--n", str(n)],
+            simulate + ["--n", str(n), "--mixed-mode", "full"],
+        ):
+            assert run(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert str(BASIS_CAP) in captured.err and str(n) in captured.err
+            assert "Traceback" not in captured.err
 
 
 def test_unallocatable_trial_count_exits_2(capsys):

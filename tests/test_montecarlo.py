@@ -15,12 +15,17 @@ from eqfid.montecarlo import (
     UNIFIED_COLLECTIVE,
     UNIFIED_PAIR,
     TrialConfig,
-    _mixed_harmonic_expansion,
     mixed_ensemble_distribution,
     simulate,
 )
 from eqfid.numerics import TWO_PI
-from eqfid.povm import covariant_rows, outcome_distribution, pure_coefficients
+from eqfid.povm import (
+    BASIS_CAP,
+    covariant_rows,
+    mixed_coefficients,
+    outcome_distribution,
+    pure_coefficients,
+)
 from eqfid.strategies import p_measurement, p_unified_collective, p_unified_pair
 
 
@@ -43,8 +48,22 @@ def test_config_rejects_bad_values():
         config(strategy="bogus")
     with pytest.raises(ValueError):
         config(mixed_mode="bogus")
-    with pytest.raises(ValueError):
-        config(n_copies=13, strategy=UNIFIED_COLLECTIVE, mixed_mode=FULL_MIXED)
+    for mode in MIXED_MODES:
+        with pytest.raises(ValueError):
+            config(n_copies=BASIS_CAP + 1, strategy=UNIFIED_COLLECTIVE, mixed_mode=mode)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_n_past_cap_refused_before_any_closed_form(strategy, monkeypatch):
+    # N = 10^8 costs the closed forms tens of seconds; the cap must come first.
+    def forbidden(n):
+        raise AssertionError("closed form evaluated before the N bound")
+
+    for name in ("p_measurement", "p_unified_pair", "p_unified_collective"):
+        monkeypatch.setattr(montecarlo, name, forbidden)
+    for mode in MIXED_MODES:
+        with pytest.raises(ValueError, match=f"{BASIS_CAP}.*{10**8}"):
+            simulate(config(n_copies=10**8, trials=1, strategy=strategy, mixed_mode=mode))
 
 
 def test_config_normalizes_fixed_phases():
@@ -167,47 +186,46 @@ def test_mixed_distribution_domain_errors():
 
 
 def test_harmonic_expansion_matches_direct_evaluation():
-    for n in (1, 2, 5):
+    for n in (1, 2, 5, 12):
         for eta in (0.2, 0.9):
             deltas = np.array([0.123, 2.5, 5.9])
-            rows = covariant_rows(_mixed_harmonic_expansion(n, eta), deltas)
+            rows = covariant_rows(mixed_coefficients(n, eta), deltas)
             for row, delta in zip(rows, deltas):
                 direct = mixed_ensemble_distribution(n, float(delta), eta)
-                assert np.max(np.abs(row - direct[: n + 1])) < 1e-10
+                assert np.max(np.abs(row - direct[: n + 1])) < 1e-14
                 # The perp slot takes what the row leaves of one.
-                assert abs((1.0 - row.sum()) - direct[n + 1]) < 1e-10
+                assert abs((1.0 - row.sum()) - direct[n + 1]) < 1e-14
 
 
 def test_harmonic_expansion_samples_equal_direct_distribution():
-    # Same arithmetic as sampling mixed_ensemble_distribution(...)[0]: exact.
-    for n, eta in ((1, 0.3), (4, 0.8), (12, 0.55)):
-        m = 2 * n + 1
-        q = [mixed_ensemble_distribution(n, x, eta)[0] for x in TWO_PI * np.arange(m) / m]
-        expected = np.fft.fft(q)[: n + 1] / m
-        expected[1:] *= 2.0
-        np.testing.assert_array_equal(_mixed_harmonic_expansion(n, eta), expected)
+    # The 2^N reference at 2N+1 phases determines the degree-N law exactly.
+    for n in (1, 2, 4, 7, 12):
+        for eta in (0.0, 0.55, shrinking_factor(n, 2 * n).value):
+            m = 2 * n + 1
+            q = [mixed_ensemble_distribution(n, x, eta)[0] for x in TWO_PI * np.arange(m) / m]
+            expected = np.fft.fft(q)[: n + 1] / m
+            expected[1:] *= 2.0
+            assert np.max(np.abs(mixed_coefficients(n, eta) - expected)) <= 1e-15, (n, eta)
 
 
-def test_harmonic_expansion_builds_one_embedding(monkeypatch):
-    embedded = []
-    original = montecarlo.dicke_embedding
-    monkeypatch.setattr(
-        montecarlo, "dicke_embedding", lambda n: embedded.append(n) or original(n)
-    )
-
+def test_full_mixed_setup_stays_in_symmetric_subspace(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("mixed_ensemble_distribution called by the expansion")
+        raise AssertionError("full-mixed set-up entered the 2^N space")
 
-    monkeypatch.setattr(montecarlo, "mixed_ensemble_distribution", forbidden)
-    _mixed_harmonic_expansion(5, 0.7)
-    assert embedded == [5]
+    for name in ("dicke_embedding", "clone_state", "povm_basis", "_product_expectation"):
+        monkeypatch.setattr(montecarlo, name, forbidden)
+    for strategy in (UNIFIED_PAIR, UNIFIED_COLLECTIVE):
+        for phases in ({}, {"phase_a": 0.4, "phase_b": 1.9}):
+            report = simulate(
+                config(strategy=strategy, mixed_mode=FULL_MIXED, n_copies=13, trials=100, **phases)
+            )
+            assert sum(report.tallies["difference"]) == 100
 
 
 def test_harmonic_expansion_domain_errors():
-    with pytest.raises(ValueError):
-        _mixed_harmonic_expansion(13, 0.5)
-    with pytest.raises(ValueError):
-        _mixed_harmonic_expansion(2, 1.5)
+    for n, eta in ((0, 0.5), (BASIS_CAP + 1, 0.5), (2, 1.5), (2, -0.1)):
+        with pytest.raises(ValueError):
+            mixed_coefficients(n, eta)
 
 
 # --- outcome rows per block -------------------------------------------------
@@ -272,10 +290,10 @@ def test_full_mixed_collective_reports_perp():
 
 
 def test_full_mixed_sampling_law_at_eta_one_matches_pure():
-    # At eta = 1 the coefficients derived in the 2^N space equal the pure
-    # law's Dicke-weight autocorrelation: two derivations of one law.
-    for n in (1, 2, 4, 12):
-        mixed = _mixed_harmonic_expansion(n, 1.0)
+    # At eta = 1 the Dicke recursion equals the pure law's Dicke-weight
+    # autocorrelation: two derivations of one law.
+    for n in (1, 2, 4, 12, 60, 200):
+        mixed = mixed_coefficients(n, 1.0)
         assert np.max(np.abs(mixed - pure_coefficients(n))) <= 1e-15, n
 
 

@@ -11,8 +11,9 @@ import math
 import pytest
 
 from eqfid.cloning import shrinking_factor
+from eqfid.montecarlo import FULL_MIXED, UNIFIED_COLLECTIVE, TrialConfig, simulate
 from eqfid.numerics import sqrt_binom_sum_scaled
-from eqfid.povm import mean_fidelity_closed, outcome_distribution, outcome_rows
+from eqfid.povm import mean_fidelity_closed, mixed_coefficients, outcome_distribution, outcome_rows
 from eqfid.strategies import curve_table, p_unified_collective
 
 mpmath = pytest.importorskip("mpmath")
@@ -127,3 +128,54 @@ def test_outcome_rows_match_oracle(n):
         for law in (row, outcome_distribution(n, phi)):
             worst = max(abs(float(p - q)) for p, q in zip(law, exact))
             assert worst <= 2e-15, (n, phi, worst)
+
+
+@functools.cache
+def oracle_mixed_coefficients(n, eta_value):
+    """c_0 = tr R / (n+1) and c_m = 2 tr_m R / (n+1), with R the Dicke-basis
+    block of rho(0)^{(x) n}, rho(0) = [[1, eta], [eta, 1]] / 2:
+    R_{a,b} = 2^-n sum_c n! / ((a-c)! (b-c)! c! (n-a-b+c)!) eta^{a+b-2c}
+    / sqrt(C(n,a) C(n,b)), c counting the ones two strings share."""
+    eta = mpmath.mpf(eta_value)
+    coeffs = []
+    for m in range(n + 1):
+        total = mpmath.mpf(0)
+        for a in range(n + 1 - m):
+            b = a + m
+            pairs = mpmath.fsum(
+                math.factorial(n)
+                // (math.factorial(a - c) * math.factorial(b - c) * math.factorial(c)
+                    * math.factorial(n - a - b + c))
+                * eta ** (a + b - 2 * c)
+                for c in range(max(0, a + b - n), a + 1)
+            )
+            total += pairs / mpmath.sqrt(math.comb(n, a) * math.comb(n, b))
+        coeffs.append(total / mpmath.mpf(2) ** n / (n + 1) * (1 if m == 0 else 2))
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 30, 60])
+def test_mixed_coefficients_match_oracle(n):
+    for eta in (0.0, 0.37, 0.93):
+        worst = max(
+            abs(float(c - exact))
+            for c, exact in zip(mixed_coefficients(n, eta), oracle_mixed_coefficients(n, eta))
+        )
+        assert worst <= 1e-16, (n, eta, worst)
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_full_mixed_simulate_matches_oracle_past_full_space(n):
+    # Uniform phases: the mean is 1/2 + (N+1) c_1 / 4 and the perp frequency
+    # 1 - (N+1) c_0; no 2^N reference exists at these N.
+    trials = 20_000
+    eta = shrinking_factor(n, 2 * n).value
+    c = oracle_mixed_coefficients(n, eta)
+    report = simulate(
+        TrialConfig(n_copies=n, trials=trials, seed=n,
+                    strategy=UNIFIED_COLLECTIVE, mixed_mode=FULL_MIXED)
+    )
+    mean = float(mpmath.mpf(1) / 2 + (n + 1) * c[1] / 4)
+    assert abs(report.mean_overlap_product - mean) <= 5 * report.overlap_product_se
+    perp = float(1 - (n + 1) * c[0])
+    assert abs(report.perp_probability - perp) <= 5 * math.sqrt(perp * (1 - perp) / trials)

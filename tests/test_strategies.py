@@ -4,7 +4,6 @@ import pytest
 
 from eqfid.strategies import (
     curve_table,
-    other_ensemble_tradeoff,
     p_cloning,
     p_measurement,
     p_unified_collective,
@@ -85,21 +84,6 @@ def test_unequal_comparison_table_is_exploratory():
     for n_a, n_b in ((1, 3), (2, 5), (4, 4)):
         value = p_unified_collective_unequal(n_a, n_b)
         assert 0.0 < value <= 1.0
-
-
-def test_other_ensemble_tradeoff_values():
-    t = other_ensemble_tradeoff(1)
-    assert abs(t.p_phase_a_after_gcnot - 0.6401650429449552) < 1e-14
-    assert t.p_phase_a_direct == 0.75
-    t = other_ensemble_tradeoff(2)
-    assert abs(t.p_phase_a_after_gcnot - 0.7767144748514208) < 1e-14
-    assert abs(t.p_phase_a_direct - 0.8535533905932737) < 1e-14
-
-
-def test_tradeoff_strictly_loses_information():
-    for n in range(1, 51):
-        t = other_ensemble_tradeoff(n)
-        assert t.p_phase_a_after_gcnot < t.p_phase_a_direct
 
 
 def test_curve_table_single_point():
