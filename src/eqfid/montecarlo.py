@@ -6,41 +6,49 @@ measurement strategy measures ensemble_a and ensemble_b at phi_a and phi_b;
 each unified strategy measures one register, difference, at
 (phi_b - phi_a) mod 2 pi.
 
-Both outcome laws, pure and full-mixed, are shift covariant, and
-povm.covariant_rows builds the rows of each from its Fourier coefficients
+Both outcome laws, pure and full-mixed, are shift covariant,
+p_k(phi) = q(phi - est_k), and one vector of Fourier coefficients
 (povm.pure_coefficients, povm.mixed_coefficients), both computed in the
-(N+1)-dimensional symmetric subspace. A full-mixed trial has one more slot,
-N+1, outside the symmetric subspace. Its probability is what a row leaves of
-one; no row holds it. mixed_ensemble_distribution evaluates the full-mixed
-law in the 2^N space instead; it is the reference the fast route is checked
-against, and no simulation uses it.
+(N+1)-dimensional symmetric subspace, describes each. A full-mixed trial has
+one more slot, N+1, outside the symmetric subspace. Its probability is what
+the law leaves of one, 1 - (N+1) c_0; no row holds it.
+mixed_ensemble_distribution evaluates the full-mixed law in the 2^N space
+instead; it is the reference the fast route is checked against, and no
+simulation uses it.
 
-Outcome laws are built once per distinct law. A fixed phase is a length-1
-array, so its register builds one outcome row per block and broadcasts it
-against the block's draws; only phases that vary per trial get a row per
-trial.
+A register with a fixed phase builds one outcome row per block
+(povm.covariant_rows) and samples every trial of the block from its CDF. A
+register whose phase is uniform builds no row: it samples phase and outcome
+jointly. The outcome is then uniform over the N+1 slots of weight c_0 (the
+perp slot takes the rest), and the offset theta = phi - est_k has one fixed
+law, sampled by povm.offset_sampler; phi = est_k + theta (mod 2 pi). The
+difference of two phases is uniform when either phase is.
 
 Reproducibility contract
 ------------------------
 All randomness comes from a counter-based Philox stream keyed by the seed.
 Trial i consumes exactly the four uniform draws at stream positions
 4i .. 4i+3, so the randomness of a trial depends only on (seed, trial index)
-and never on how trials are batched across blocks or workers. Outcome tallies
-are exact integers and every real accumulation goes through exactly rounded
-summation (math.fsum), which is independent of summation order; identical
-(seed, config) pairs therefore produce bit-identical reports.
+and never on how trials are batched across blocks or workers; each sampled
+offset is a function of its own uniform alone. Outcome tallies are exact
+integers and every real accumulation is exactly rounded (the same bits as
+math.fsum), which is independent of summation order; identical (seed,
+config) pairs therefore produce bit-identical reports.
 
 Per-trial uniform layout (columns of the draw matrix):
-  0  phase of ensemble a (ignored when the phase is fixed)
-  1  phase of ensemble b (ignored when the phase is fixed)
-  2  outcome of register ensemble_a or difference
-  3  outcome of register ensemble_b, or the fallback phase estimate when a
-     full-mixed trial lands outside the symmetric subspace; unused otherwise
+  0  outcome of register ensemble_a or difference when its phase is uniform
+     (a slot past N is the full-mixed perp slot)
+  1  outcome of register ensemble_b when its phase is uniform
+  2  offset of register ensemble_a or difference when its phase is uniform,
+     or the phase itself when a full-mixed trial lands outside the symmetric
+     subspace; its outcome when its phase is fixed
+  3  offset of register ensemble_b when its phase is uniform, its outcome
+     when fixed; for difference, the fallback phase estimate when a
+     full-mixed trial lands outside the symmetric subspace
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,9 +59,10 @@ from .povm import (
     check_cap,
     covariant_rows,
     mixed_coefficients,
-    outcome_rows,
+    offset_sampler,
     phase_estimates,
     povm_basis,
+    pure_coefficients,
 )
 from .strategies import p_measurement, p_unified_collective, p_unified_pair
 from .symmetric import EMBEDDING_CAP, dicke_embedding
@@ -125,21 +134,28 @@ class TrialReport:
 
 
 class _Register(NamedTuple):
-    """One measured phase of a trial: its tally name, the draw column that
-    samples its outcome, and its phase as a function of (phi_a, phi_b)."""
+    """One measured phase of a trial: its tally name, its two draw columns
+    (outcome and offset at a uniform phase; the second is the outcome at a
+    fixed phase), and its fixed phase as a function of the configured
+    (phase_a, phase_b), None where it is uniform."""
 
     tally: str
-    column: int
-    phase: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    columns: tuple[int, int]
+    phase: Callable[[float | None, float | None], float | None]
+
+
+def _difference(phase_a: float | None, phase_b: float | None) -> float | None:
+    """(phase_b - phase_a) mod 2 pi, None (uniform) when either phase is."""
+    if phase_a is None or phase_b is None:
+        return None
+    return (phase_b - phase_a) % TWO_PI
 
 
 MEASUREMENT_REGISTERS = (
-    _Register("ensemble_a", 2, lambda phi_a, phi_b: phi_a),
-    _Register("ensemble_b", 3, lambda phi_a, phi_b: phi_b),
+    _Register("ensemble_a", (0, 2), lambda phase_a, phase_b: phase_a),
+    _Register("ensemble_b", (1, 3), lambda phase_a, phase_b: phase_b),
 )
-UNIFIED_REGISTERS = (
-    _Register("difference", 2, lambda phi_a, phi_b: (phi_b - phi_a) % TWO_PI),
-)
+UNIFIED_REGISTERS = (_Register("difference", (0, 2), _difference),)
 
 
 def mixed_ensemble_distribution(n_copies: int, delta, eta_value: float) -> np.ndarray:
@@ -197,7 +213,6 @@ def simulate(config: TrialConfig) -> TrialReport:
     applied. The measurement strategy has no gate and ignores mixed_mode.
     """
     n = config.n_copies
-    rows = partial(outcome_rows, n)
     full = False
     gate_factor = 1.0
     if config.strategy == MEASUREMENT:
@@ -210,10 +225,13 @@ def simulate(config: TrialConfig) -> TrialReport:
         full = config.mixed_mode == FULL_MIXED
         if full:
             eta = shrinking_factor(1, 2) if pair else shrinking_factor(n, 2 * n)
-            rows = partial(covariant_rows, mixed_coefficients(n, eta.value))
         else:
             gate_factor = cnot_fidelity() if pair else gcnot_fidelity(n)
+    # One coefficient vector feeds the fixed-phase rows and the offset sampler.
+    coeffs = mixed_coefficients(n, eta.value) if full else pure_coefficients(n)
     estimates = phase_estimates(n)
+    phases = [r.phase(config.phase_a, config.phase_b) for r in registers]
+    offsets = offset_sampler(coeffs) if None in phases else None
 
     n_slots = n + 2 if full else n + 1
     values = np.empty(config.trials)
@@ -221,21 +239,27 @@ def simulate(config: TrialConfig) -> TrialReport:
     tallies = {r.tally: np.zeros(n_slots, dtype=np.int64) for r in registers}
 
     for start, draws in _uniform_blocks(config.seed, config.trials):
-        phi_a = _block_phases(draws[:, 0], config.phase_a)
-        phi_b = _block_phases(draws[:, 1], config.phase_b)
-        # Sample every register before scoring: fewer live arrays while rows are built.
-        phis = [r.phase(phi_a, phi_b) for r in registers]
-        ks = [
-            _sample_rows(rows(phi), draws[:, r.column], n_slots)
-            for r, phi in zip(registers, phis)
-        ]
         value = 1.0
         est_diff = phase_diff = 0.0
-        for register, phi, k in zip(registers, phis, ks):
-            if full:
-                est = np.where(k <= n, estimates[np.minimum(k, n)], TWO_PI * draws[:, 3])
+        for register, fixed in zip(registers, phases):
+            outcome_draws, offset_draws = (draws[:, column] for column in register.columns)
+            if fixed is None:
+                # N+1 slots of weight c_0 each; a full-mixed draw past them
+                # lands in the perp slot, where the phase is uniform on its own.
+                k = np.minimum((outcome_draws / coeffs[0]).astype(np.intp), n_slots - 1)
+                est = estimates[np.minimum(k, n)]
+                # Only cos^2 of phase differences is scored: phi needs no
+                # reduction mod 2 pi.
+                phi = est + offsets(offset_draws)
+                if full:
+                    phi = np.where(k > n, TWO_PI * offset_draws, phi)
             else:
-                est = estimates[k]
+                cdf = np.cumsum(covariant_rows(coeffs, [fixed])[0])
+                k = np.minimum(np.searchsorted(cdf, offset_draws), n_slots - 1)
+                est = estimates[np.minimum(k, n)]
+                phi = np.array([fixed])
+            if full:
+                est = np.where(k > n, TWO_PI * draws[:, 3], est)
             value = value * np.cos((est - phi) / 2.0) ** 2
             # Differences run register to register, from 0: b - a over two
             # registers, the register itself over one.
@@ -273,32 +297,35 @@ def _uniform_blocks(seed: int, trials: int):
         done += b
 
 
-def _block_phases(column: np.ndarray, fixed: float | None) -> np.ndarray:
-    """Per-trial phases, or one phase that every trial of the block shares:
-    its outcome row is built once and broadcast against the block's draws."""
-    if fixed is None:
-        return TWO_PI * column
-    return np.array([fixed])
-
-
-def _sample_rows(probability_rows: np.ndarray, uniforms: np.ndarray, n_slots: int) -> np.ndarray:
-    """Inverse-CDF sample of one categorical outcome per row, among n_slots.
-
-    A row may hold fewer than n_slots entries: a draw past the row's sum
-    lands in the last slot, which takes what the row leaves of one (the
-    full-mixed perp outcome), or absorbs rounding when the row sums to one.
-    """
-    k = (np.cumsum(probability_rows, axis=1) < uniforms[:, None]).sum(axis=1)
-    return np.minimum(k, n_slots - 1)
-
-
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     """Exactly rounded mean and standard error of the mean."""
     n = len(values)
-    total = math.fsum(values.tolist())
+    total = _exact_sum(values)
     mean = total / n
     if n < 2:
         return mean, 0.0
-    square_total = math.fsum((values * values).tolist())
+    square_total = _exact_sum(values * values)
     variance = max(0.0, (square_total - n * mean * mean) / (n - 1))
     return mean, math.sqrt(variance / n)
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values), the exactly rounded sum, without a Python float
+    per value.
+
+    frexp writes each value as m 2^(e - 53) with m a 53-bit integer. The
+    26-bit halves of m are summed per exponent by bincount, exactly while a
+    bin stays below 2^53 (a block has far fewer than 2^26 values), and the
+    bins fold into one Python int, whose division by a power of two rounds
+    correctly. Exponents run from -1073 (the smallest subnormal) up.
+    """
+    total = 0
+    for start in range(0, len(values), BLOCK):
+        mantissa, exponent = np.frexp(values[start : start + BLOCK])
+        m = (mantissa * 2.0**53).astype(np.int64)
+        bins = exponent + 1073
+        high = np.bincount(bins, weights=m >> 26)
+        low = np.bincount(bins, weights=m & (2**26 - 1))
+        for e in np.flatnonzero((high != 0.0) | (low != 0.0)).tolist():
+            total += ((int(high[e]) << 26) + int(low[e])) << e
+    return total / (1 << (1073 + 53))

@@ -3,24 +3,31 @@
 The optimal projective measurement for the phase of N identical equatorial
 qubits is the discrete Fourier basis of the (N+1)-dimensional symmetric
 subspace; outcome k carries the phase estimate 2 pi k / (N+1). This module
-provides the basis, the one row builder for shift-covariant outcome laws,
-the Fourier coefficients of the pure and the full-mixed outcome law, the
-estimator and the mean estimation fidelity both in closed form and by direct
-quadrature.
+provides the basis, the one row builder for shift-covariant outcome laws and
+the inverse-CDF sampler of their offsets at a uniform phase, the Fourier
+coefficients of the pure and the full-mixed outcome law, the estimator and
+the mean estimation fidelity both in closed form and by direct quadrature.
 """
 
 import math
 
 import numpy as np
 
-from .numerics import as_phase, sqrt_binom_sum_scaled
+from .numerics import TWO_PI, as_phase, sqrt_binom_sum_scaled
 from .symmetric import symmetric_state
 
 DEFAULT_PHASE_GRID = 64
 
-# Largest N with an outcome law: every N that ever ran. Rows grow as N^2, and
-# building one 65536-trial simulate block of them peaks at 1.9 GB at the cap.
+# Largest N with an outcome law: every N that ever ran. No simulate run
+# builds a row per trial; at the cap one fixed-phase row peaks at 42 MB
+# (tracemalloc) and the full-mixed set-up, O(N^3), takes about 6 s.
 BASIS_CAP = 1029
+
+# offset_sampler interpolates the offset CDF on a theta grid of 2^k cells,
+# at least OFFSET_CELLS_PER_ROOT_N sqrt(N) of them: the quintic Hermite error
+# bound, h^6 max|F^(6)| / 46080, grows as N^3 and stays near 2e-16. Its guide
+# table has two buckets over u per cell.
+OFFSET_CELLS_PER_ROOT_N = 600
 
 
 def check_cap(n_copies: int) -> None:
@@ -68,6 +75,119 @@ def covariant_rows(coeffs, phis) -> np.ndarray:
     np.exp(waves, out=waves)
     p = waves.view(float) @ table
     return np.clip(p, 0.0, None, out=p)
+
+
+def offset_sampler(coeffs):
+    """Inverse-CDF sampler of the offset theta = phi - est_k of a
+    shift-covariant law with one-sided Fourier coefficients c_0 .. c_N, when
+    phi is uniform.
+
+    Each outcome k = 0 .. N then has probability c_0, and given k, theta has
+    density q(theta) / (2 pi c_0) on [-pi, pi] with CDF
+    F(theta) = (theta + pi) / 2 pi + sum_m c_m sin(m theta) / (2 pi c_0 m).
+    One inverse FFT of the coefficients gives F, F' and F'' on a theta grid;
+    each cell holds the quintic Hermite interpolant of F.
+    The returned function maps uniforms u to offsets F^-1(u): a guide table
+    over u finds each cell, and from the root of a quadratic model, Newton
+    steps on the cell's quintic settle F(theta) = u to a residual near 1e-16.
+    One step settles almost every uniform; bisection takes any that three
+    leave unsettled. Each offset depends on its own uniform alone, so samples
+    do not depend on how uniforms are batched.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    m = np.arange(len(c))
+    cells = 1 << math.ceil(math.log2(OFFSET_CELLS_PER_ROOT_N * math.sqrt(len(c) - 1)))
+    buckets = 2 * cells
+    h = TWO_PI / cells
+    sines = np.zeros(len(c))
+    sines[1:] = c[1:] / (TWO_PI * c[0] * m[1:])
+    # At theta_j = -pi + j h, sin(m theta_j) = (-1)^m sin(2 pi m j / cells),
+    # and likewise for cos, so F - (theta + pi) / 2 pi, F' - 1 / 2 pi and F''
+    # on the grid are real inverse FFTs.
+    alternating = sines * (-1.0) ** m
+    spectrum = np.stack([-1j * alternating, m * alternating, 1j * m * m * alternating])
+    waves = np.fft.irfft(spectrum * (cells / 2), cells)
+    cdf = np.append(np.arange(cells) / cells + waves[0], 1.0)
+    # Rounding dips of about 1e-17 where the density vanishes are levelled, so
+    # every uniform has one cell with cdf[j] <= u < cdf[j + 1].
+    np.clip(np.maximum.accumulate(cdf), 0.0, 1.0, out=cdf)
+    slope = h * (1.0 / TWO_PI + waves[1])
+    bend = h * h * waves[2]
+    slope, bend = np.append(slope, slope[0]), np.append(bend, bend[0])
+    # The quintic on t in [0, 1] matching F, h F', h^2 F'' at both cell ends.
+    f0, d0, s0 = cdf[:-1], slope[:-1], bend[:-1]
+    a = cdf[1:] - (f0 + d0 + s0 / 2)
+    b = slope[1:] - (d0 + s0)
+    e = bend[1:] - s0
+    quintic = np.stack(
+        [f0, d0, s0 / 2, 10 * a - 4 * b + e / 2, 7 * b - 15 * a - e, 6 * a - 3 * b + e / 2]
+    )
+    # A Newton step dt leaves a residual near |p''| dt^2 / 2: it settles the
+    # uniform once dt^2 is below eps / max |p''| at the cell's ends.
+    bend_max = np.maximum(np.abs(bend[:-1]), np.abs(bend[1:]))
+    settled = np.sqrt(2.0**-53 / np.maximum(bend_max, 2.0**-60))
+    # guide[i] is the last j with cdf[j] <= i / buckets: the number of cdf[j]
+    # whose ceiling in buckets is at most i, less one.
+    ceilings = np.ceil(cdf * buckets).astype(np.intp)
+    guide = np.cumsum(np.bincount(ceilings, minlength=buckets + 1)[:buckets]) - 1
+
+    def sample(u: np.ndarray) -> np.ndarray:
+        j = guide[(u * buckets).astype(np.intp)]
+        # A guide bucket spans at most one cell edge except where the density
+        # is small; search only the uniforms still short of their cell.
+        j += cdf[j + 1] <= u
+        upper = cdf[j + 1]
+        short = np.flatnonzero(upper <= u)
+        j[short] = np.searchsorted(cdf, u[short], side="right") - 1
+        upper[short] = cdf[j[short] + 1]
+        p = quintic[:, j]
+        # Start from the root of the quadratic through p(0), p'(0) and p(1).
+        rise = u - p[0]
+        curve = upper - p[0] - p[1]
+        root = np.sqrt(np.maximum(p[1] * p[1] + 4.0 * curve * rise, 0.0))
+        t = np.clip(2.0 * rise / np.maximum(p[1] + root, 1e-300), 0.0, 1.0)
+        # Newton steps, the first on every uniform, each later one on those the
+        # last left unsettled; then bisection for any still left.
+        todo = slice(None)
+        for _ in range(3):
+            value, rate = _quintic(p[:, todo], t[todo])
+            dt = (value - u[todo]) / np.maximum(rate, 1e-300)
+            t[todo] = np.clip(t[todo] - dt, 0.0, 1.0)
+            todo = np.arange(len(u))[todo][np.abs(dt) > settled[j[todo]]]
+            if not todo.size:
+                break
+        if todo.size:
+            t[todo] = _bisect(p[:, todo], u[todo])
+        # Counting cells from theta = 0 keeps the offsets near 0, where the
+        # density peaks, free of the rounding of pi.
+        return ((j - cells // 2) + t) * h
+
+    return sample
+
+
+def _quintic(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and t-derivative of the quintics with coefficient rows p at t."""
+    value = p[5] * t + p[4]
+    rate = 5 * p[5] * t + 4 * p[4]
+    for i in (3, 2, 1):
+        value *= t
+        value += p[i]
+        rate *= t
+        rate += i * p[i]
+    value *= t
+    value += p[0]
+    return value, rate
+
+
+def _bisect(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """t in [0, 1] with quintic(p, t) = u, to 2^-53, by bisection."""
+    lo, hi = np.zeros(len(u)), np.ones(len(u))
+    for _ in range(53):
+        mid = 0.5 * (lo + hi)
+        below = _quintic(p, mid)[0] < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def pure_coefficients(n_copies: int) -> np.ndarray:

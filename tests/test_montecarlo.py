@@ -24,6 +24,8 @@ from eqfid.povm import (
     covariant_rows,
     mixed_coefficients,
     outcome_distribution,
+    outcome_rows,
+    phase_estimates,
     pure_coefficients,
 )
 from eqfid.strategies import p_measurement, p_unified_collective, p_unified_pair
@@ -141,6 +143,114 @@ def test_report_ranges():
         assert report.abs_fidelity_error_se >= 0.0
 
 
+# --- uniform phases: joint sampling of outcome and offset -------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 30, 60])
+def test_uniform_phase_means_match_closed_forms(n):
+    expected = {
+        MEASUREMENT: p_measurement(n),
+        UNIFIED_PAIR: p_unified_pair(n),
+        UNIFIED_COLLECTIVE: p_unified_collective(n),
+    }
+    for strategy, exact in expected.items():
+        report = simulate(config(strategy=strategy, n_copies=n, trials=20_000, seed=100 + n))
+        assert abs(report.mean_overlap_product - exact) < 5 * report.overlap_product_se, strategy
+
+
+@pytest.mark.parametrize(
+    "strategy, mode, n, trials",
+    [
+        (MEASUREMENT, ANALYTIC_FACTOR, 3, 40_000),
+        (UNIFIED_PAIR, ANALYTIC_FACTOR, 3, 40_000),
+        # At N = 12 a perp phase drawn like a symmetric-subspace one would
+        # move the mean about 10 standard errors.
+        (UNIFIED_COLLECTIVE, FULL_MIXED, 12, 150_000),
+    ],
+)
+def test_uniform_phase_fidelity_error_matches_quadrature(strategy, mode, n, trials):
+    # E|cos^2(est_diff / 2) - cos^2(phase_diff / 2)| over uniform phases and
+    # their outcome laws, by the midpoint rule: checks that each sampled phase
+    # sits at its outcome's estimate plus the offset, which the score
+    # cos^2(offset / 2) alone cannot see, and that a perp trial's phase and
+    # fallback estimate are independent and uniform.
+    grid = 1000
+    phis = TWO_PI * (np.arange(grid) + 0.5) / grid
+    estimates = phase_estimates(n)
+    fidelity = np.cos(phis / 2.0) ** 2
+    if mode == FULL_MIXED:
+        rows = covariant_rows(mixed_coefficients(n, shrinking_factor(n, 2 * n).value), phis)
+    else:
+        rows = outcome_rows(n, phis)
+    if strategy == MEASUREMENT:
+        # est_b - est_a against phi_b - phi_a, over both registers' laws.
+        true_gap = np.cos((phis[None, :] - phis[:, None]) / 2.0) ** 2
+        exact = sum(
+            float(rows[:, ka] @ np.abs(np.cos((eb - ea) / 2.0) ** 2 - true_gap) @ rows[:, kb])
+            for ka, ea in enumerate(estimates)
+            for kb, eb in enumerate(estimates)
+        ) / grid**2
+    else:
+        gaps = np.abs(np.cos(estimates / 2.0) ** 2 - fidelity[:, None])
+        exact = float(np.sum(rows * gaps)) / grid
+        perp = 1.0 - float(np.sum(rows)) / grid
+        exact += perp * float(np.mean(np.abs(fidelity[:, None] - fidelity[None, :])))
+    report = simulate(config(strategy=strategy, mixed_mode=mode, n_copies=n, trials=trials, seed=5))
+    assert abs(report.mean_abs_fidelity_error - exact) < 5 * report.abs_fidelity_error_se
+
+
+def test_uniform_phase_outcomes_are_uniform():
+    # At a uniform phase every outcome of the symmetric subspace has weight c_0.
+    for strategy, mode in ((MEASUREMENT, ANALYTIC_FACTOR), (UNIFIED_COLLECTIVE, FULL_MIXED)):
+        report = simulate(
+            config(strategy=strategy, mixed_mode=mode, n_copies=12, trials=60_000, seed=7)
+        )
+        for counts in report.tallies.values():
+            inside = np.array(counts[:13])
+            expected = inside.sum() / 13
+            chi2 = float(np.sum((inside - expected) ** 2 / expected))
+            assert chi2 < 12 + 10 * math.sqrt(2 * 12), (strategy, chi2)
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_full_mixed_uniform_perp_frequency(n):
+    perp = 1.0 - (n + 1) * mixed_coefficients(n, shrinking_factor(n, 2 * n).value)[0]
+    trials = 50_000
+    report = simulate(
+        config(strategy=UNIFIED_COLLECTIVE, mixed_mode=FULL_MIXED, n_copies=n, trials=trials,
+               seed=n)
+    )
+    se = math.sqrt(perp * (1.0 - perp) / trials)
+    assert abs(report.perp_probability - perp) < 5 * se
+
+
+@pytest.mark.parametrize("mode", MIXED_MODES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_report_ignores_block_size(strategy, mode, monkeypatch):
+    # Every trial's offset depends on its own uniforms only, and the sums are
+    # exact, so blocks of 1000 give the report of one block.
+    c = config(strategy=strategy, mixed_mode=mode, n_copies=12, trials=5_003, seed=21)
+    whole = simulate(c)
+    monkeypatch.setattr(montecarlo, "BLOCK", 1000)
+    assert simulate(c) == whole
+
+
+def test_exact_sum_equals_fsum():
+    rng = np.random.default_rng(31)
+    n = 200_003
+    arrays = {
+        "uniform": rng.random(n),
+        "cos2-product": np.cos(rng.random(n) * 6.0) ** 2 * np.cos(rng.random(n) * 6.0) ** 2,
+        "x40": rng.random(n) ** 40,
+        "subnormal": rng.integers(-(2**20), 2**20, n) * 5e-324,
+        "wide-range": rng.random(n) * 10.0 ** rng.integers(-300, 300, n),
+        "mixed-sign": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        "cancelling": np.concatenate([[1e300, 1.0, -1e300], rng.standard_normal(1000)]),
+        "one": np.array([0.1]),
+    }
+    for name, values in arrays.items():
+        assert montecarlo._exact_sum(values) == math.fsum(values.tolist()), name
+
+
 # --- mixed ensemble distribution ------------------------------------------
 
 def test_mixed_distribution_pure_limit():
@@ -233,21 +343,19 @@ def test_harmonic_expansion_domain_errors():
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("mode", MIXED_MODES)
 @pytest.mark.parametrize(
-    "phases, per_register",
+    "phases, fixed_registers",
     [
-        # Rows built per block (BLOCK trials, then 7) by each register.
-        ({"phase_a": 0.4, "phase_b": 1.9}, {"ensemble_a": [1, 1], "ensemble_b": [1, 1],
-                                            "difference": [1, 1]}),
-        ({"phase_a": 0.4}, {"ensemble_a": [1, 1], "ensemble_b": [BLOCK, 7],
-                            "difference": [BLOCK, 7]}),
+        ({"phase_a": 0.4, "phase_b": 1.9}, {"ensemble_a", "ensemble_b", "difference"}),
+        # The difference of a fixed and a uniform phase is uniform.
+        ({"phase_a": 0.4}, {"ensemble_a"}),
+        ({}, set()),
     ],
-    ids=["both-fixed", "a-fixed"],
+    ids=["both-fixed", "a-fixed", "uniform"],
 )
 def test_fixed_phase_builds_one_row_per_register_per_block(
-    strategy, mode, phases, per_register, monkeypatch
+    strategy, mode, phases, fixed_registers, monkeypatch
 ):
     built = []
-    # The pure law reaches covariant_rows through povm.outcome_rows.
     for module in (povm, montecarlo):
         def counting(*args, _original=module.covariant_rows):
             rows = _original(*args)
@@ -257,9 +365,9 @@ def test_fixed_phase_builds_one_row_per_register_per_block(
         monkeypatch.setattr(module, "covariant_rows", counting)
     simulate(config(strategy=strategy, mixed_mode=mode, n_copies=3, trials=BLOCK + 7, **phases))
     tallies = ("ensemble_a", "ensemble_b") if strategy == MEASUREMENT else ("difference",)
-    # Registers are sampled in order within each block.
-    expected = [per_register[t][block] for block in (0, 1) for t in tallies]
-    assert built == expected
+    # Each fixed register builds one single-phase row in each of the two
+    # blocks (BLOCK trials, then 7); a uniform register builds none.
+    assert built == [1] * (2 * len(fixed_registers.intersection(tallies)))
 
 
 # --- full-mixed simulation -------------------------------------------------

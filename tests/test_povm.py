@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from eqfid.cloning import shrinking_factor
 from eqfid.povm import (
     estimate_phase,
     mean_fidelity_closed,
     mean_fidelity_numeric,
+    mixed_coefficients,
+    offset_sampler,
     outcome_distribution,
     povm_basis,
+    pure_coefficients,
 )
 
 
@@ -134,3 +138,43 @@ def test_estimator_offset_never_improves():
     for n in range(1, 5):
         base, *offset = _numeric_with_estimator_offsets(n, 64, deltas)
         assert all(value <= base + 1e-12 for value in offset)
+
+
+# --- offset sampler ----------------------------------------------------------
+
+def _offset_cdf(coeffs, theta):
+    """F(theta) = (theta + pi) / 2 pi + sum_m c_m sin(m theta) / (2 pi c_0 m),
+    summed directly."""
+    m = np.arange(1, len(coeffs))
+    sines = coeffs[1:] / (2.0 * math.pi * coeffs[0] * m)
+    return (theta + math.pi) / (2.0 * math.pi) + np.sin(np.outer(theta, m)) @ sines
+
+
+def _laws(n):
+    yield pure_coefficients(n)
+    # mixed_coefficients costs O(N^3), about 6 s at N = 1029.
+    if n <= 200:
+        yield mixed_coefficients(n, shrinking_factor(n, 2 * n).value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 60, 200, 1029])
+def test_offset_sampler_inverts_the_cdf(n):
+    rng = np.random.default_rng(n)
+    edges = np.array([0.0, 2.0**-53, 1e-13, 1e-12, 0.5, 1 - 1e-12, 1 - 1e-13, 1 - 2.0**-53])
+    u = np.concatenate([edges, rng.random(2000)])
+    for coeffs in _laws(n):
+        theta = offset_sampler(coeffs)(u)
+        assert np.all((-math.pi <= theta) & (theta <= math.pi))
+        assert np.max(np.abs(_offset_cdf(coeffs, theta) - u)) <= 1e-15
+
+
+def test_offset_sampler_ignores_batching():
+    u = np.random.default_rng(4).random(5000)
+    u[:4] = [0.0, 1e-13, 1 - 1e-13, 1 - 2.0**-53]
+    for n in (1, 12, 60):
+        for coeffs in _laws(n):
+            sample = offset_sampler(coeffs)
+            whole = sample(u)
+            split = np.concatenate([sample(part) for part in np.split(u, [1, 2, 7, 999, 4096])])
+            assert np.array_equal(whole, split)
+            assert np.array_equal(sample(u[::-1])[::-1], whole)
