@@ -16,13 +16,26 @@ mixed_ensemble_distribution evaluates the full-mixed law in the 2^N space
 instead; it is the reference the fast route is checked against, and no
 simulation uses it.
 
-A register with a fixed phase builds one outcome row per block
-(povm.covariant_rows) and samples every trial of the block from its CDF. A
-register whose phase is uniform builds no row: it samples phase and outcome
+A register with a fixed phase builds one outcome row per run
+(povm.covariant_rows) and samples every trial from its CDF. A register
+whose phase is uniform builds no row: it samples phase and outcome
 jointly. The outcome is then uniform over the N+1 slots of weight c_0 (the
 perp slot takes the rest), and the offset theta = phi - est_k has one fixed
 law, sampled by povm.offset_sampler; phi = est_k + theta (mod 2 pi). The
 difference of two phases is uniform when either phase is.
+
+Blocks and workers
+------------------
+Trials run in blocks of BLOCK. Each block seeks its own place in the random
+stream, samples its trials and returns its partial results: a tally row per
+register and the exact integer numerators (_exact_sum) of the sums of the
+score, its square, the fidelity error and its square. No per-trial array
+outlives its block, so memory does not grow with the trial count; TRIALS_CAP
+bounds the run time instead. The blocks split into contiguous ranges, one
+per CPU the process may run on (os.sched_getaffinity, which taskset limits),
+at most one per block. The first range runs on the calling thread, each
+other one on a thread of its own, and the calling thread adds the ranges'
+partials; the integers add exactly in any order.
 
 Reproducibility contract
 ------------------------
@@ -31,9 +44,10 @@ Trial i consumes exactly the four uniform draws at stream positions
 4i .. 4i+3, so the randomness of a trial depends only on (seed, trial index)
 and never on how trials are batched across blocks or workers; each sampled
 offset is a function of its own uniform alone. Outcome tallies are exact
-integers and every real accumulation is exactly rounded (the same bits as
-math.fsum), which is independent of summation order; identical (seed,
-config) pairs therefore produce bit-identical reports.
+integers and every real accumulation is an exact integer numerator, rounded
+once at the end (the same bits as math.fsum), which is independent of
+summation order, block size and worker count; identical (seed, config)
+pairs therefore produce bit-identical reports.
 
 Per-trial uniform layout (columns of the draw matrix):
   0  outcome of register ensemble_a or difference when its phase is uniform
@@ -48,6 +62,8 @@ Per-trial uniform layout (columns of the draw matrix):
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -77,7 +93,12 @@ FULL_MIXED = "full"
 MIXED_MODES = (ANALYTIC_FACTOR, FULL_MIXED)
 
 DRAWS_PER_TRIAL = 4
-BLOCK = 1 << 16
+BLOCK = 1 << 15
+# About four days of trials at 3M trials per second.
+TRIALS_CAP = 10**12
+# _exact_sum numerators count units of 2^-1126, the lowest bit of the
+# smallest subnormal.
+SUM_DENOMINATOR = 1 << (1073 + 53)
 
 
 @dataclass(frozen=True)
@@ -94,8 +115,8 @@ class TrialConfig:
 
     def __post_init__(self):
         check_cap(self.n_copies)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= TRIALS_CAP:
+            raise ValueError(f"trials must lie in 1..{TRIALS_CAP}, got {self.trials}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.strategy not in STRATEGIES:
@@ -232,16 +253,21 @@ def simulate(config: TrialConfig) -> TrialReport:
     estimates = phase_estimates(n)
     phases = [r.phase(config.phase_a, config.phase_b) for r in registers]
     offsets = offset_sampler(coeffs) if None in phases else None
-
+    # A fixed phase has one outcome law for the whole run.
+    cdfs = [None if fixed is None else np.cumsum(covariant_rows(coeffs, [fixed])[0])
+            for fixed in phases]
     n_slots = n + 2 if full else n + 1
-    values = np.empty(config.trials)
-    errors = np.empty(config.trials)
-    tallies = {r.tally: np.zeros(n_slots, dtype=np.int64) for r in registers}
 
-    for start, draws in _uniform_blocks(config.seed, config.trials):
+    def block(start: int, stop: int) -> list:
+        """Tallies (one row per register) and the exact numerators of the sums
+        of value, value^2, error and error^2 over trials start .. stop - 1."""
+        # One Philox step is one trial's four draws.
+        rng = np.random.Generator(np.random.Philox(config.seed).advance(start))
+        draws = rng.random((stop - start, DRAWS_PER_TRIAL))
+        counts = np.empty((len(registers), n_slots), dtype=np.int64)
         value = 1.0
         est_diff = phase_diff = 0.0
-        for register, fixed in zip(registers, phases):
+        for i, (register, fixed, cdf) in enumerate(zip(registers, phases, cdfs)):
             outcome_draws, offset_draws = (draws[:, column] for column in register.columns)
             if fixed is None:
                 # N+1 slots of weight c_0 each; a full-mixed draw past them
@@ -254,7 +280,6 @@ def simulate(config: TrialConfig) -> TrialReport:
                 if full:
                     phi = np.where(k > n, TWO_PI * offset_draws, phi)
             else:
-                cdf = np.cumsum(covariant_rows(coeffs, [fixed])[0])
                 k = np.minimum(np.searchsorted(cdf, offset_draws), n_slots - 1)
                 est = estimates[np.minimum(k, n)]
                 phi = np.array([fixed])
@@ -264,13 +289,13 @@ def simulate(config: TrialConfig) -> TrialReport:
             # Differences run register to register, from 0: b - a over two
             # registers, the register itself over one.
             est_diff, phase_diff = est - est_diff, phi - phase_diff
-            tallies[register.tally] += np.bincount(k, minlength=n_slots)
-        stop = start + len(draws)
-        values[start:stop] = value
-        errors[start:stop] = np.abs(np.cos(est_diff / 2.0) ** 2 - np.cos(phase_diff / 2.0) ** 2)
+            counts[i] = np.bincount(k, minlength=n_slots)
+        error = np.abs(np.cos(est_diff / 2.0) ** 2 - np.cos(phase_diff / 2.0) ** 2)
+        return [counts, *(_exact_sum(x) for x in (value, value * value, error, error * error))]
 
-    mean, se = _mean_and_se(values)
-    err_mean, err_se = _mean_and_se(errors)
+    counts, value_sum, value_squares, error_sum, error_squares = _sum_blocks(block, config.trials)
+    mean, se = _mean_and_se(value_sum, value_squares, config.trials)
+    err_mean, err_se = _mean_and_se(error_sum, error_squares, config.trials)
     return TrialReport(
         strategy=config.strategy,
         n_copies=n,
@@ -281,51 +306,92 @@ def simulate(config: TrialConfig) -> TrialReport:
         overlap_product_se=se * gate_factor,
         mean_abs_fidelity_error=err_mean,
         abs_fidelity_error_se=err_se,
-        tallies={name: tuple(t.tolist()) for name, t in tallies.items()},
+        tallies={r.tally: tuple(row.tolist()) for r, row in zip(registers, counts)},
         analytic_probability=analytic,
-        perp_probability=(tallies["difference"][-1] / config.trials) if full else None,
+        # Full-mixed runs have one register, difference; its last slot is perp.
+        perp_probability=(counts[0][-1] / config.trials) if full else None,
     )
 
 
-def _uniform_blocks(seed: int, trials: int):
-    """Yield (start, draws) blocks; draw j of trial i is stream item 4i+j."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    done = 0
-    while done < trials:
-        b = min(BLOCK, trials - done)
-        yield done, rng.random((b, DRAWS_PER_TRIAL))
-        done += b
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask, which taskset
+    limits, on platforms that have one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    """Exactly rounded mean and standard error of the mean."""
-    n = len(values)
-    total = _exact_sum(values)
-    mean = total / n
+def _sum_blocks(block: Callable[[int, int], list], trials: int) -> list:
+    """The elementwise sum of block(start, stop) over the blocks of BLOCK
+    trials, whose results are lists of integers and integer arrays.
+
+    One contiguous range of blocks per worker, min(CPUs, blocks) of them: the
+    first on the calling thread, each other one on a thread of its own (numpy
+    releases the interpreter lock for part of a block's work). An exception
+    in any range stops the others after their current block and is raised
+    here.
+    """
+    starts = range(0, trials, BLOCK)
+    workers = min(_cpu_count(), len(starts))
+    ranges = [starts[len(starts) * i // workers : len(starts) * (i + 1) // workers]
+              for i in range(workers)]
+    results = [None] * workers
+    failed = threading.Event()
+
+    def run(i: int) -> None:
+        try:
+            total = None
+            for start in ranges[i]:
+                if failed.is_set():
+                    return
+                part = block(start, min(start + BLOCK, trials))
+                total = part if total is None else [a + b for a, b in zip(total, part)]
+            results[i] = total
+        except BaseException as exc:  # raised again in the calling thread
+            results[i] = exc
+            failed.set()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+        for thread in threads:
+            thread.join()
+    finally:
+        # If a join was interrupted, the other ranges stop after their block.
+        failed.set()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return [sum(parts) for parts in zip(*results)]
+
+
+def _mean_and_se(total: int, square_total: int, n: int) -> tuple[float, float]:
+    """Exactly rounded mean and standard error of the mean of n values, from
+    the _exact_sum numerators of their sum and of their sum of squares."""
+    mean = total / SUM_DENOMINATOR / n
     if n < 2:
         return mean, 0.0
-    square_total = _exact_sum(values * values)
-    variance = max(0.0, (square_total - n * mean * mean) / (n - 1))
+    variance = max(0.0, (square_total / SUM_DENOMINATOR - n * mean * mean) / (n - 1))
     return mean, math.sqrt(variance / n)
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """math.fsum(values), the exactly rounded sum, without a Python float
-    per value.
+def _exact_sum(values: np.ndarray) -> int:
+    """The integer S with S / SUM_DENOMINATOR the exact sum of values, so
+    that S / SUM_DENOMINATOR rounds to math.fsum(values).
 
     frexp writes each value as m 2^(e - 53) with m a 53-bit integer. The
     26-bit halves of m are summed per exponent by bincount, exactly while a
-    bin stays below 2^53 (a block has far fewer than 2^26 values), and the
-    bins fold into one Python int, whose division by a power of two rounds
-    correctly. Exponents run from -1073 (the smallest subnormal) up.
+    bin stays below 2^53 (fewer than 2^27 values), and the bins fold into one
+    Python int. Exponents run from -1073 (the smallest subnormal) up.
     """
+    mantissa, exponent = np.frexp(values)
+    m = (mantissa * 2.0**53).astype(np.int64)
+    bins = exponent + 1073
+    high = np.bincount(bins, weights=m >> 26)
+    low = np.bincount(bins, weights=m & (2**26 - 1))
     total = 0
-    for start in range(0, len(values), BLOCK):
-        mantissa, exponent = np.frexp(values[start : start + BLOCK])
-        m = (mantissa * 2.0**53).astype(np.int64)
-        bins = exponent + 1073
-        high = np.bincount(bins, weights=m >> 26)
-        low = np.bincount(bins, weights=m & (2**26 - 1))
-        for e in np.flatnonzero((high != 0.0) | (low != 0.0)).tolist():
-            total += ((int(high[e]) << 26) + int(low[e])) << e
-    return total / (1 << (1073 + 53))
+    for e in np.flatnonzero((high != 0.0) | (low != 0.0)).tolist():
+        total += ((int(high[e]) << 26) + int(low[e])) << e
+    return total

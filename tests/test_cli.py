@@ -1,10 +1,11 @@
 import json
 import math
+import threading
 import time
 
 import pytest
 
-from eqfid import povm, strategies
+from eqfid import montecarlo, povm, strategies
 from eqfid.cli import main
 from eqfid.povm import BASIS_CAP, mean_fidelity_closed
 from eqfid.strategies import p_measurement, p_unified_pair
@@ -331,13 +332,42 @@ def test_n_past_basis_cap_exits_2(capsys):
 
 
 def test_unallocatable_trial_count_exits_2(capsys):
-    # 10^15 trials ask numpy for 7 PiB at once, which fails before touching memory.
+    # Memory per trial is O(1), so 10^15 trials would run for weeks: the
+    # trial bound refuses them before any work.
     args = ["simulate", "--strategy", "measurement", "--n", "1", "--trials", "1000000000000000"]
+    start = time.perf_counter()
     assert run(args) == 2
+    assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    assert str(montecarlo.TRIALS_CAP) in captured.err and "1000000000000000" in captured.err
+
+
+def test_memory_error_in_a_worker_block_exits_2(monkeypatch, capsys):
+    # A block past the first range runs on a worker thread; its exception
+    # must reach main, not a thread's excepthook.
+    raised = []
+    exact_sum = montecarlo._exact_sum
+
+    def failing(values):
+        if threading.current_thread() is not threading.main_thread():
+            raised.append(True)
+            raise MemoryError("cannot allocate the block")
+        return exact_sum(values)
+
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_exact_sum", failing)
+    threads = threading.active_count()
+    args = ["simulate", "--strategy", "measurement", "--n", "1",
+            "--trials", str(3 * montecarlo.BLOCK)]
+    assert run(args) == 2
+    assert raised
+    assert threading.active_count() == threads
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot allocate the block\n"
 
 
 # --- verify -------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from eqfid import montecarlo, povm
+from eqfid.cli import main
 from eqfid.cloning import shrinking_factor
 from eqfid.montecarlo import (
     ANALYTIC_FACTOR,
@@ -12,6 +16,7 @@ from eqfid.montecarlo import (
     MEASUREMENT,
     MIXED_MODES,
     STRATEGIES,
+    SUM_DENOMINATOR,
     UNIFIED_COLLECTIVE,
     UNIFIED_PAIR,
     TrialConfig,
@@ -92,10 +97,10 @@ def test_identical_config_reproduces_report():
 
 
 def test_reproducible_across_block_boundary():
-    c = config(trials=BLOCK + 7, seed=9)
+    c = config(trials=65543, seed=9)
     r1, r2 = simulate(c), simulate(c)
     assert r1 == r2
-    assert sum(r1.tallies["ensemble_a"]) == BLOCK + 7
+    assert sum(r1.tallies["ensemble_a"]) == 65543
 
 
 def test_different_seeds_differ():
@@ -234,6 +239,46 @@ def test_report_ignores_block_size(strategy, mode, monkeypatch):
     assert simulate(c) == whole
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--strategy", "measurement", "--n", "3"],
+        # One register with a fixed row, one sampled jointly.
+        ["--strategy", "measurement", "--n", "3", "--phase-a", "0.4"],
+        ["--strategy", "unified-collective", "--n", "12", "--mixed-mode", "full"],
+    ],
+    ids=["uniform", "half-fixed", "full-mixed"],
+)
+def test_report_ignores_worker_count(argv, monkeypatch, capsys):
+    # Each block draws from its own seek into the stream and every partial
+    # sum is an integer, so any split of the blocks over workers gives the
+    # same bytes. Blocks of 4096 give 5 workers uneven ranges of 17 blocks;
+    # a short switch interval interleaves the workers often.
+    threads = set()
+    exact_sum = montecarlo._exact_sum
+
+    def recording(values):
+        threads.add(threading.get_ident())
+        return exact_sum(values)
+
+    monkeypatch.setattr(montecarlo, "_exact_sum", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reports = []
+        for workers, block in ((1, BLOCK), (2, BLOCK), (5, 4096)):
+            monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
+            monkeypatch.setattr(montecarlo, "BLOCK", block)
+            threads.clear()
+            assert main(["simulate", *argv, "--trials", "65543", "--seed", "23"]) == 0
+            reports.append(capsys.readouterr().out)
+            assert len(threads) == min(workers, -(-65543 // block))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert json.loads(reports[0])["report"]["trials"] == 65543
+
+
 def test_exact_sum_equals_fsum():
     rng = np.random.default_rng(31)
     n = 200_003
@@ -248,7 +293,8 @@ def test_exact_sum_equals_fsum():
         "one": np.array([0.1]),
     }
     for name, values in arrays.items():
-        assert montecarlo._exact_sum(values) == math.fsum(values.tolist()), name
+        exact = montecarlo._exact_sum(values) / SUM_DENOMINATOR
+        assert exact == math.fsum(values.tolist()), name
 
 
 # --- mixed ensemble distribution ------------------------------------------
@@ -338,7 +384,7 @@ def test_harmonic_expansion_domain_errors():
             mixed_coefficients(n, eta)
 
 
-# --- outcome rows per block -------------------------------------------------
+# --- outcome rows per run ---------------------------------------------------
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("mode", MIXED_MODES)
@@ -355,6 +401,7 @@ def test_harmonic_expansion_domain_errors():
 def test_fixed_phase_builds_one_row_per_register_per_block(
     strategy, mode, phases, fixed_registers, monkeypatch
 ):
+    # Blocks share their fixed registers' rows: one row per run.
     built = []
     for module in (povm, montecarlo):
         def counting(*args, _original=module.covariant_rows):
@@ -363,11 +410,13 @@ def test_fixed_phase_builds_one_row_per_register_per_block(
             return rows
 
         monkeypatch.setattr(module, "covariant_rows", counting)
-    simulate(config(strategy=strategy, mixed_mode=mode, n_copies=3, trials=BLOCK + 7, **phases))
+    trials = 65543
+    assert trials > 2 * BLOCK
+    simulate(config(strategy=strategy, mixed_mode=mode, n_copies=3, trials=trials, **phases))
     tallies = ("ensemble_a", "ensemble_b") if strategy == MEASUREMENT else ("difference",)
-    # Each fixed register builds one single-phase row in each of the two
-    # blocks (BLOCK trials, then 7); a uniform register builds none.
-    assert built == [1] * (2 * len(fixed_registers.intersection(tallies)))
+    # Each fixed register builds one single-phase row for the whole run, over
+    # every block; a uniform register builds none.
+    assert built == [1] * len(fixed_registers.intersection(tallies))
 
 
 # --- full-mixed simulation -------------------------------------------------

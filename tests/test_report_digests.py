@@ -12,9 +12,11 @@ import hashlib
 import pytest
 
 from eqfid.cli import main
-from eqfid.montecarlo import BLOCK
 
 FIXED = ["--phase-a", "0.4", "--phase-b", "1.9"]
+# 65543 trials span several blocks of montecarlo.BLOCK. The case names keep
+# the count these pins were recorded with: one block of 2^16, plus 7.
+BLOCK_PLUS_7 = 65543
 # One phase fixed and one uniform: a register shared by every trial of a
 # block next to a register with a phase per trial.
 HALF_FIXED = (("a-fixed", ["--phase-a", "0.4"]), ("b-fixed", ["--phase-b", "1.9"]))
@@ -35,13 +37,13 @@ CASES = {
     },
     **{
         f"measurement-block-plus-7-{fmt}": _simulate(
-            "measurement", "analytic", [], n=2, trials=BLOCK + 7, seed=9
+            "measurement", "analytic", [], n=2, trials=BLOCK_PLUS_7, seed=9
         ) + ["--format", fmt]
         for fmt in ("json", "csv")
     },
     **{
         f"{strategy}-{mode}-{label}-block-plus-7": _simulate(
-            strategy, mode, phases, trials=BLOCK + 7
+            strategy, mode, phases, trials=BLOCK_PLUS_7
         )
         for strategy in ("measurement", "unified-pair", "unified-collective")
         for mode in ("analytic", "full")
