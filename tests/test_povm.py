@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from eqfid import povm
 from eqfid.cloning import shrinking_factor
 from eqfid.povm import (
     estimate_phase,
@@ -178,3 +180,45 @@ def test_offset_sampler_ignores_batching():
             split = np.concatenate([sample(part) for part in np.split(u, [1, 2, 7, 999, 4096])])
             assert np.array_equal(whole, split)
             assert np.array_equal(sample(u[::-1])[::-1], whole)
+
+
+# SHA-256 of the output bytes of offset_sampler(coeffs)(u) for the uniforms of
+# test_offset_sampler_output_is_pinned, recorded with numpy 2.4.6 before the
+# sampler was rewritten for memory traffic: a rewrite must keep every bit.
+SAMPLER_PINS = {
+    ("pure", 1): "decd8fa83f16b35076b9dcd81aa012c9059cf168892826382255ae6eb4fa79fc",
+    ("full-mixed", 1): "e58346d0e6a2ec851e1ec76dfd0ab847742965c281a6b04c4da39a688455c4b8",
+    ("pure", 2): "77cd93fdfdb3652a54204f1a924c20c1478f53ab1905d9a48477b15d461b6ce0",
+    ("full-mixed", 2): "2c696607016a1a605f7ca30cf06794b8299cf424e3fda050d1d633915d7aaea3",
+    ("pure", 3): "e8eac91aeae5be40fbc492f799a4e88827c19067544aeb1508be7257ee76806b",
+    ("full-mixed", 3): "4302bdee1f82be77f33438b9f6d68746c4fcde77f6af295292e63ef0950f7f47",
+    ("pure", 12): "f7aa31578290846deba1f841552b303f41079fa673ef5994bbdde0e617231913",
+    ("full-mixed", 12): "5c9997b1a3aa9cf8f4702c822090a5e682d9d999bb95283d4d55ddc5f26f1ce0",
+    ("pure", 60): "c3908fd13e6cb61c86f088d968deef2bc5f71cc8db1757310e5a13c468602bcf",
+    ("full-mixed", 60): "cb460eaaff2a6c1edc83cf7137bf41c08fc792a859b4924187672d58ebb16056",
+    ("pure", 1029): "d77ca4c5cc8790f974724e684a91447d55c5726bbb1a7feb8fc35c8c75cda286",
+}
+
+
+def test_offset_sampler_output_is_pinned(monkeypatch):
+    edges = [0.0, 2.0**-53, 1e-13, 1e-12, 0.5, 1 - 1e-12, 1 - 1e-13, 1 - 2.0**-53, 1e-300, 5e-324]
+    u = np.concatenate([edges, np.random.Generator(np.random.Philox(11)).random(20_000)])
+    bisected = set()
+    bisect = povm._bisect
+
+    def recording(p, u):
+        bisected.add(law)
+        return bisect(p, u)
+
+    monkeypatch.setattr(povm, "_bisect", recording)
+    digests = {}
+    for n in (1, 2, 3, 12, 60, 1029):
+        laws = {"pure": pure_coefficients(n)}
+        if n <= 60:
+            laws["full-mixed"] = mixed_coefficients(n, shrinking_factor(n, 2 * n).value)
+        for name, coeffs in laws.items():
+            law = (name, n)
+            digests[law] = hashlib.sha256(offset_sampler(coeffs)(u).tobytes()).hexdigest()
+    assert digests == SAMPLER_PINS
+    # The edge uniforms take the bisection fallback at N = 1 and 3.
+    assert {("pure", 1), ("pure", 3)} <= bisected
