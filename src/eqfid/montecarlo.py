@@ -29,13 +29,17 @@ Blocks and workers
 Trials run in blocks of BLOCK. Each block seeks its own place in the random
 stream, samples its trials and returns its partial results: a tally row per
 register and the exact integer numerators (_exact_sum) of the sums of the
-score, its square, the fidelity error and its square. No per-trial array
-outlives its block, so memory does not grow with the trial count; TRIALS_CAP
-bounds the run time instead. The blocks split into contiguous ranges, one
-per CPU the process may run on (os.sched_getaffinity, which taskset limits),
-at most one per block. The first range runs on the calling thread, each
-other one on a thread of its own, and the calling thread adds the ranges'
-partials; the integers add exactly in any order.
+score, its square, the fidelity error and its square. The blocks split into
+contiguous ranges, one per CPU the process may run on (os.sched_getaffinity,
+which taskset limits), at most one per block. The first range runs on the
+calling thread, each other one on a thread of its own, and the calling
+thread adds the ranges' partials; the integers add exactly in any order.
+Each range allocates one workspace, sized to its largest block: the draw
+matrix and float and intp scratch rows, which every block writes into with
+out= (the offset sampler's too). Apart from a fixed-phase register's outcome
+search, no block allocates a block-sized array, so memory does not grow with
+the trial count (TRIALS_CAP bounds the run time instead) and no block faults
+in memory that the last one freed.
 
 Reproducibility contract
 ------------------------
@@ -258,40 +262,62 @@ def simulate(config: TrialConfig) -> TrialReport:
             for fixed in phases]
     n_slots = n + 2 if full else n + 1
 
-    def block(start: int, stop: int) -> list:
+    def block(start: int, stop: int, ws: _Workspace) -> list:
         """Tallies (one row per register) and the exact numerators of the sums
-        of value, value^2, error and error^2 over trials start .. stop - 1."""
+        of value, value^2, error and error^2 over trials start .. stop - 1,
+        computed in the rows of ws."""
+        m = stop - start
         # One Philox step is one trial's four draws.
         rng = np.random.Generator(np.random.Philox(config.seed).advance(start))
-        draws = rng.random((stop - start, DRAWS_PER_TRIAL))
+        draws = rng.random(out=ws.draws[:m])
+        floats, ints = ws.floats[:, :m], ws.ints[:, :m]
+        value, scratch = floats[0], floats[5]
+        k, perp = ints[0], ints[1].view(bool)[:m]
         counts = np.empty((len(registers), n_slots), dtype=np.int64)
-        value = 1.0
         est_diff = phase_diff = 0.0
         for i, (register, fixed, cdf) in enumerate(zip(registers, phases, cdfs)):
             outcome_draws, offset_draws = (draws[:, column] for column in register.columns)
+            est, phi = floats[1 + 2 * i], floats[2 + 2 * i]
             if fixed is None:
                 # N+1 slots of weight c_0 each; a full-mixed draw past them
                 # lands in the perp slot, where the phase is uniform on its own.
-                k = np.minimum((outcome_draws / coeffs[0]).astype(np.intp), n_slots - 1)
-                est = estimates[np.minimum(k, n)]
+                np.divide(outcome_draws, coeffs[0], out=k, casting="unsafe")
+                np.minimum(k, n_slots - 1, out=k)
+            else:
+                # np.searchsorted has no out: this is the one block-sized
+                # allocation.
+                k = np.minimum(np.searchsorted(cdf, offset_draws), n_slots - 1)
+            # Mode "clip" reads est_N at the perp slot, k = N+1.
+            np.take(estimates, k, out=est, mode="clip")
+            if fixed is None:
                 # Only cos^2 of phase differences is scored: phi needs no
                 # reduction mod 2 pi.
-                phi = est + offsets(offset_draws)
-                if full:
-                    phi = np.where(k > n, TWO_PI * offset_draws, phi)
+                np.add(est, offsets(offset_draws, floats[5:], ints[1:]), out=phi)
             else:
-                k = np.minimum(np.searchsorted(cdf, offset_draws), n_slots - 1)
-                est = estimates[np.minimum(k, n)]
                 phi = np.array([fixed])
             if full:
-                est = np.where(k > n, TWO_PI * draws[:, 3], est)
-            value = value * np.cos((est - phi) / 2.0) ** 2
+                np.greater(k, n, out=perp)
+                if fixed is None:
+                    np.multiply(offset_draws, TWO_PI, out=phi, where=perp)
+                np.multiply(draws[:, 3], TWO_PI, out=est, where=perp)
+            # value is the product over registers of cos^2((est - phi) / 2).
+            cos2 = _cos2_half(np.subtract(est, phi, out=scratch if i else value))
+            if i:
+                value *= cos2
             # Differences run register to register, from 0: b - a over two
-            # registers, the register itself over one.
-            est_diff, phase_diff = est - est_diff, phi - phase_diff
+            # registers, the register itself over one. A fixed phi is one
+            # number, and so is a difference of two.
+            est_diff = np.subtract(est, est_diff, out=est)
+            phase_diff = np.subtract(phi, phase_diff, out=phi if phi.size == m else
+                                     phase_diff if np.size(phase_diff) == m else None)
             counts[i] = np.bincount(k, minlength=n_slots)
-        error = np.abs(np.cos(est_diff / 2.0) ** 2 - np.cos(phase_diff / 2.0) ** 2)
-        return [counts, *(_exact_sum(x) for x in (value, value * value, error, error * error))]
+        error = np.subtract(_cos2_half(est_diff), _cos2_half(phase_diff), out=est_diff)
+        np.abs(error, out=error)
+        sums = []
+        for x in (value, error):
+            sums.append(_exact_sum(x, floats[6:9], ints[1]))
+            sums.append(_exact_sum(np.multiply(x, x, out=scratch), floats[6:9], ints[1]))
+        return [counts, *sums]
 
     counts, value_sum, value_squares, error_sum, error_squares = _sum_blocks(block, config.trials)
     mean, se = _mean_and_se(value_sum, value_squares, config.trials)
@@ -321,15 +347,36 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _sum_blocks(block: Callable[[int, int], list], trials: int) -> list:
-    """The elementwise sum of block(start, stop) over the blocks of BLOCK
+class _Workspace(NamedTuple):
+    """Every block-sized array of one worker's blocks: the draw matrix, and
+    float and intp scratch rows that block lays out and reuses."""
+
+    draws: np.ndarray
+    floats: np.ndarray
+    ints: np.ndarray
+
+
+def _workspace(rows: int) -> _Workspace:
+    """A workspace for blocks of up to rows trials. Float rows 0-4 hold the
+    score and each register's est and phi, rows 5-14 and int rows 1-2 the
+    offset sampler's scratch, int row 0 the outcomes; block reuses a row once
+    it is free. np.empty touches no page, so rows that a run never writes
+    take no memory."""
+    return _Workspace(np.empty((rows, DRAWS_PER_TRIAL)), np.empty((15, rows)),
+                      np.empty((3, rows), dtype=np.intp))
+
+
+def _sum_blocks(block: Callable[[int, int, _Workspace], list], trials: int) -> list:
+    """The elementwise sum of block(start, stop, ws) over the blocks of BLOCK
     trials, whose results are lists of integers and integer arrays.
 
     One contiguous range of blocks per worker, min(CPUs, blocks) of them: the
     first on the calling thread, each other one on a thread of its own (numpy
-    releases the interpreter lock for part of a block's work). An exception
-    in any range stops the others after their current block and is raised
-    here.
+    releases the interpreter lock for part of a block's work). Each range
+    allocates one workspace, ws, for all its blocks: a block that allocated
+    its own arrays would free them to the allocator, which can return them to
+    the system, so that the next block faults them in again. An exception in
+    any range stops the others after their current block and is raised here.
     """
     starts = range(0, trials, BLOCK)
     workers = min(_cpu_count(), len(starts))
@@ -340,11 +387,12 @@ def _sum_blocks(block: Callable[[int, int], list], trials: int) -> list:
 
     def run(i: int) -> None:
         try:
+            ws = _workspace(min(BLOCK, trials))
             total = None
             for start in ranges[i]:
                 if failed.is_set():
                     return
-                part = block(start, min(start + BLOCK, trials))
+                part = block(start, min(start + BLOCK, trials), ws)
                 total = part if total is None else [a + b for a, b in zip(total, part)]
             results[i] = total
         except BaseException as exc:  # raised again in the calling thread
@@ -377,20 +425,38 @@ def _mean_and_se(total: int, square_total: int, n: int) -> tuple[float, float]:
     return mean, math.sqrt(variance / n)
 
 
-def _exact_sum(values: np.ndarray) -> int:
+def _cos2_half(x: np.ndarray) -> np.ndarray:
+    """cos^2(x / 2), in place."""
+    x /= 2.0
+    np.cos(x, out=x)
+    return np.square(x, out=x)
+
+
+def _exact_sum(values: np.ndarray, floats: np.ndarray | None = None,
+               ints: np.ndarray | None = None) -> int:
     """The integer S with S / SUM_DENOMINATOR the exact sum of values, so
     that S / SUM_DENOMINATOR rounds to math.fsum(values).
 
-    frexp writes each value as m 2^(e - 53) with m a 53-bit integer. The
-    26-bit halves of m are summed per exponent by bincount, exactly while a
-    bin stays below 2^53 (fewer than 2^27 values), and the bins fold into one
-    Python int. Exponents run from -1073 (the smallest subnormal) up.
+    frexp writes each value as m 2^(e - 53) with m a 53-bit integer. Its
+    26-bit halves, floor(m 2^-26) and m - 2^26 floor(m 2^-26), are exact in
+    floats; they are summed per exponent by bincount, exactly while a bin
+    stays below 2^53 (fewer than 2^26 values), and the bins fold into one
+    Python int. Exponents run from -1073 (the smallest subnormal) up. floats
+    (3 rows) and ints (1 row) are scratch of len(values) columns, allocated
+    when not given.
     """
-    mantissa, exponent = np.frexp(values)
-    m = (mantissa * 2.0**53).astype(np.int64)
-    bins = exponent + 1073
-    high = np.bincount(bins, weights=m >> 26)
-    low = np.bincount(bins, weights=m & (2**26 - 1))
+    n = len(values)
+    if floats is None:
+        floats, ints = np.empty((3, n)), np.empty(n, dtype=np.intp)
+    m, high, low = floats[:, :n]
+    bins = ints[:n]
+    np.frexp(values, out=(m, bins))
+    bins += 1073
+    m *= 2.0**53
+    np.floor(np.multiply(m, 2.0**-26, out=high), out=high)
+    np.subtract(m, np.multiply(high, 2.0**26, out=low), out=low)
+    high = np.bincount(bins, weights=high)
+    low = np.bincount(bins, weights=low)
     total = 0
     for e in np.flatnonzero((high != 0.0) | (low != 0.0)).tolist():
         total += ((int(high[e]) << 26) + int(low[e])) << e

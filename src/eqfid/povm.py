@@ -131,49 +131,90 @@ def offset_sampler(coeffs):
     ceilings = np.ceil(cdf * buckets).astype(np.intp)
     guide = np.cumsum(np.bincount(ceilings, minlength=buckets + 1)[:buckets]) - 1
 
-    def sample(u: np.ndarray) -> np.ndarray:
-        j = guide[(u * buckets).astype(np.intp)]
+    def sample(u: np.ndarray, floats: np.ndarray | None = None,
+               ints: np.ndarray | None = None) -> np.ndarray:
+        """Offsets of the uniforms u. They are written into a row of floats,
+        a float matrix of at least 10 rows, which with ints, an intp matrix of
+        at least 2 rows, holds every len(u)-sized array; both are allocated
+        when not given."""
+        n = len(u)
+        if floats is None:
+            floats, ints = np.empty((10, n)), np.empty((2, n), dtype=np.intp)
+        p, (t, upper, root) = floats[:6, :n], floats[6:9, :n]
+        j, index = ints[:2, :n]
+        below = index.view(bool)[:n]
+        # take writes into out unbuffered only outside mode "raise"; every
+        # index is in range, so "clip" never clips.
+        np.multiply(u, buckets, out=index, casting="unsafe")
+        np.take(guide, index, out=j, mode="clip")
         # A guide bucket spans at most one cell edge except where the density
         # is small; search only the uniforms still short of their cell.
-        j += cdf[j + 1] <= u
-        upper = cdf[j + 1]
-        short = np.flatnonzero(upper <= u)
+        j += np.less_equal(np.take(cdf[1:], j, out=upper, mode="clip"), u, out=below)
+        np.take(cdf[1:], j, out=upper, mode="clip")
+        short = np.flatnonzero(np.less_equal(upper, u, out=below))
         j[short] = np.searchsorted(cdf, u[short], side="right") - 1
         upper[short] = cdf[j[short] + 1]
-        p = quintic[:, j]
-        # Start from the root of the quadratic through p(0), p'(0) and p(1).
-        rise = u - p[0]
-        curve = upper - p[0] - p[1]
-        root = np.sqrt(np.maximum(p[1] * p[1] + 4.0 * curve * rise, 0.0))
-        t = np.clip(2.0 * rise / np.maximum(p[1] + root, 1e-300), 0.0, 1.0)
+        for row, coefficient in zip(p, quintic):
+            np.take(coefficient, j, out=row, mode="clip")
+        # Start from the root of the quadratic through p(0), p'(0) and p(1):
+        # t = 2 rise / (p'(0) + root).
+        rise = np.subtract(u, p[0], out=t)
+        curve = upper
+        curve -= p[0]
+        curve -= p[1]
+        curve *= 4.0
+        curve *= rise
+        np.multiply(p[1], p[1], out=root)
+        root += curve
+        np.sqrt(np.maximum(root, 0.0, out=root), out=root)
+        root += p[1]
+        rise *= 2.0
+        rise /= np.maximum(root, 1e-300, out=root)
+        # np.clip holds the interpreter lock; maximum and minimum give its bits.
+        np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
         # Newton steps, the first on every uniform, each later one on those the
         # last left unsettled; then bisection for any still left.
-        todo = slice(None)
-        for _ in range(3):
+        value, rate = _quintic(p, t, floats[7:10, :n])
+        dt = np.subtract(value, u, out=value)
+        dt /= np.maximum(rate, 1e-300, out=rate)
+        t -= dt
+        np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+        np.less(np.take(settled, j, out=rate, mode="clip"), np.abs(dt, out=dt), out=below)
+        todo = np.flatnonzero(below)
+        for _ in range(2):
+            if not todo.size:
+                break
             value, rate = _quintic(p[:, todo], t[todo])
             dt = (value - u[todo]) / np.maximum(rate, 1e-300)
             t[todo] = np.clip(t[todo] - dt, 0.0, 1.0)
-            todo = np.arange(len(u))[todo][np.abs(dt) > settled[j[todo]]]
-            if not todo.size:
-                break
+            todo = todo[np.abs(dt) > settled[j[todo]]]
         if todo.size:
             t[todo] = _bisect(p[:, todo], u[todo])
         # Counting cells from theta = 0 keeps the offsets near 0, where the
         # density peaks, free of the rounding of pi.
-        return ((j - cells // 2) + t) * h
+        j -= cells // 2
+        t += j
+        t *= h
+        return t
 
     return sample
 
 
-def _quintic(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and t-derivative of the quintics with coefficient rows p at t."""
-    value = p[5] * t + p[4]
-    rate = 5 * p[5] * t + 4 * p[4]
+def _quintic(p: np.ndarray, t: np.ndarray, out: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Value and t-derivative of the quintics with coefficient rows p at t,
+    written into the rows of out (value, rate, scratch) when it is given."""
+    value, rate, term = np.empty((3, len(t))) if out is None else out
+    np.multiply(p[5], t, out=value)
+    value += p[4]
+    np.multiply(p[5], 5, out=rate)
+    rate *= t
+    rate += np.multiply(p[4], 4, out=term)
     for i in (3, 2, 1):
         value *= t
         value += p[i]
         rate *= t
-        rate += i * p[i]
+        rate += np.multiply(p[i], i, out=term)
     value *= t
     value += p[0]
     return value, rate

@@ -351,11 +351,11 @@ def test_memory_error_in_a_worker_block_exits_2(monkeypatch, capsys):
     raised = []
     exact_sum = montecarlo._exact_sum
 
-    def failing(values):
+    def failing(values, *scratch):
         if threading.current_thread() is not threading.main_thread():
             raised.append(True)
             raise MemoryError("cannot allocate the block")
-        return exact_sum(values)
+        return exact_sum(values, *scratch)
 
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
     monkeypatch.setattr(montecarlo, "_exact_sum", failing)

@@ -257,9 +257,9 @@ def test_report_ignores_worker_count(argv, monkeypatch, capsys):
     threads = set()
     exact_sum = montecarlo._exact_sum
 
-    def recording(values):
+    def recording(values, *scratch):
         threads.add(threading.get_ident())
-        return exact_sum(values)
+        return exact_sum(values, *scratch)
 
     monkeypatch.setattr(montecarlo, "_exact_sum", recording)
     interval = sys.getswitchinterval()
