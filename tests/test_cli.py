@@ -369,6 +369,26 @@ def test_memory_error_in_a_worker_block_exits_2(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == "error: cannot allocate the block\n"
 
+    # Each range allocates its workspace before its first block; a failure
+    # there must take the same way out.
+    workspace = montecarlo._workspace
+
+    def unallocatable(rows):
+        if threading.current_thread() is not threading.main_thread():
+            raised.append(rows)
+            raise MemoryError("cannot allocate the workspace")
+        return workspace(rows)
+
+    monkeypatch.setattr(montecarlo, "_exact_sum", exact_sum)
+    monkeypatch.setattr(montecarlo, "_workspace", unallocatable)
+    raised.clear()
+    assert run(args) == 2
+    assert raised == [montecarlo.BLOCK]
+    assert threading.active_count() == threads
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot allocate the workspace\n"
+
 
 # --- verify -------------------------------------------------------------------
 

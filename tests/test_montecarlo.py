@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -258,7 +259,9 @@ def test_report_ignores_worker_count(argv, monkeypatch, capsys):
     exact_sum = montecarlo._exact_sum
 
     def recording(values, *scratch):
-        threads.add(threading.get_ident())
+        # A thread object, unlike its ident, is not reused once its thread
+        # ends, which on one CPU can come before the next worker starts.
+        threads.add(threading.current_thread())
         return exact_sum(values, *scratch)
 
     monkeypatch.setattr(montecarlo, "_exact_sum", recording)
@@ -279,9 +282,30 @@ def test_report_ignores_worker_count(argv, monkeypatch, capsys):
     assert json.loads(reports[0])["report"]["trials"] == 65543
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+def test_blocks_fault_in_no_memory_again(monkeypatch):
+    # Each worker allocates its workspace once per run. Blocks that allocated
+    # their own arrays would have the allocator return them to the system and
+    # fault them in again on every block: about 10k more faults for 36 more
+    # blocks, on two workers.
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+
+    def faults(blocks):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        simulate(config(trials=blocks * BLOCK, seed=5))
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    # The allocator settles its thresholds over the first runs, so each count
+    # is the least of two runs.
+    faults(4)
+    assert min(faults(40), faults(40)) - min(faults(4), faults(4)) <= 500
+
+
 def test_exact_sum_equals_fsum():
     rng = np.random.default_rng(31)
     n = 200_003
+    tiny, huge = 5e-324, 2.0**1023
     arrays = {
         "uniform": rng.random(n),
         "cos2-product": np.cos(rng.random(n) * 6.0) ** 2 * np.cos(rng.random(n) * 6.0) ** 2,
@@ -291,10 +315,22 @@ def test_exact_sum_equals_fsum():
         "mixed-sign": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
         "cancelling": np.concatenate([[1e300, 1.0, -1e300], rng.standard_normal(1000)]),
         "one": np.array([0.1]),
+        # Signed zeros, the smallest subnormal, 1 and both ends of exponent
+        # 1023 (frexp's 1024) and of exponent -1023, the first subnormal one.
+        "edges": np.array([0.0, -0.0, tiny, -tiny, 1.0, huge, -huge, np.nextafter(2 * huge, 0),
+                           -np.nextafter(2 * huge, 0), 2.0**-1023, -(2.0**-1023),
+                           2.0**-1022 - tiny, -(2.0**-1022 - tiny)]),
     }
     for name, values in arrays.items():
-        exact = montecarlo._exact_sum(values) / SUM_DENOMINATOR
-        assert exact == math.fsum(values.tolist()), name
+        numerator = montecarlo._exact_sum(values)
+        assert numerator / SUM_DENOMINATOR == math.fsum(values.tolist()), name
+        # Every double is a / b with b a power of two dividing SUM_DENOMINATOR,
+        # so SUM_DENOMINATOR times the Fraction sum is this integer.
+        shift = SUM_DENOMINATOR.bit_length()
+        ratios = map(float.as_integer_ratio, values.tolist())
+        assert numerator == sum(a << (shift - b.bit_length()) for a, b in ratios), name
+    edges = arrays["edges"].tolist()
+    assert montecarlo._exact_sum(arrays["edges"]) == SUM_DENOMINATOR * sum(map(Fraction, edges))
 
 
 # --- mixed ensemble distribution ------------------------------------------

@@ -177,8 +177,14 @@ def test_offset_sampler_ignores_batching():
         for coeffs in _laws(n):
             sample = offset_sampler(coeffs)
             whole = sample(u)
-            split = np.concatenate([sample(part) for part in np.split(u, [1, 2, 7, 999, 4096])])
+            parts = np.split(u, [1, 2, 7, 999, 4096])
+            split = np.concatenate([sample(part) for part in parts])
             assert np.array_equal(whole, split)
+            # One wider scratch, reused from part to part, as a worker reuses
+            # its workspace: nothing may read what an earlier call left.
+            floats, ints = np.full((11, 4096), np.nan), np.full((3, 4096), -1, dtype=np.intp)
+            reused = np.concatenate([sample(part, floats, ints).copy() for part in parts])
+            assert np.array_equal(whole, reused)
             assert np.array_equal(sample(u[::-1])[::-1], whole)
 
 
