@@ -315,8 +315,8 @@ def simulate(config: TrialConfig) -> TrialReport:
         np.abs(error, out=error)
         sums = []
         for x in (value, error):
-            sums.append(_exact_sum(x, floats[6:9], ints[1]))
-            sums.append(_exact_sum(np.multiply(x, x, out=scratch), floats[6:9], ints[1]))
+            sums.append(_exact_sum(x, floats[6:9], ints[1:2]))
+            sums.append(_exact_sum(np.multiply(x, x, out=scratch), floats[6:9], ints[1:2]))
         return [counts, *sums]
 
     counts, value_sum, value_squares, error_sum, error_squares = _sum_blocks(block, config.trials)
@@ -442,14 +442,14 @@ def _exact_sum(values: np.ndarray, floats: np.ndarray | None = None,
     floats; they are summed per exponent by bincount, exactly while a bin
     stays below 2^53 (fewer than 2^26 values), and the bins fold into one
     Python int. Exponents run from -1073 (the smallest subnormal) up. floats
-    (3 rows) and ints (1 row) are scratch of len(values) columns, allocated
-    when not given.
+    (3 rows) and ints (1 row) are scratch matrices of at least len(values)
+    columns, allocated when not given.
     """
     n = len(values)
     if floats is None:
-        floats, ints = np.empty((3, n)), np.empty(n, dtype=np.intp)
-    m, high, low = floats[:, :n]
-    bins = ints[:n]
+        floats, ints = np.empty((3, n)), np.empty((1, n), dtype=np.intp)
+    m, high, low = floats[:3, :n]
+    bins = ints[0, :n]
     np.frexp(values, out=(m, bins))
     bins += 1073
     m *= 2.0**53
