@@ -28,18 +28,18 @@ Blocks and workers
 ------------------
 Trials run in blocks of BLOCK. Each block seeks its own place in the random
 stream, samples its trials and returns its partial results: a tally row per
-register and the exact integer numerators (_exact_sum) of the sums of the
-score, its square, the fidelity error and its square. The blocks split into
-contiguous ranges, one per CPU the process may run on (os.sched_getaffinity,
-which taskset limits), at most one per block. The first range runs on the
-calling thread, each other one on a thread of its own, and the calling
-thread adds the ranges' partials; the integers add exactly in any order.
-Each range allocates one workspace, sized to its largest block: the draw
-matrix and float and intp scratch rows, which every block writes into with
-out= (the offset sampler's too). Apart from a fixed-phase register's outcome
-search, no block allocates a block-sized array, so memory does not grow with
-the trial count (TRIALS_CAP bounds the run time instead) and no block faults
-in memory that the last one freed.
+register and the exact integer numerators (numerics._exact_sum) of the sums
+of the score, its square, the fidelity error and its square. The blocks
+split into contiguous ranges, one per CPU the process may run on
+(os.sched_getaffinity, which taskset limits), at most one per block. The
+first range runs on the calling thread, each other one on a thread of its
+own, and the calling thread adds the ranges' partials; the integers add
+exactly in any order. Each range allocates one workspace, sized to its
+largest block: the draw matrix and float and intp scratch rows, which every
+block writes into with out= (the offset sampler's too). Apart from a
+fixed-phase register's outcome search, no block allocates a block-sized
+array, so memory does not grow with the trial count (TRIALS_CAP bounds the
+run time instead) and no block faults in memory that the last one freed.
 
 Reproducibility contract
 ------------------------
@@ -74,7 +74,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cloning import cnot_fidelity, gcnot_fidelity, shrinking_factor
-from .numerics import TWO_PI, as_phase, clone_state
+from .numerics import SUM_DENOMINATOR, TWO_PI, _exact_sum, as_phase, clone_state
 from .povm import (
     check_cap,
     covariant_rows,
@@ -100,9 +100,6 @@ DRAWS_PER_TRIAL = 4
 BLOCK = 1 << 15
 # About four days of trials at 3M trials per second.
 TRIALS_CAP = 10**12
-# _exact_sum numerators count units of 2^-1126, the lowest bit of the
-# smallest subnormal.
-SUM_DENOMINATOR = 1 << (1073 + 53)
 
 
 @dataclass(frozen=True)
@@ -430,34 +427,3 @@ def _cos2_half(x: np.ndarray) -> np.ndarray:
     x /= 2.0
     np.cos(x, out=x)
     return np.square(x, out=x)
-
-
-def _exact_sum(values: np.ndarray, floats: np.ndarray | None = None,
-               ints: np.ndarray | None = None) -> int:
-    """The integer S with S / SUM_DENOMINATOR the exact sum of values, so
-    that S / SUM_DENOMINATOR rounds to math.fsum(values).
-
-    frexp writes each value as m 2^(e - 53) with m a 53-bit integer. Its
-    26-bit halves, floor(m 2^-26) and m - 2^26 floor(m 2^-26), are exact in
-    floats; they are summed per exponent by bincount, exactly while a bin
-    stays below 2^53 (fewer than 2^26 values), and the bins fold into one
-    Python int. Exponents run from -1073 (the smallest subnormal) up. floats
-    (3 rows) and ints (1 row) are scratch matrices of at least len(values)
-    columns, allocated when not given.
-    """
-    n = len(values)
-    if floats is None:
-        floats, ints = np.empty((3, n)), np.empty((1, n), dtype=np.intp)
-    m, high, low = floats[:3, :n]
-    bins = ints[0, :n]
-    np.frexp(values, out=(m, bins))
-    bins += 1073
-    m *= 2.0**53
-    np.floor(np.multiply(m, 2.0**-26, out=high), out=high)
-    np.subtract(m, np.multiply(high, 2.0**26, out=low), out=low)
-    high = np.bincount(bins, weights=high)
-    low = np.bincount(bins, weights=low)
-    total = 0
-    for e in np.flatnonzero((high != 0.0) | (low != 0.0)).tolist():
-        total += ((int(high[e]) << 26) + int(low[e])) << e
-    return total

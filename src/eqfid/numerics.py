@@ -2,10 +2,14 @@
 
 Every binomial quantity the package uses, the closed-form sums S_n and the
 Dicke weights, comes from binomial_log_pmf, one routine finite at every n.
+Every exactly rounded sum in the package, here and in montecarlo, is an
+_exact_sum numerator over SUM_DENOMINATOR. S_n / 2^n is computed once per n
+per process.
 """
 
-import itertools
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +18,9 @@ TWO_PI = 2.0 * math.pi
 
 # Centre terms of binomial_log_pmf are summed this many logarithms at a time.
 _CHUNK = 4096
+# _exact_sum numerators count units of 2^-1126, the lowest bit of the
+# smallest subnormal.
+SUM_DENOMINATOR = 1 << (1073 + 53)
 
 # Tolerances for density-matrix validity.
 HERMITICITY_TOL = 1e-12
@@ -70,6 +77,37 @@ class QubitDensityMatrix:
             raise ValueError("matrix has a negative eigenvalue")
 
 
+def _exact_sum(values: np.ndarray, floats: np.ndarray | None = None,
+               ints: np.ndarray | None = None) -> int:
+    """The integer S with S / SUM_DENOMINATOR the exact sum of values, so
+    that S / SUM_DENOMINATOR rounds to math.fsum(values).
+
+    frexp writes each value as m 2^(e - 53) with m a 53-bit integer. Its
+    26-bit halves, floor(m 2^-26) and m - 2^26 floor(m 2^-26), are exact in
+    floats; they are summed per exponent by bincount, exactly while a bin
+    stays below 2^53 (fewer than 2^26 values), and the bins fold into one
+    Python int. Exponents run from -1073 (the smallest subnormal) up. floats
+    (3 rows) and ints (1 row) are scratch matrices of at least len(values)
+    columns, allocated when not given.
+    """
+    n = len(values)
+    if floats is None:
+        floats, ints = np.empty((3, n)), np.empty((1, n), dtype=np.intp)
+    m, high, low = floats[:3, :n]
+    bins = ints[0, :n]
+    np.frexp(values, out=(m, bins))
+    bins += 1073
+    m *= 2.0**53
+    np.floor(np.multiply(m, 2.0**-26, out=high), out=high)
+    np.subtract(m, np.multiply(high, 2.0**26, out=low), out=low)
+    high = np.bincount(bins, weights=high)
+    low = np.bincount(bins, weights=low)
+    total = 0
+    for e in np.flatnonzero((high != 0.0) | (low != 0.0)).tolist():
+        total += ((int(high[e]) << 26) + int(low[e])) << e
+    return total
+
+
 def binomial_log_pmf(n: int) -> tuple[int, np.ndarray]:
     """Window start lo and log(C(n, i) / 2^n) for i = lo .. lo + len - 1.
 
@@ -83,9 +121,8 @@ def binomial_log_pmf(n: int) -> tuple[int, np.ndarray]:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     c, m = n // 2, (n + 1) // 2
-    chunks = (np.log1p(-0.5 / np.arange(j, min(j + _CHUNK, m + 1))).tolist()
-              for j in range(1, m + 1, _CHUNK))
-    centre = math.fsum(itertools.chain.from_iterable(chunks))
+    centre = sum(_exact_sum(np.log1p(-0.5 / np.arange(j, min(j + _CHUNK, m + 1))))
+                 for j in range(1, m + 1, _CHUNK)) / SUM_DENOMINATOR
     k = math.isqrt(373 * n) + 2
     lo, hi = max(0, c - k), min(n, c + k)
     up = np.arange(c, hi)
@@ -101,11 +138,17 @@ def sqrt_binom_sum_scaled(n: int) -> float:
     The exactly rounded sum of exp((l_i + l_{i+1}) / 2) over the window of
     binomial_log_pmf, finite at every n. Against an mpmath oracle the
     relative error is at most 7.4e-16 (n = 1..300 and 100 n up to 2.4e6).
+    Each n is computed once per process.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _sqrt_binom_sum_scaled(operator.index(n))
+
+
+@functools.cache
+def _sqrt_binom_sum_scaled(n: int) -> float:
     _, logs = binomial_log_pmf(n)
-    return math.fsum(np.exp(0.5 * (logs[:-1] + logs[1:])))
+    return _exact_sum(np.exp(0.5 * (logs[:-1] + logs[1:]))) / SUM_DENOMINATOR
 
 
 def sqrt_binom_sum(n: int) -> float:

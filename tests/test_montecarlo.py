@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eqfid import montecarlo, povm
+from eqfid import montecarlo, numerics, povm
 from eqfid.cli import main
 from eqfid.cloning import shrinking_factor
 from eqfid.montecarlo import (
@@ -303,6 +303,8 @@ def test_blocks_fault_in_no_memory_again(monkeypatch):
 
 
 def test_exact_sum_equals_fsum():
+    # One summation kernel serves the blocks and the binomial sums.
+    assert montecarlo._exact_sum is numerics._exact_sum
     rng = np.random.default_rng(31)
     n = 200_003
     tiny, huge = 5e-324, 2.0**1023

@@ -1,8 +1,11 @@
+import inspect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from eqfid import numerics
 from eqfid.numerics import (
     IDENTITY,
     Phase,
@@ -12,7 +15,10 @@ from eqfid.numerics import (
     equatorial_state,
     overlap,
     sqrt_binom_sum,
+    sqrt_binom_sum_scaled,
 )
+from eqfid.strategies import curve_table
+from eqfid.verify import run_checks
 
 
 def test_sqrt_binom_sum_values():
@@ -50,6 +56,55 @@ def test_binomial_log_pmf_small_rows_exact():
 def test_binomial_log_pmf_domain_error():
     with pytest.raises(ValueError):
         binomial_log_pmf(-1)
+
+
+def _fsum_log_pmf(n):
+    """binomial_log_pmf written out with math.fsum for the centre term."""
+    c, m = n // 2, (n + 1) // 2
+    centre = math.fsum(np.log1p(-0.5 / np.arange(1, m + 1)).tolist())
+    k = math.isqrt(373 * n) + 2
+    lo, hi = max(0, c - k), min(n, c + k)
+    up = np.arange(c, hi)
+    down = np.arange(c, lo, -1)
+    right = np.cumsum(np.log1p((n - 2 * up - 1) / (up + 1)))
+    left = np.cumsum(np.log1p((2 * down - n - 1) / (n - down + 1)))
+    return lo, np.concatenate([left[::-1] + centre, [centre], right + centre])
+
+
+def test_exact_sums_match_fsum_bit_for_bit():
+    # Both routines round the exact sum once, so they agree in every bit;
+    # the large n cross many centre-term chunks, 999736 among them.
+    for n in [*range(1, 2001), 10**4, 10**5, 999736, 10**6, 3 * 10**6]:
+        lo, logs = binomial_log_pmf(n)
+        old_lo, old_logs = _fsum_log_pmf(n)
+        assert lo == old_lo and np.array_equal(logs, old_logs), n
+        assert sqrt_binom_sum_scaled(n) == math.fsum(np.exp(0.5 * (old_logs[:-1] + old_logs[1:])).tolist()), n
+
+
+def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):
+    numerics._sqrt_binom_sum_scaled.cache_clear()
+    seen = Counter()
+    log_pmf = numerics.binomial_log_pmf
+
+    def counting(n):
+        seen[n] += 1
+        return log_pmf(n)
+
+    monkeypatch.setattr(numerics, "binomial_log_pmf", counting)
+    curve_table(1, 60)
+    run_checks(60)
+    # Integer-like n share the memo entry of the int.
+    sqrt_binom_sum_scaled(np.int64(60))
+    assert set(range(1, 61)) <= set(seen)
+    assert max(seen.values()) == 1
+    # The public function stays a plain function, so tracers can wrap it.
+    assert inspect.isfunction(numerics.sqrt_binom_sum_scaled)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            sqrt_binom_sum_scaled(0)
+    sqrt_binom_sum_scaled(2)
+    with pytest.raises(TypeError):
+        sqrt_binom_sum_scaled(2.0)
 
 
 def test_phase_normalization():
