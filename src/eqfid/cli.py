@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import montecarlo
@@ -65,7 +65,7 @@ def cmd_curves(args) -> int:
     out = _resolve_out(args.out)
     if args.gnuplot and (out is None or args.format != "csv"):
         raise ValueError("--gnuplot requires --out together with --format csv")
-    rows = [astuple(p) for p in curve_table(args.n_min, args.n_max)]
+    rows = [tuple(vars(p).values()) for p in curve_table(args.n_min, args.n_max)]
     # The first field, n_copies, is written as N in CSV and n in JSON.
     names = [f.name for f in fields(StrategyCurvePoint)][1:]
     if args.format == "csv":

@@ -3,8 +3,8 @@
 Every binomial quantity the package uses, the closed-form sums S_n and the
 Dicke weights, comes from binomial_log_pmf, one routine finite at every n.
 Every exactly rounded sum in the package, here and in montecarlo, is an
-_exact_sum numerator over SUM_DENOMINATOR. S_n / 2^n is computed once per n
-per process.
+_exact_sum numerator over SUM_DENOMINATOR. S_n / 2^n is kept per n for the
+process, one float each; symmetric keeps each N's Dicke weights.
 """
 
 import functools

@@ -5,36 +5,27 @@ qubits is the discrete Fourier basis of the (N+1)-dimensional symmetric
 subspace; outcome k carries the phase estimate 2 pi k / (N+1). This module
 provides the basis, the one row builder for shift-covariant outcome laws and
 the inverse-CDF sampler of their offsets at a uniform phase, the Fourier
-coefficients of the pure and the full-mixed outcome law, the estimator and
-the mean estimation fidelity both in closed form and by direct quadrature.
+coefficients of the pure outcome law (kept per N per process, see symmetric)
+and of the full-mixed one, the estimator and the mean estimation fidelity
+both in closed form and by direct quadrature.
 """
 
 import math
+import operator
 
 import numpy as np
 
 from .numerics import TWO_PI, as_phase, sqrt_binom_sum_scaled
-from .symmetric import symmetric_state
+# BASIS_CAP and check_cap bound every outcome law; callers read them here.
+from .symmetric import BASIS_CAP, _pure_law, check_cap
 
 DEFAULT_PHASE_GRID = 64
-
-# Largest N with an outcome law: every N that ever ran. No simulate run
-# builds a row per trial; at the cap one fixed-phase row peaks at 42 MB
-# (tracemalloc) and the full-mixed set-up, O(N^3), takes about 6 s.
-BASIS_CAP = 1029
 
 # offset_sampler interpolates the offset CDF on a theta grid of 2^k cells,
 # at least OFFSET_CELLS_PER_ROOT_N sqrt(N) of them: the quintic Hermite error
 # bound, h^6 max|F^(6)| / 46080, grows as N^3 and stays near 2e-16. Its guide
 # table has two buckets over u per cell.
 OFFSET_CELLS_PER_ROOT_N = 600
-
-
-def check_cap(n_copies: int) -> None:
-    """Refuse an N outside 1..BASIS_CAP; every outcome law and simulate share
-    this bound and its message."""
-    if not 1 <= n_copies <= BASIS_CAP:
-        raise ValueError(f"n_copies must lie in 1..{BASIS_CAP}, got {n_copies}")
 
 
 def povm_basis(n_copies: int) -> np.ndarray:
@@ -48,8 +39,9 @@ def povm_basis(n_copies: int) -> np.ndarray:
     """
     check_cap(n_copies)
     dim = n_copies + 1
-    grid = np.outer(np.arange(dim), np.arange(dim))
-    return np.exp(2j * np.pi * grid / dim) / math.sqrt(dim)
+    k = np.arange(dim)
+    roots = np.exp(2j * np.pi * k / dim) / math.sqrt(dim)
+    return roots[np.outer(k, k) % dim]
 
 
 def covariant_rows(coeffs, phis) -> np.ndarray:
@@ -236,13 +228,10 @@ def pure_coefficients(n_copies: int) -> np.ndarray:
 
     p_k(phi) = |<basis_k | Phi(phi)>|^2 has q_m = a_m / (N+1), where
     a_m = sum_n w_n w_{n+m} is the autocorrelation of the Dicke weights w.
-    N is checked first, before any N-sized array is built.
+    N is checked before any array is built; the read-only vector is kept per N.
     """
     check_cap(n_copies)
-    w = np.abs(symmetric_state(n_copies, 0.0))
-    c = np.correlate(w, w, "full")[n_copies:] / (n_copies + 1)
-    c[1:] *= 2.0
-    return c
+    return _pure_law(operator.index(n_copies))[1]
 
 
 def mixed_coefficients(n_copies: int, eta_value: float) -> np.ndarray:
@@ -298,7 +287,7 @@ def estimate_phase(outcome: int, n_copies: int) -> float:
 
 def phase_estimates(n_copies: int) -> np.ndarray:
     """Phase estimates of all outcomes k = 0 .. N, in outcome order."""
-    return np.array([estimate_phase(k, n_copies) for k in range(n_copies + 1)])
+    return 2.0 * math.pi * np.arange(n_copies + 1) / (n_copies + 1)
 
 
 def mean_fidelity_closed(n_copies: int) -> float:

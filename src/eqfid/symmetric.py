@@ -2,11 +2,15 @@
 
 N identical qubits never leave the (N+1)-dimensional permutation-symmetric
 subspace, so an N-copy equatorial state is held as an (N+1)-vector of Dicke
-amplitudes instead of a 2^N-vector.
+amplitudes instead of a 2^N-vector. Each N's Dicke weights and pure-law
+coefficients are kept for the process: 16 (N+1) bytes, about 30 KB for N up
+to 60 and at most about 8.5 MB for every N up to BASIS_CAP.
 """
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -16,6 +20,18 @@ from .numerics import as_phase, binomial_log_pmf
 # at the cap); only the full-space reference mixed_ensemble_distribution needs
 # it, and simulate never does.
 EMBEDDING_CAP = 12
+
+# Largest N with an outcome law: every N that ever ran. No simulate run
+# builds a row per trial; at the cap one fixed-phase row peaks at 42 MB
+# (tracemalloc) and the full-mixed set-up, O(N^3), takes about 6 s.
+BASIS_CAP = 1029
+
+
+def check_cap(n_copies: int) -> None:
+    """Refuse an N outside 1..BASIS_CAP; every outcome law and simulate share
+    this bound and its message."""
+    if not 1 <= n_copies <= BASIS_CAP:
+        raise ValueError(f"n_copies must lie in 1..{BASIS_CAP}, got {n_copies}")
 
 
 def symmetric_state(n_copies: int, phase) -> np.ndarray:
@@ -28,11 +44,27 @@ def symmetric_state(n_copies: int, phase) -> np.ndarray:
     """
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
-    phi = as_phase(phase).value
-    lo, logs = binomial_log_pmf(n_copies)
-    w = np.zeros(n_copies + 1)
+    n = operator.index(n_copies)
+    w = _pure_law(n)[0] if n <= BASIS_CAP else _dicke_weights(n)
+    return w * np.exp(1j * as_phase(phase).value * np.arange(n + 1))
+
+
+def _dicke_weights(n: int) -> np.ndarray:
+    lo, logs = binomial_log_pmf(n)
+    w = np.zeros(n + 1)
     w[lo : lo + len(logs)] = np.exp(0.5 * logs)
-    return w * np.exp(1j * phi * np.arange(n_copies + 1))
+    return w
+
+
+@functools.cache
+def _pure_law(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Dicke weights w and pure-law coefficients c (see
+    povm.pure_coefficients) of an int N that has passed check_cap."""
+    w = _dicke_weights(n)
+    c = np.correlate(w, w, "full")[n:] / (n + 1)
+    c[1:] *= 2.0
+    w.flags.writeable = c.flags.writeable = False
+    return w, c
 
 
 def dicke_embedding(n_copies: int) -> np.ndarray:

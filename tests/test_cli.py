@@ -423,6 +423,21 @@ def test_verify_fails_only_the_broken_claim(module, name, offset, failing, capsy
     assert len(failed) == 1 and failed[0].startswith(f"FAIL {failing}: "), failed
 
 
+@pytest.mark.parametrize(
+    "n_max, detail",
+    [
+        (1, "advantage at N=1"),
+        (2, "advantage at N=1, tie at N=2"),
+        (3, "advantage at N=1, tie at N=2, reversal at N=3"),
+        (60, "advantage at N=1, tie at N=2, reversal for N=3..60"),
+    ],
+)
+def test_verify_crossover_names_only_the_checked_n(n_max, detail, capsys):
+    assert run(["verify", "--n-max", str(n_max)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"PASS pairwise-crossover: {detail}" in lines
+
+
 def test_verify_invalid_n_max_exits_2():
     assert run(["verify", "--n-max", "0"]) == 2
     assert run(["verify", "--n-max", "61"]) == 2

@@ -1,21 +1,29 @@
 import hashlib
+import inspect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from eqfid import povm
+from eqfid import povm, symmetric
 from eqfid.cloning import shrinking_factor
 from eqfid.povm import (
+    BASIS_CAP,
     estimate_phase,
     mean_fidelity_closed,
     mean_fidelity_numeric,
     mixed_coefficients,
     offset_sampler,
     outcome_distribution,
+    outcome_rows,
+    phase_estimates,
     povm_basis,
     pure_coefficients,
 )
+from eqfid.strategies import curve_table
+from eqfid.symmetric import symmetric_state
+from eqfid.verify import run_checks
 
 
 def test_basis_single_copy_vectors():
@@ -30,6 +38,15 @@ def test_basis_orthonormal_and_complete():
         eye = np.eye(n + 1)
         assert np.max(np.abs(basis.conj().T @ basis - eye)) < 1e-12
         assert np.max(np.abs(basis @ basis.conj().T - eye)) < 1e-12
+
+
+def test_basis_matches_direct_exponentials():
+    # The basis gathers N+1 roots of unity; the direct (N+1)^2 exponentials
+    # lose about 1e-16 N^2 of absolute accuracy to the rounding of 2 pi k n.
+    for n in range(1, 61):
+        grid = np.outer(np.arange(n + 1), np.arange(n + 1))
+        direct = np.exp(2j * np.pi * grid / (n + 1)) / math.sqrt(n + 1)
+        assert np.max(np.abs(povm_basis(n) - direct)) < 1e-13
 
 
 def test_basis_domain_error():
@@ -57,6 +74,13 @@ def test_estimate_phase_values():
     assert estimate_phase(0, 9) == 0.0
     assert abs(estimate_phase(1, 1) - math.pi) < 1e-15
     assert abs(estimate_phase(2, 3) - math.pi) < 1e-15
+
+
+def test_phase_estimates_match_estimate_phase():
+    # The vectorised estimates take the same IEEE operations per outcome.
+    for n in range(1, BASIS_CAP + 1):
+        expected = np.array([estimate_phase(k, n) for k in range(n + 1)])
+        assert np.array_equal(phase_estimates(n), expected), n
 
 
 @pytest.mark.parametrize("k,n", [(-1, 3), (4, 3), (2, 1)])
@@ -140,6 +164,51 @@ def test_estimator_offset_never_improves():
     for n in range(1, 5):
         base, *offset = _numeric_with_estimator_offsets(n, 64, deltas)
         assert all(value <= base + 1e-12 for value in offset)
+
+
+def test_pure_law_is_computed_once_per_n(monkeypatch):
+    symmetric._pure_law.cache_clear()
+    seen = Counter()
+    weights = symmetric._dicke_weights
+
+    def counting(n):
+        seen[n] += 1
+        return weights(n)
+
+    monkeypatch.setattr(symmetric, "_dicke_weights", counting)
+    curve_table(1, 60)
+    run_checks(60)
+    outcome_distribution(60, 2.5)
+    # Integer-like N share the entry of the int.
+    pure_coefficients(np.int64(60))
+    symmetric_state(np.int64(60), 0.0)
+    assert set(seen) == set(range(1, 61))
+    assert max(seen.values()) == 1
+    # Past BASIS_CAP the weights are computed on every call and not kept.
+    cached = symmetric._pure_law.cache_info().currsize
+    symmetric_state(BASIS_CAP + 1, 0.0)
+    symmetric_state(BASIS_CAP + 1, 0.0)
+    assert seen[BASIS_CAP + 1] == 2 and symmetric._pure_law.cache_info().currsize == cached
+    with pytest.raises(TypeError):
+        symmetric_state(2.0, 0.0)
+    with pytest.raises(TypeError):
+        pure_coefficients(2.0)
+
+
+def test_cached_pure_law_is_read_only():
+    for cached in (pure_coefficients(5), *symmetric._pure_law(5)):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+    # What callers get to keep is fresh and writable.
+    state, rows = symmetric_state(5, 0.3), outcome_rows(5, [0.3])
+    state[:] = 0.0
+    rows[:] = 0.0
+    assert np.array_equal(symmetric_state(5, 0.3), np.abs(symmetric_state(5, 0.0)) * np.exp(0.3j * np.arange(6)))
+    assert np.array_equal(outcome_rows(5, [0.3]), outcome_distribution(5, 0.3)[None])
+    # The public functions stay plain functions, so tracers can wrap them.
+    for fn in (symmetric_state, pure_coefficients, outcome_rows, outcome_distribution,
+               mean_fidelity_numeric, phase_estimates):
+        assert inspect.isfunction(fn)
 
 
 # --- offset sampler ----------------------------------------------------------
