@@ -26,12 +26,7 @@ from .montecarlo import (
     simulate,
 )
 from .numerics import (
-    Phase,
-    QubitDensityMatrix,
     as_phase,
-    clone_state,
-    equatorial_state,
-    overlap,
     sqrt_binom_sum,
     sqrt_binom_sum_scaled,
 )
@@ -61,8 +56,6 @@ __all__ = [
     "CheckResult",
     "FULL_MIXED",
     "MEASUREMENT",
-    "Phase",
-    "QubitDensityMatrix",
     "ShrinkingFactor",
     "StrategyCurvePoint",
     "TrialConfig",
@@ -70,19 +63,16 @@ __all__ = [
     "UNIFIED_COLLECTIVE",
     "UNIFIED_PAIR",
     "as_phase",
-    "clone_state",
     "cnot_fidelity",
     "curve_table",
     "dicke_embedding",
     "eqcm_fidelity",
-    "equatorial_state",
     "estimate_phase",
     "gcnot_fidelity",
     "mean_fidelity_closed",
     "mean_fidelity_numeric",
     "mixed_ensemble_distribution",
     "outcome_distribution",
-    "overlap",
     "p_cloning",
     "p_measurement",
     "p_unified_collective",

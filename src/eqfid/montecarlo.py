@@ -13,12 +13,12 @@ p_k(phi) = q(phi - est_k), and one vector of Fourier coefficients
 one more slot, N+1, outside the symmetric subspace. Its probability is what
 the law leaves of one, 1 - (N+1) c_0; no row holds it.
 mixed_ensemble_distribution evaluates the full-mixed law in the 2^N space
-instead; it is the reference the fast route is checked against, and no
-simulation uses it.
+instead, from the shrunk 2x2 copy it builds itself; it is the reference the
+fast route is checked against, and no simulation uses it.
 
 A register with a fixed phase builds one outcome row per run
-(povm.covariant_rows) and samples every trial from its CDF. A register
-whose phase is uniform builds no row: it samples phase and outcome
+(povm.covariant_rows, one FFT) and samples every trial from its CDF. A
+register whose phase is uniform builds no row: it samples phase and outcome
 jointly. The outcome is then uniform over the N+1 slots of weight c_0 (the
 perp slot takes the rest), and the offset theta = phi - est_k has one fixed
 law, sampled by povm.offset_sampler; phi = est_k + theta (mod 2 pi). The
@@ -74,7 +74,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cloning import cnot_fidelity, gcnot_fidelity, shrinking_factor
-from .numerics import SUM_DENOMINATOR, TWO_PI, _exact_sum, as_phase, clone_state
+from .numerics import SUM_DENOMINATOR, TWO_PI, _exact_sum, as_phase
 from .povm import (
     check_cap,
     covariant_rows,
@@ -127,7 +127,7 @@ class TrialConfig:
         for name in ("phase_a", "phase_b"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, as_phase(v).value)
+                object.__setattr__(self, name, as_phase(v))
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,10 @@ def mixed_ensemble_distribution(n_copies: int, delta, eta_value: float) -> np.nd
         raise ValueError(f"full-space evaluation capped at n_copies <= {EMBEDDING_CAP}")
     if not 0.0 <= eta_value <= 1.0:
         raise ValueError(f"shrinking factor must lie in [0, 1], got {eta_value}")
-    rho = clone_state(delta, eta_value).matrix
+    # The shrunk copy eta |psi(delta)><psi(delta)| + (1 - eta) I/2.
+    amp = np.array([1.0, np.exp(1j * as_phase(delta))]) / math.sqrt(2.0)
+    identity = np.eye(2, dtype=complex)
+    rho = eta_value * np.outer(amp, amp.conj()) + (1.0 - eta_value) / 2.0 * identity
     emb = dicke_embedding(n_copies).astype(complex)
     basis = povm_basis(n_copies)
     p = np.empty(n_copies + 2)

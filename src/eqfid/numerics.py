@@ -1,16 +1,16 @@
-"""Binomial weights, equatorial qubit states and small density matrices.
+"""Binomial weights, their exact sums and the phase normalization.
 
 Every binomial quantity the package uses, the closed-form sums S_n and the
 Dicke weights, comes from binomial_log_pmf, one routine finite at every n.
 Every exactly rounded sum in the package, here and in montecarlo, is an
 _exact_sum numerator over SUM_DENOMINATOR. S_n / 2^n is kept per n for the
-process, one float each; symmetric keeps each N's Dicke weights.
+process, one float each; symmetric keeps each N's Dicke weights. Every
+phase the package takes passes through as_phase.
 """
 
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,59 +22,16 @@ _CHUNK = 4096
 # smallest subnormal.
 SUM_DENOMINATOR = 1 << (1073 + 53)
 
-# Tolerances for density-matrix validity.
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-EIGENVALUE_TOL = 1e-12
 
-IDENTITY = np.eye(2, dtype=complex)
-
-
-@dataclass(frozen=True)
-class Phase:
-    """A finite angle in radians, normalized into [0, 2*pi) at construction."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not math.isfinite(v):
-            raise ValueError(f"phase must be finite, got {v}")
-        v %= TWO_PI
-        if v >= TWO_PI:  # modulo of a tiny negative input can round up to 2*pi
-            v = 0.0
-        object.__setattr__(self, "value", v)
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def as_phase(phi) -> Phase:
-    """Coerce a float (radians) or Phase into a normalized Phase."""
-    return phi if isinstance(phi, Phase) else Phase(float(phi))
-
-
-@dataclass(frozen=True)
-class QubitDensityMatrix:
-    """2x2 complex matrix checked to be Hermitian, unit trace and PSD."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        self.validate()
-
-    def validate(self) -> None:
-        m = self.matrix
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {np.trace(m)}")
-        if np.linalg.eigvalsh(m).min() < -EIGENVALUE_TOL:
-            raise ValueError("matrix has a negative eigenvalue")
+def as_phase(phi) -> float:
+    """phi (radians) as a float normalized into [0, 2*pi); a non-finite
+    phase is a ValueError."""
+    v = float(phi)
+    if not math.isfinite(v):
+        raise ValueError(f"phase must be finite, got {v}")
+    v %= TWO_PI
+    # The modulo of a tiny negative input can round up to 2*pi.
+    return 0.0 if v >= TWO_PI else v
 
 
 def _exact_sum(values: np.ndarray, floats: np.ndarray | None = None,
@@ -155,22 +112,3 @@ def sqrt_binom_sum(n: int) -> float:
     """S_n itself, the scaled sum times 2^n: OverflowError from n = 1025,
     which is why the closed forms use sqrt_binom_sum_scaled."""
     return math.ldexp(sqrt_binom_sum_scaled(n), n)
-
-
-def equatorial_state(phi) -> np.ndarray:
-    """Amplitudes of the equatorial qubit state (|0> + e^{i phi} |1>) / sqrt(2)."""
-    return np.array([1.0, np.exp(1j * as_phase(phi).value)]) / math.sqrt(2.0)
-
-
-def clone_state(phase, eta: float) -> QubitDensityMatrix:
-    """Shrunk copy eta |psi><psi| + (1 - eta)/2 I of an equatorial state."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"shrinking factor must lie in [0, 1], got {eta}")
-    amp = equatorial_state(phase)
-    return QubitDensityMatrix(eta * np.outer(amp, amp.conj()) + (1.0 - eta) / 2.0 * IDENTITY)
-
-
-def overlap(rho: QubitDensityMatrix, phase) -> float:
-    """Expectation <psi(phi)| rho |psi(phi)> of rho on an equatorial state."""
-    amp = equatorial_state(phase)
-    return float(np.real(amp.conj() @ rho.matrix @ amp))

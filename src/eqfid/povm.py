@@ -3,11 +3,12 @@
 The optimal projective measurement for the phase of N identical equatorial
 qubits is the discrete Fourier basis of the (N+1)-dimensional symmetric
 subspace; outcome k carries the phase estimate 2 pi k / (N+1). This module
-provides the basis, the one row builder for shift-covariant outcome laws and
-the inverse-CDF sampler of their offsets at a uniform phase, the Fourier
-coefficients of the pure outcome law (kept per N per process, see symmetric)
-and of the full-mixed one, the estimator and the mean estimation fidelity
-both in closed form and by direct quadrature.
+provides the basis, which verify holds the outcome laws to, the one row
+builder for shift-covariant outcome laws (one FFT of their Fourier
+coefficients per phase) and the inverse-CDF sampler of their offsets at a
+uniform phase, the Fourier coefficients of the pure outcome law (kept per N
+per process, see symmetric) and of the full-mixed one, the estimator and the
+mean estimation fidelity both in closed form and by direct quadrature.
 """
 
 import math
@@ -50,23 +51,14 @@ def covariant_rows(coeffs, phis) -> np.ndarray:
     c_0 .. c_N, one row per phase in phis.
 
     The law is q(phi - est_k) with q(x) = sum_{|m| <= N} q_m e^{i m x}, so
-    c_0 = q_0 and c_m = 2 q_m. Each row is one real product of the
-    interleaved (Re, Im) phase factors with a (2N+2) x (N+1) table; its
-    phases e^{-i m est_k} use m k reduced mod N+1. Tiny negative rounding
-    residues are clamped to zero.
+    c_0 = q_0 and c_m = 2 q_m. With est_k = 2 pi k / (N+1), each row is the
+    real part of one length-(N+1) DFT of c_m e^{i m phi}. Tiny negative
+    rounding residues are clamped to zero.
     """
     n = len(coeffs) - 1
     check_cap(n)
-    m = np.arange(n + 1)
-    roots = np.exp(-2j * np.pi * m / (n + 1))
-    shift = roots[np.outer(m, m) % (n + 1)] * np.asarray(coeffs)[:, None]
-    table = np.empty((2 * n + 2, n + 1))
-    table[0::2] = shift.real
-    table[1::2] = -shift.imag
-    waves = np.outer(1j * np.asarray(phis), m)
-    np.exp(waves, out=waves)
-    p = waves.view(float) @ table
-    return np.clip(p, 0.0, None, out=p)
+    waves = np.exp(1j * np.outer(phis, np.arange(n + 1))) * coeffs
+    return np.clip(np.fft.fft(waves, axis=-1).real, 0.0, None)
 
 
 def offset_sampler(coeffs):
@@ -275,11 +267,13 @@ def outcome_rows(n_copies: int, phis) -> np.ndarray:
 
 def outcome_distribution(n_copies: int, phase) -> np.ndarray:
     """Outcome probabilities p_k = |<basis_k | Phi(phi)>|^2 at one phase."""
-    return outcome_rows(n_copies, [as_phase(phase).value])[0]
+    return outcome_rows(n_copies, [as_phase(phase)])[0]
 
 
 def estimate_phase(outcome: int, n_copies: int) -> float:
     """Phase estimate 2 pi k / (N+1) attached to outcome k."""
+    if n_copies < 1:
+        raise ValueError(f"n_copies must be >= 1, got {n_copies}")
     if not 0 <= outcome <= n_copies:
         raise ValueError(f"outcome must lie in 0..{n_copies}, got {outcome}")
     return 2.0 * math.pi * outcome / (n_copies + 1)

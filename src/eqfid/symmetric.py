@@ -21,9 +21,9 @@ from .numerics import as_phase, binomial_log_pmf
 # it, and simulate never does.
 EMBEDDING_CAP = 12
 
-# Largest N with an outcome law: every N that ever ran. No simulate run
-# builds a row per trial; at the cap one fixed-phase row peaks at 42 MB
-# (tracemalloc) and the full-mixed set-up, O(N^3), takes about 6 s.
+# Largest N with an outcome law: every N that ever ran. It bounds the
+# O(N^3) full-mixed set-up, about 6 s at the cap, and pure_coefficients'
+# O(N^2) correlation; an outcome row is one FFT at any N.
 BASIS_CAP = 1029
 
 
@@ -46,7 +46,7 @@ def symmetric_state(n_copies: int, phase) -> np.ndarray:
         raise ValueError("n_copies must be >= 1")
     n = operator.index(n_copies)
     w = _pure_law(n)[0] if n <= BASIS_CAP else _dicke_weights(n)
-    return w * np.exp(1j * as_phase(phase).value * np.arange(n + 1))
+    return w * np.exp(1j * as_phase(phase) * np.arange(n + 1))
 
 
 def _dicke_weights(n: int) -> np.ndarray:

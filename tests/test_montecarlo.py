@@ -406,7 +406,7 @@ def test_full_mixed_setup_stays_in_symmetric_subspace(monkeypatch):
     def forbidden(*args):
         raise AssertionError("full-mixed set-up entered the 2^N space")
 
-    for name in ("dicke_embedding", "clone_state", "povm_basis", "_product_expectation"):
+    for name in ("dicke_embedding", "povm_basis", "_product_expectation"):
         monkeypatch.setattr(montecarlo, name, forbidden)
     for strategy in (UNIFIED_PAIR, UNIFIED_COLLECTIVE):
         for phases in ({}, {"phase_a": 0.4, "phase_b": 1.9}):

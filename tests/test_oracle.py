@@ -127,7 +127,7 @@ def test_outcome_rows_match_oracle(n):
         exact = oracle_outcome_row(n, phi)
         for law in (row, outcome_distribution(n, phi)):
             worst = max(abs(float(p - q)) for p, q in zip(law, exact))
-            assert worst <= 2e-15, (n, phi, worst)
+            assert worst <= 5e-16, (n, phi, worst)
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -83,7 +84,7 @@ def test_phase_estimates_match_estimate_phase():
         assert np.array_equal(phase_estimates(n), expected), n
 
 
-@pytest.mark.parametrize("k,n", [(-1, 3), (4, 3), (2, 1)])
+@pytest.mark.parametrize("k,n", [(-1, 3), (4, 3), (2, 1), (0, 0)])
 def test_estimate_phase_domain_errors(k, n):
     with pytest.raises(ValueError):
         estimate_phase(k, n)
@@ -209,6 +210,19 @@ def test_cached_pure_law_is_read_only():
     for fn in (symmetric_state, pure_coefficients, outcome_rows, outcome_distribution,
                mean_fidelity_numeric, phase_estimates):
         assert inspect.isfunction(fn)
+
+
+def test_fixed_phase_row_at_the_cap_is_small():
+    # One row is one FFT of N+1 coefficients: O(N) memory, no N^2 table.
+    coeffs = pure_coefficients(BASIS_CAP)
+    tracemalloc.start()
+    try:
+        row = povm.covariant_rows(coeffs, [0.3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.shape == (1, BASIS_CAP + 1)
+    assert peak < 1 << 20, peak
 
 
 # --- offset sampler ----------------------------------------------------------

@@ -84,8 +84,8 @@ DIGESTS = {
     "measurement-full-fixed-json": "3da0c61e98f71bed5e86ef9ccda5c46ff7b0a0fe65e48d46cf625c7095a9b3f9",
     "measurement-full-uniform-csv": "55c64f7da278152d331c4a78f380bb583f6a49ead834297e2b39e1d49ae2aaa0",
     "measurement-full-uniform-json": "7b57171d54a85d367b7cfe61d7a8c49151e09878488c95f40985d1fdde373863",
-    "povm-csv": "37da3c43dafda0629be1a345688a1e6b4f90d236608d959c40db89acc248e8ba",
-    "povm-json": "3f791b4614e25648475a9712a9fbdea3e26e69d0d67be74dfc4d1d93132af25e",
+    "povm-csv": "b49ce0e6c6bdcaef8775e6434b7b4b89e99e54ec3325b76c4e6b3b68ed0886cc",
+    "povm-json": "d882d160253f5b14328b832e0ddeb9ac13715d11adefc86711ea37ca8ce06576",
     "unified-collective-analytic-a-fixed-block-plus-7": "831cd25daa39ba0f23bd0fd71b29f53f087387b1974e8499c30261eed182d1cb",
     "unified-collective-analytic-b-fixed-block-plus-7": "515ca61543c2f23148b523bdd8ff0c82741a0d24e9e6b4ca2ecdcd0eca193014",
     "unified-collective-analytic-fixed-csv": "62cc59b2254f506730762924d606b9f7cd64b249cabcae6f78e932f5b6bef55d",

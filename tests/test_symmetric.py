@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from eqfid.numerics import equatorial_state
 from eqfid.symmetric import EMBEDDING_CAP, dicke_embedding, symmetric_state
+
+
+def equatorial_state(phi):
+    """Amplitudes of (|0> + e^{i phi} |1>) / sqrt(2), the single-copy oracle."""
+    return np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2.0)
 
 
 def tensor_power(psi, n):
