@@ -8,7 +8,6 @@ reconstructed.
 
 from .cloning import (
     ShrinkingFactor,
-    cnot_fidelity,
     eqcm_fidelity,
     gcnot_fidelity,
     shrinking_factor,
@@ -63,7 +62,6 @@ __all__ = [
     "UNIFIED_COLLECTIVE",
     "UNIFIED_PAIR",
     "as_phase",
-    "cnot_fidelity",
     "curve_table",
     "dicke_embedding",
     "eqcm_fidelity",

@@ -2,8 +2,9 @@
 inspection and the invariant verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error
-(an N past the measurement-basis cap, or arrays too large to allocate),
-3 I/O error. The only environment override is EQFID_OUT_DIR, which prefixes
+(an N past the measurement-basis cap or a trial count past TRIALS_CAP; a
+MemoryError when a simulate workspace or block allocation fails), 3 I/O
+error. The only environment override is EQFID_OUT_DIR, which prefixes
 relative --out paths; all science parameters are flags.
 """
 
@@ -93,25 +94,18 @@ def _gnuplot_script(csv_name: str) -> str:
 
 def cmd_simulate(args) -> int:
     config = TrialConfig(
+        strategy=args.strategy,
         n_copies=args.n,
         trials=args.trials,
         seed=args.seed,
         phase_a=_parse_phase(args.phase_a, args.degrees),
         phase_b=_parse_phase(args.phase_b, args.degrees),
-        strategy=args.strategy,
         mixed_mode=args.mixed_mode,
     )
     report = asdict(simulate(config))
     out = _resolve_out(args.out)
-    config_echo = {
-        "strategy": config.strategy,
-        "n_copies": config.n_copies,
-        "trials": config.trials,
-        "seed": config.seed,
-        "phase_a": "uniform" if config.phase_a is None else config.phase_a,
-        "phase_b": "uniform" if config.phase_b is None else config.phase_b,
-        "mixed_mode": config.mixed_mode,
-    }
+    # The config block echoes every field in order; a uniform phase is None.
+    config_echo = {k: "uniform" if v is None else v for k, v in asdict(config).items()}
     if args.format == "json":
         payload = {"config": config_echo, "report": report}
         _emit(json.dumps(payload, indent=2) + "\n", out)
@@ -228,7 +222,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, MemoryError) as exc:  # memory: e.g. --trials 10**15
+    # MemoryError: a simulate workspace or block allocation failed.
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

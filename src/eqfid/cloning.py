@@ -42,13 +42,7 @@ def eqcm_fidelity(n_in: int) -> float:
     return (1.0 + shrinking_factor_limit(n_in).value) / 2.0
 
 
-def cnot_fidelity() -> float:
-    """Reconstruction probability of the pairwise difference gate,
-    (1 + eta(1, 2)) / 2 = 1/2 + 1/sqrt(8)."""
-    return (1.0 + shrinking_factor(1, 2).value) / 2.0
-
-
 def gcnot_fidelity(n_copies: int) -> float:
     """Reconstruction probability of the collective N -> 2N difference gate,
-    (1 + eta(N, 2N)) / 2."""
+    (1 + eta(N, 2N)) / 2; at N = 1 it is the pairwise gate, 1/2 + 1/sqrt(8)."""
     return (1.0 + shrinking_factor(n_copies, 2 * n_copies).value) / 2.0

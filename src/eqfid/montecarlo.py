@@ -1,10 +1,12 @@
 """Seeded Monte Carlo simulation of the fidelity-estimation strategies.
 
 One kernel, simulate, runs every strategy over registers. A register is one
-measured phase with its draw column, its outcome law and its tally name. The
+measured phase: a (tally, outcome column, fixed phase or None) tuple built
+from the config, whose offset column is the outcome column + 2. The
 measurement strategy measures ensemble_a and ensemble_b at phi_a and phi_b;
 each unified strategy measures one register, difference, at
-(phi_b - phi_a) mod 2 pi.
+(phi_b - phi_a) mod 2 pi. The pairwise gate is the collective N -> 2N gate
+at N = 1, so the two unified strategies differ only in the gate size.
 
 Both outcome laws, pure and full-mixed, are shift covariant,
 p_k(phi) = q(phi - est_k), and one vector of Fourier coefficients
@@ -73,7 +75,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cloning import cnot_fidelity, gcnot_fidelity, shrinking_factor
+from .cloning import gcnot_fidelity, shrinking_factor
 from .numerics import SUM_DENOMINATOR, TWO_PI, _exact_sum, as_phase
 from .povm import (
     check_cap,
@@ -102,16 +104,17 @@ BLOCK = 1 << 15
 TRIALS_CAP = 10**12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrialConfig:
-    """Configuration of one simulation run; phases of None mean uniform."""
+    """Configuration of one simulation run; phases of None mean uniform. The
+    fields are in the order of the report's config block."""
 
+    strategy: str = MEASUREMENT
     n_copies: int
     trials: int
     seed: int
     phase_a: float | None = None
     phase_b: float | None = None
-    strategy: str = MEASUREMENT
     mixed_mode: str = ANALYTIC_FACTOR
 
     def __post_init__(self):
@@ -153,31 +156,6 @@ class TrialReport:
     tallies: dict[str, tuple[int, ...]]
     analytic_probability: float
     perp_probability: float | None = None
-
-
-class _Register(NamedTuple):
-    """One measured phase of a trial: its tally name, its two draw columns
-    (outcome and offset at a uniform phase; the second is the outcome at a
-    fixed phase), and its fixed phase as a function of the configured
-    (phase_a, phase_b), None where it is uniform."""
-
-    tally: str
-    columns: tuple[int, int]
-    phase: Callable[[float | None, float | None], float | None]
-
-
-def _difference(phase_a: float | None, phase_b: float | None) -> float | None:
-    """(phase_b - phase_a) mod 2 pi, None (uniform) when either phase is."""
-    if phase_a is None or phase_b is None:
-        return None
-    return (phase_b - phase_a) % TWO_PI
-
-
-MEASUREMENT_REGISTERS = (
-    _Register("ensemble_a", (0, 2), lambda phase_a, phase_b: phase_a),
-    _Register("ensemble_b", (1, 3), lambda phase_a, phase_b: phase_b),
-)
-UNIFIED_REGISTERS = (_Register("difference", (0, 2), _difference),)
 
 
 def mixed_ensemble_distribution(n_copies: int, delta, eta_value: float) -> np.ndarray:
@@ -240,26 +218,28 @@ def simulate(config: TrialConfig) -> TrialReport:
     n = config.n_copies
     full = False
     gate_factor = 1.0
+    # Registers: (tally, outcome column, fixed phase or None).
     if config.strategy == MEASUREMENT:
-        registers = MEASUREMENT_REGISTERS
+        registers = [("ensemble_a", 0, config.phase_a), ("ensemble_b", 1, config.phase_b)]
         analytic = p_measurement(n)
     else:
-        registers = UNIFIED_REGISTERS
+        a, b = config.phase_a, config.phase_b
+        registers = [("difference", 0, None if a is None or b is None else (b - a) % TWO_PI)]
         pair = config.strategy == UNIFIED_PAIR
         analytic = p_unified_pair(n) if pair else p_unified_collective(n)
+        size = 1 if pair else n
         full = config.mixed_mode == FULL_MIXED
         if full:
-            eta = shrinking_factor(1, 2) if pair else shrinking_factor(n, 2 * n)
+            eta = shrinking_factor(size, 2 * size)
         else:
-            gate_factor = cnot_fidelity() if pair else gcnot_fidelity(n)
+            gate_factor = gcnot_fidelity(size)
     # One coefficient vector feeds the fixed-phase rows and the offset sampler.
     coeffs = mixed_coefficients(n, eta.value) if full else pure_coefficients(n)
     estimates = phase_estimates(n)
-    phases = [r.phase(config.phase_a, config.phase_b) for r in registers]
-    offsets = offset_sampler(coeffs) if None in phases else None
     # A fixed phase has one outcome law for the whole run.
     cdfs = [None if fixed is None else np.cumsum(covariant_rows(coeffs, [fixed])[0])
-            for fixed in phases]
+            for _, _, fixed in registers]
+    offsets = offset_sampler(coeffs) if any(cdf is None for cdf in cdfs) else None
     n_slots = n + 2 if full else n + 1
 
     def block(start: int, stop: int, ws: _Workspace) -> list:
@@ -275,8 +255,8 @@ def simulate(config: TrialConfig) -> TrialReport:
         k, perp = ints[0], ints[1].view(bool)[:m]
         counts = np.empty((len(registers), n_slots), dtype=np.int64)
         est_diff = phase_diff = 0.0
-        for i, (register, fixed, cdf) in enumerate(zip(registers, phases, cdfs)):
-            outcome_draws, offset_draws = (draws[:, column] for column in register.columns)
+        for i, ((_, column, fixed), cdf) in enumerate(zip(registers, cdfs)):
+            outcome_draws, offset_draws = draws[:, column], draws[:, column + 2]
             est, phi = floats[1 + 2 * i], floats[2 + 2 * i]
             if fixed is None:
                 # N+1 slots of weight c_0 each; a full-mixed draw past them
@@ -332,7 +312,7 @@ def simulate(config: TrialConfig) -> TrialReport:
         overlap_product_se=se * gate_factor,
         mean_abs_fidelity_error=err_mean,
         abs_fidelity_error_se=err_se,
-        tallies={r.tally: tuple(row.tolist()) for r, row in zip(registers, counts)},
+        tallies={tally: tuple(row.tolist()) for (tally, _, _), row in zip(registers, counts)},
         analytic_probability=analytic,
         # Full-mixed runs have one register, difference; its last slot is perp.
         perp_probability=(counts[0][-1] / config.trials) if full else None,

@@ -52,13 +52,14 @@ def covariant_rows(coeffs, phis) -> np.ndarray:
 
     The law is q(phi - est_k) with q(x) = sum_{|m| <= N} q_m e^{i m x}, so
     c_0 = q_0 and c_m = 2 q_m. With est_k = 2 pi k / (N+1), each row is the
-    real part of one length-(N+1) DFT of c_m e^{i m phi}. Tiny negative
-    rounding residues are clamped to zero.
+    real part of one length-(N+1) DFT of c_m e^{i m phi}. Entries are
+    clamped into [0, 1]: rounding leaves tiny negative residues, and can lift
+    a certain outcome just past one (N = 1 at phi = 0, where c_0 rounds up).
     """
     n = len(coeffs) - 1
     check_cap(n)
     waves = np.exp(1j * np.outer(phis, np.arange(n + 1))) * coeffs
-    return np.clip(np.fft.fft(waves, axis=-1).real, 0.0, None)
+    return np.clip(np.fft.fft(waves, axis=-1).real, 0.0, 1.0)
 
 
 def offset_sampler(coeffs):
@@ -276,12 +277,12 @@ def estimate_phase(outcome: int, n_copies: int) -> float:
         raise ValueError(f"n_copies must be >= 1, got {n_copies}")
     if not 0 <= outcome <= n_copies:
         raise ValueError(f"outcome must lie in 0..{n_copies}, got {outcome}")
-    return 2.0 * math.pi * outcome / (n_copies + 1)
+    return TWO_PI * outcome / (n_copies + 1)
 
 
 def phase_estimates(n_copies: int) -> np.ndarray:
     """Phase estimates of all outcomes k = 0 .. N, in outcome order."""
-    return 2.0 * math.pi * np.arange(n_copies + 1) / (n_copies + 1)
+    return TWO_PI * np.arange(n_copies + 1) / (n_copies + 1)
 
 
 def mean_fidelity_closed(n_copies: int) -> float:
@@ -305,7 +306,7 @@ def mean_fidelity_numeric(n_copies: int, phase_grid: int = DEFAULT_PHASE_GRID) -
     if phase_grid < 1:
         raise ValueError("phase_grid must be >= 1")
     offset = math.pi / (2.0 * (n_copies + 1))
-    phis = 2.0 * math.pi * np.arange(phase_grid) / phase_grid + offset
+    phis = TWO_PI * np.arange(phase_grid) / phase_grid + offset
     p = outcome_rows(n_copies, phis)
     fidelity = np.cos((phase_estimates(n_copies) - phis[:, None]) / 2.0) ** 2
     return float(np.sum(p * fidelity)) / phase_grid

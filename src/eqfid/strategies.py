@@ -3,7 +3,7 @@ strategies and their comparison curves."""
 
 from dataclasses import dataclass
 
-from .cloning import cnot_fidelity, eqcm_fidelity, gcnot_fidelity, shrinking_factor
+from .cloning import eqcm_fidelity, gcnot_fidelity, shrinking_factor
 from .povm import mean_fidelity_closed
 
 # Curve tables and verify stop at the N range the comparison curves cover;
@@ -22,8 +22,8 @@ def p_cloning(n_copies: int) -> float:
 
 
 def p_unified_pair(n_copies: int) -> float:
-    """Pairwise difference gate, then phase estimation; fbar(N) * f_cnot."""
-    return mean_fidelity_closed(n_copies) * cnot_fidelity()
+    """Pairwise difference gate, then phase estimation; fbar(N) * f_gcnot(1)."""
+    return mean_fidelity_closed(n_copies) * gcnot_fidelity(1)
 
 
 def p_unified_collective(n_copies: int) -> float:
@@ -67,7 +67,7 @@ def curve_point(n_copies: int) -> StrategyCurvePoint:
         n_copies=n_copies,
         f_bar=mean_fidelity_closed(n_copies),
         f_eqcm=eqcm_fidelity(n_copies),
-        f_cnot=cnot_fidelity(),
+        f_cnot=gcnot_fidelity(1),
         f_gcnot=gcnot_fidelity(n_copies),
         p_measurement=p_measurement(n_copies),
         p_cloning=p_cloning(n_copies),

@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from eqfid.cloning import cnot_fidelity, shrinking_factor, shrinking_factor_limit
+from eqfid.cloning import gcnot_fidelity, shrinking_factor, shrinking_factor_limit
 from eqfid.montecarlo import (
     MEASUREMENT,
     UNIFIED_COLLECTIVE,
@@ -53,7 +53,8 @@ def test_criterion_1_mean_fidelity_reproduction():
 
 
 def test_criterion_2_pairwise_gate_fidelity_value():
-    f = cnot_fidelity()
+    # The pairwise gate is the collective N -> 2N gate at N = 1.
+    f = gcnot_fidelity(1)
     # independent route: explicit binomial sums for eta(1, 2)
     s1 = math.sqrt(math.comb(1, 0) * math.comb(1, 1))
     s2 = math.sqrt(math.comb(2, 0) * math.comb(2, 1)) + math.sqrt(

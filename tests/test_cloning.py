@@ -3,7 +3,6 @@ import math
 import pytest
 
 from eqfid.cloning import (
-    cnot_fidelity,
     eqcm_fidelity,
     gcnot_fidelity,
     shrinking_factor,
@@ -78,7 +77,8 @@ def test_doubled_output_exceeds_limit():
 
 
 def test_cnot_fidelity_value():
-    f = cnot_fidelity()
+    # The pairwise gate is the collective N -> 2N gate at N = 1.
+    f = gcnot_fidelity(1)
     assert abs(f - 0.8535533905932738) <= 1e-12
     assert abs(f - (0.5 + 1.0 / math.sqrt(8.0))) < 1e-15
     assert abs(f - (1.0 + shrinking_factor(1, 2).value) / 2.0) < 1e-15
@@ -86,7 +86,7 @@ def test_cnot_fidelity_value():
 
 
 def test_gcnot_fidelity_values():
-    assert gcnot_fidelity(1) == cnot_fidelity()
+    assert gcnot_fidelity(1) == (1.0 + shrinking_factor(1, 2).value) / 2.0
     assert abs(gcnot_fidelity(2) - 0.909977610552932) < 1e-14
     for n in range(1, 51):
         # Below one: the gate's control output keeps strictly less of phi_a

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -139,6 +140,22 @@ def test_unified_collective_statistics():
         <= 3 * report.overlap_product_se
     )
     assert sum(report.tallies["difference"]) == 100_000
+
+
+@pytest.mark.parametrize("mode", MIXED_MODES)
+@pytest.mark.parametrize("phases", [{}, {"phase_a": 0.4, "phase_b": 1.9},
+                                    {"phase_a": 0.4}, {"phase_b": 1.9}],
+                         ids=["uniform", "fixed", "a-fixed", "b-fixed"])
+def test_pair_is_the_collective_gate_at_one_copy(mode, phases):
+    # The pairwise gate is the collective N -> 2N gate at N = 1: same eta, same
+    # gate factor, same draws, so the reports differ only in their strategy.
+    pair, collective = (
+        asdict(simulate(config(strategy=strategy, mixed_mode=mode, trials=3000, **phases)))
+        for strategy in (UNIFIED_PAIR, UNIFIED_COLLECTIVE)
+    )
+    assert pair.pop("strategy") == UNIFIED_PAIR
+    assert collective.pop("strategy") == UNIFIED_COLLECTIVE
+    assert pair == collective
 
 
 def test_report_ranges():

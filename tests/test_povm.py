@@ -70,6 +70,16 @@ def test_outcome_distribution_normalized():
             assert abs(p.sum() - 1.0) < 1e-10
 
 
+def test_outcome_rows_lie_in_unit_interval():
+    # At N = 1 and phi = 0 the Dicke weight exp(log(1/2) / 2) rounds c_0 up to
+    # 0.5000000000000001, so the certain outcome summed to just past one.
+    assert outcome_distribution(1, 0.0)[0] == 1.0
+    for n in range(1, 61):
+        # The estimator phases include phi = 0, the estimate of outcome 0.
+        rows = outcome_rows(n, phase_estimates(n))
+        assert rows.min() >= 0.0 and rows.max() <= 1.0
+
+
 def test_estimate_phase_values():
     assert estimate_phase(0, 1) == 0.0
     assert estimate_phase(0, 9) == 0.0

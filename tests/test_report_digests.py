@@ -2,9 +2,9 @@
 
 A refactor of the simulator or of the report writers must leave every byte
 of these outputs unchanged. The digests were recorded with numpy 2.4.6 on
-x86-64; a numpy or BLAS build that rounds the outcome-law matrix products or
-the offset sampler's inverse FFT differently changes them without any change
-to this package.
+x86-64; a numpy build that rounds the outcome rows' FFTs or the offset
+sampler's inverse FFT differently changes them without any change to this
+package.
 """
 
 import hashlib
