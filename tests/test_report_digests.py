@@ -20,6 +20,16 @@ BLOCK_PLUS_7 = 65543
 # One phase fixed and one uniform: a register shared by every trial of a
 # block next to a register with a phase per trial.
 HALF_FIXED = (("a-fixed", ["--phase-a", "0.4"]), ("b-fixed", ["--phase-b", "1.9"]))
+# Both phases fixed, across blocks: measurement on either side of the
+# simulator's outcome-cell bound, (N+1)^2 <= montecarlo.BLOCK (N = 180 and
+# 181), and the full-mixed unified strategies with their perp slot.
+ALL_FIXED = {
+    "measurement-analytic-fixed-n30": ("measurement", "analytic", 30, 100003),
+    "measurement-analytic-fixed-n180": ("measurement", "analytic", 180, BLOCK_PLUS_7),
+    "measurement-analytic-fixed-n181": ("measurement", "analytic", 181, BLOCK_PLUS_7),
+    "unified-collective-full-fixed-n12": ("unified-collective", "full", 12, BLOCK_PLUS_7),
+    "unified-pair-full-fixed-block-plus-7": ("unified-pair", "full", 3, BLOCK_PLUS_7),
+}
 
 
 def _simulate(strategy, mode, phases, n=3, trials=2000, seed=17):
@@ -50,6 +60,10 @@ CASES = {
         for label, phases in HALF_FIXED
     },
     **{
+        name: _simulate(strategy, mode, FIXED, n=n, trials=trials)
+        for name, (strategy, mode, n, trials) in ALL_FIXED.items()
+    },
+    **{
         f"measurement-analytic-uniform-n60-{fmt}": _simulate(
             "measurement", "analytic", [], n=60, trials=3000
         ) + ["--format", fmt]
@@ -72,6 +86,9 @@ DIGESTS = {
     "measurement-analytic-b-fixed-block-plus-7": "1c5cef00acfa227c4e7802e48b65957e350707b28174e11cd1df9231b412fe3d",
     "measurement-analytic-fixed-csv": "4401501abfc10d291964e38437e1b8bc3277164dc7b8a6264758515440fb2eab",
     "measurement-analytic-fixed-json": "a54560372a0519dfb104cb016c83fd71b3b8d82cfc382abc00db91c6e45e8901",
+    "measurement-analytic-fixed-n180": "71271b4b21c0962386ef601fc6a334ded19fa34043a82e074ce7a28e3cd8226a",
+    "measurement-analytic-fixed-n181": "27e23dca578705498655aebb76268a4054470bc52526b9ac7402146337b35c9f",
+    "measurement-analytic-fixed-n30": "3e4274e03949019221be49ccf3d818d9a780ba7416f6b40ab213bbde95b892d4",
     "measurement-analytic-uniform-csv": "c2575b50e277b7468edbe605aed4bdffdc43a00949bca9cbbad7ca24439ff14b",
     "measurement-analytic-uniform-json": "5ffb2c0573543ffbac29149e86b4b286b39d735e4e2c157dafd406fe23e092ec",
     "measurement-analytic-uniform-n60-csv": "a5fc90d2722e7b8a14386bb468f0e0fed65ff4bac70aef39ca1045003c859a7c",
@@ -96,6 +113,7 @@ DIGESTS = {
     "unified-collective-full-b-fixed-block-plus-7": "18b87cacc9c61cfe907ad8a634603be914c98c870e664cb7a327840052b65f56",
     "unified-collective-full-fixed-csv": "e84c31812c1fce0551a39ea235d695f903edb331149e57285d396af1a2b2a6cd",
     "unified-collective-full-fixed-json": "f80b4f395daf48a32c4698f63decf28874fabd153f55295d9ba2fa0e3230e6cc",
+    "unified-collective-full-fixed-n12": "f11758156b742ece7b707f94f174372e6160edf343e36b2e6d664be699b00e30",
     "unified-collective-full-uniform-csv": "8e8c5fff4f7ae071c9789e7fc66e8b25359d5578ca7bd43b20891c85c0095af9",
     "unified-collective-full-uniform-json": "dc0ecb98ec866d5817885ac32cdc8a51434ef2f20b88630d43b3340ea691dc86",
     "unified-pair-analytic-a-fixed-block-plus-7": "eaeb5308c229d740ea83594f75d5dacc127c915dc9e2132399d0838f015124c5",
@@ -108,6 +126,7 @@ DIGESTS = {
     "unified-pair-full-b-fixed-block-plus-7": "cb5042754fbcb1f489e5f6f772d92c396e3c1d39eda8ab296c962b419a1e2ebd",
     "unified-pair-full-fixed-csv": "bd1788c23331a7783432b2d0d47e874dfb3e6ef9c49a7e249911c2e0c3ddc9b5",
     "unified-pair-full-fixed-json": "7a7b97a873a16b2bcffc983317476c5a931a6e0d7a4d0db40491bd6d7e48bcb4",
+    "unified-pair-full-fixed-block-plus-7": "bf225dc917ec180622cbf8faa8bdd6642d17b7e79f176a3127f2e6bfc91d1696",
     "unified-pair-full-uniform-csv": "b7ef28b85bc66547efe79b07ce2c3852288e830e474d1f3be16c2faf126eace4",
     "unified-pair-full-uniform-json": "7f2c43b7c04c037a09ae68cdff67081603a7041e262703705bd9dd62e61a12ea",
 }
