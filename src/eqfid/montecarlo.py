@@ -19,18 +19,29 @@ instead, from the shrunk 2x2 copy it builds itself; it is the reference the
 fast route is checked against, and no simulation uses it.
 
 A register with a fixed phase builds one outcome row per run
-(povm.covariant_rows, one FFT) and samples every trial from its CDF. A
+(povm.covariant_rows, one FFT) and finds each trial's outcome in the row's
+CDF by a guide table (_guide_search), with np.searchsorted's answers. A
 register whose phase is uniform builds no row: it samples phase and outcome
 jointly. The outcome is then uniform over the N+1 slots of weight c_0 (the
 perp slot takes the rest), and the offset theta = phi - est_k has one fixed
 law, sampled by povm.offset_sampler; phi = est_k + theta (mod 2 pi). The
 difference of two phases is uniform when either phase is.
 
+When every phase is fixed, a trial's score and fidelity error depend only on
+its outcome cell, one slot per register, apart from a full-mixed perp trial,
+whose estimate is random. If a run has at most BLOCK cells ((N+1)^2 for
+measurement, so N <= 180; N+1 or N+2 for the unified strategies), each
+block tallies its trials per cell and scores only its perp trials, one by
+one; after the blocks, each cell is scored once, with the float steps of a
+trial, and weighted by its count (_cell_sums), so the report has the bits of
+trial-by-trial scoring. Past the bound a block's histogram would cost more
+than its trials, and every trial is scored, as with a uniform phase.
+
 Blocks and workers
 ------------------
 Trials run in blocks of BLOCK. Each block seeks its own place in the random
 stream, samples its trials and returns its partial results: a tally row per
-register and the exact integer numerators (numerics._exact_sum) of the sums
+register (or the cell histogram) and the exact integer numerators (numerics._exact_sum) of the sums
 of the score, its square, the fidelity error and its square. The blocks
 split into contiguous ranges, one per CPU the process may run on
 (os.sched_getaffinity, which taskset limits), at most one per block. The
@@ -38,10 +49,10 @@ first range runs on the calling thread, each other one on a thread of its
 own, and the calling thread adds the ranges' partials; the integers add
 exactly in any order. Each range allocates one workspace, sized to its
 largest block: the draw matrix and float and intp scratch rows, which every
-block writes into with out= (the offset sampler's too). Apart from a
-fixed-phase register's outcome search, no block allocates a block-sized
-array, so memory does not grow with the trial count (TRIALS_CAP bounds the
-run time instead) and no block faults in memory that the last one freed.
+block writes into with out= (the offset sampler's and the outcome search's
+too). No block allocates a block-sized array, so memory does not grow with
+the trial count (TRIALS_CAP bounds the run time instead) and no block faults
+in memory that the last one freed.
 
 Reproducibility contract
 ------------------------
@@ -236,26 +247,55 @@ def simulate(config: TrialConfig) -> TrialReport:
     # One coefficient vector feeds the fixed-phase rows and the offset sampler.
     coeffs = mixed_coefficients(n, eta.value) if full else pure_coefficients(n)
     estimates = phase_estimates(n)
-    # A fixed phase has one outcome law for the whole run.
-    cdfs = [None if fixed is None else np.cumsum(covariant_rows(coeffs, [fixed])[0])
-            for _, _, fixed in registers]
-    offsets = offset_sampler(coeffs) if any(cdf is None for cdf in cdfs) else None
     n_slots = n + 2 if full else n + 1
+    phases = [fixed for _, _, fixed in registers]
+    # A fixed phase has one outcome law for the whole run. Searching only the
+    # first n_slots - 1 CDF entries puts a pure draw past the row's rounded
+    # sum in slot N, and a full-mixed one in the perp slot, N+1.
+    searches = [None if fixed is None else
+                _guide_search(np.cumsum(covariant_rows(coeffs, [fixed])[0])[: n_slots - 1])
+                for fixed in phases]
+    offsets = offset_sampler(coeffs) if any(fixed is None for fixed in phases) else None
+    # With every phase fixed a trial's score depends only on its outcome cell,
+    # one slot per register, and on a perp trial's random estimate.
+    cells = n_slots ** len(registers)
+    by_cell = all(fixed is not None for fixed in phases) and cells <= BLOCK
 
-    def block(start: int, stop: int, ws: _Workspace) -> list:
+    def cell_block(start: int, stop: int, ws: _Workspace) -> list:
+        """The histogram of trials start .. stop - 1 over the outcome cells,
+        with register i's slot as digit i base n_slots, and the exact
+        numerators of the four sums over the block's perp trials."""
+        draws, floats, ints = _draws(config.seed, start, stop, ws)
+        cell, k = ints[0], ints[1]
+        for i, ((_, column, _), search) in enumerate(zip(registers, searches)):
+            search(draws[:, column + 2], k if i else cell, ints[2], floats[0])
+            if i:
+                cell *= n_slots
+                cell += k
+        counts = np.bincount(cell, minlength=cells)
+        if not full:
+            return [counts, 0, 0, 0, 0]
+        # Full-mixed runs have one register, difference, whose last cell is
+        # perp. A perp trial's estimate is random: score those trials one by
+        # one, with the float steps of trial_block.
+        perp = np.greater(cell, n, out=ints[2].view(bool)[: len(cell)])
+        est = np.compress(perp, draws[:, 3], out=floats[1, : counts[-1]])
+        est *= TWO_PI
+        value = _cos2_half(np.subtract(est, phases[0], out=floats[0, : counts[-1]]))
+        error = np.subtract(_cos2_half(est), _cos2_half(np.array([phases[0]])), out=est)
+        return [counts, *_moment_sums(value, np.abs(error, out=error), floats, ints)]
+
+    def trial_block(start: int, stop: int, ws: _Workspace) -> list:
         """Tallies (one row per register) and the exact numerators of the sums
         of value, value^2, error and error^2 over trials start .. stop - 1,
         computed in the rows of ws."""
         m = stop - start
-        # One Philox step is one trial's four draws.
-        rng = np.random.Generator(np.random.Philox(config.seed).advance(start))
-        draws = rng.random(out=ws.draws[:m])
-        floats, ints = ws.floats[:, :m], ws.ints[:, :m]
+        draws, floats, ints = _draws(config.seed, start, stop, ws)
         value, scratch = floats[0], floats[5]
         k, perp = ints[0], ints[1].view(bool)[:m]
         counts = np.empty((len(registers), n_slots), dtype=np.int64)
         est_diff = phase_diff = 0.0
-        for i, ((_, column, fixed), cdf) in enumerate(zip(registers, cdfs)):
+        for i, ((_, column, fixed), search) in enumerate(zip(registers, searches)):
             outcome_draws, offset_draws = draws[:, column], draws[:, column + 2]
             est, phi = floats[1 + 2 * i], floats[2 + 2 * i]
             if fixed is None:
@@ -264,9 +304,7 @@ def simulate(config: TrialConfig) -> TrialReport:
                 np.divide(outcome_draws, coeffs[0], out=k, casting="unsafe")
                 np.minimum(k, n_slots - 1, out=k)
             else:
-                # np.searchsorted has no out: this is the one block-sized
-                # allocation.
-                k = np.minimum(np.searchsorted(cdf, offset_draws), n_slots - 1)
+                search(offset_draws, k, ints[1], scratch)
             # Mode "clip" reads est_N at the perp slot, k = N+1.
             np.take(estimates, k, out=est, mode="clip")
             if fixed is None:
@@ -292,14 +330,18 @@ def simulate(config: TrialConfig) -> TrialReport:
                                      phase_diff if np.size(phase_diff) == m else None)
             counts[i] = np.bincount(k, minlength=n_slots)
         error = np.subtract(_cos2_half(est_diff), _cos2_half(phase_diff), out=est_diff)
-        np.abs(error, out=error)
-        sums = []
-        for x in (value, error):
-            sums.append(_exact_sum(x, floats[6:9], ints[1:2]))
-            sums.append(_exact_sum(np.multiply(x, x, out=scratch), floats[6:9], ints[1:2]))
-        return [counts, *sums]
+        return [counts, *_moment_sums(value, np.abs(error, out=error), floats, ints)]
 
-    counts, value_sum, value_squares, error_sum, error_squares = _sum_blocks(block, config.trials)
+    counts, *sums = _sum_blocks(cell_block if by_cell else trial_block, config.trials)
+    if by_cell:
+        counts = counts.reshape((n_slots,) * len(registers))
+        # Cells of the symmetric subspace; the perp cell's trials are summed.
+        inside = counts[(slice(0, n + 1),) * len(registers)]
+        sums = [a + b for a, b in zip(sums, _cell_sums(inside, phases, estimates))]
+        # Each register's tally is the histogram's marginal on its axis.
+        counts = [counts.sum(axis=tuple(j for j in range(len(registers)) if j != i))
+                  for i in range(len(registers))]
+    value_sum, value_squares, error_sum, error_squares = sums
     mean, se = _mean_and_se(value_sum, value_squares, config.trials)
     err_mean, err_se = _mean_and_se(error_sum, error_squares, config.trials)
     return TrialReport(
@@ -396,8 +438,11 @@ def _sum_blocks(block: Callable[[int, int, _Workspace], list], trials: int) -> l
 
 
 def _mean_and_se(total: int, square_total: int, n: int) -> tuple[float, float]:
-    """Exactly rounded mean and standard error of the mean of n values, from
-    the _exact_sum numerators of their sum and of their sum of squares."""
+    """Mean and standard error of the mean of n values, from the _exact_sum
+    numerators of their sum and of their sum of squares. The mean is the
+    exactly rounded sum over n. The variance is taken in floats, as
+    (sum of squares - n mean^2) / (n - 1), which cancels as the values near
+    their mean, so the standard error is not exactly rounded."""
     mean = total / SUM_DENOMINATOR / n
     if n < 2:
         return mean, 0.0
@@ -410,3 +455,93 @@ def _cos2_half(x: np.ndarray) -> np.ndarray:
     x /= 2.0
     np.cos(x, out=x)
     return np.square(x, out=x)
+
+
+def _draws(seed: int, start: int, stop: int, ws: _Workspace) -> tuple:
+    """The draw matrix of trials start .. stop - 1, and the float and intp
+    scratch rows cut to its length, all in ws."""
+    m = stop - start
+    # One Philox step is one trial's four draws.
+    rng = np.random.Generator(np.random.Philox(seed).advance(start))
+    return rng.random(out=ws.draws[:m]), ws.floats[:, :m], ws.ints[:, :m]
+
+
+def _moment_sums(value: np.ndarray, error: np.ndarray, floats: np.ndarray,
+                 ints: np.ndarray) -> list[int]:
+    """The exact numerators of the sums of value, value^2, error and error^2;
+    floats rows 5-8 and ints row 1 are scratch."""
+    sums = []
+    for x in (value, error):
+        m = len(x)
+        sums.append(_exact_sum(x, floats[6:9, :m], ints[1:2, :m]))
+        square = np.multiply(x, x, out=floats[5, :m])
+        sums.append(_exact_sum(square, floats[6:9, :m], ints[1:2, :m]))
+    return sums
+
+
+def _cell_sums(counts: np.ndarray, phases: list[float], estimates: np.ndarray) -> list[int]:
+    """The exact numerators of the sums of value, value^2, error and error^2
+    over the trials that counts tallies per cell of the symmetric subspace,
+    register i's outcome along axis i.
+
+    Each cell is scored once, with the float steps a trial of that cell
+    takes in trial_block, and weighted by its count in Python ints.
+    """
+    value = est_diff = phase_diff = 0.0
+    for i, fixed in enumerate(phases):
+        est = estimates.reshape((-1,) + (1,) * (len(phases) - 1 - i))
+        phi = np.array([fixed])
+        cos2 = _cos2_half(est - phi)
+        value = cos2 if i == 0 else value * cos2
+        est_diff = est - est_diff
+        phase_diff = phi - phase_diff
+    error = np.abs(_cos2_half(est_diff) - _cos2_half(phase_diff))
+    live = np.flatnonzero(counts)
+    weights = counts.ravel()[live].tolist()
+    sums = []
+    for x in (value, error):
+        x = x.ravel()[live]
+        sums += [_counted_sum(x, weights), _counted_sum(x * x, weights)]
+    return sums
+
+
+def _counted_sum(values: np.ndarray, counts: list[int]) -> int:
+    """The _exact_sum numerator of the sum of counts[i] copies of values[i]."""
+    shift = SUM_DENOMINATOR.bit_length()
+    total = 0
+    for v, c in zip(values.tolist(), counts):
+        a, b = v.as_integer_ratio()
+        total += c * a << (shift - b.bit_length())
+    return total
+
+
+def _guide_search(cdf: np.ndarray) -> Callable:
+    """np.searchsorted(cdf, u) (side left) for uniforms u in [0, 1), by a
+    guide table: Chen and Asau's indexed search (AIIE Trans. 6, 1974;
+    Devroye, Non-Uniform Random Variate Generation, III.2.4).
+
+    u falls in bucket floor(u B) of B = 4 len(cdf) buckets. That bucket is
+    nondecreasing in u, so every cdf entry in an earlier bucket lies below
+    u; guide counts them, and the answer is the guide unless the cdf entry
+    at the guide lies below u too. np.searchsorted takes only those
+    uniforms, which a bucket holding a cdf entry leaves short.
+    """
+    buckets = 4 * len(cdf)
+    entry_buckets = np.minimum(cdf * buckets, buckets).astype(np.intp)
+    guide = np.searchsorted(entry_buckets, np.arange(buckets + 1))
+    at_guide = np.append(cdf, np.inf)
+
+    def search(u: np.ndarray, out: np.ndarray, index: np.ndarray,
+               floats: np.ndarray) -> np.ndarray:
+        """Writes the answers for u into out, an intp row of len(u); index
+        (intp) and floats are scratch rows of the same length."""
+        # take writes into out unbuffered only outside mode "raise"; every
+        # index is in range, so "clip" never clips.
+        np.multiply(u, buckets, out=index, casting="unsafe")
+        np.take(guide, index, out=out, mode="clip")
+        np.take(at_guide, out, out=floats, mode="clip")
+        short = np.flatnonzero(np.less(floats, u, out=index.view(bool)[: len(u)]))
+        out[short] = np.searchsorted(cdf, u[short])
+        return out
+
+    return search

@@ -423,6 +423,17 @@ def test_verify_fails_only_the_broken_claim(module, name, offset, failing, capsy
     assert len(failed) == 1 and failed[0].startswith(f"FAIL {failing}: "), failed
 
 
+def test_verify_equivalence_compares_two_computations(capsys):
+    # p_cloning is held to the outcome-law quadrature squared, which rounds
+    # differently from the closed form; a check that compares two roundings
+    # of one expression reads 0 and cannot fail.
+    assert run(["verify", "--n-max", "60"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("PASS measurement-cloning-equivalence: "))
+    worst = float(line.split("| ")[1].split()[0])
+    assert 0.0 < worst <= 2e-10
+
+
 @pytest.mark.parametrize(
     "n_max, detail",
     [

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqfid import montecarlo, numerics, povm
 from eqfid.cli import main
@@ -249,12 +251,16 @@ def test_full_mixed_uniform_perp_frequency(n):
 @pytest.mark.parametrize("mode", MIXED_MODES)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_report_ignores_block_size(strategy, mode, monkeypatch):
-    # Every trial's offset depends on its own uniforms only, and the sums are
-    # exact, so blocks of 1000 give the report of one block.
-    c = config(strategy=strategy, mixed_mode=mode, n_copies=12, trials=5_003, seed=21)
-    whole = simulate(c)
-    monkeypatch.setattr(montecarlo, "BLOCK", 1000)
-    assert simulate(c) == whole
+    # Every trial's offset depends on its own uniforms only, the sums are
+    # exact, and with both phases fixed the outcome cells' histogram adds
+    # over blocks, so blocks of 1000 give the report of one block.
+    for phases in ({}, {"phase_a": 0.4, "phase_b": 1.9}):
+        c = config(strategy=strategy, mixed_mode=mode, n_copies=12, trials=5_003, seed=21,
+                   **phases)
+        monkeypatch.setattr(montecarlo, "BLOCK", 1 << 15)
+        whole = simulate(c)
+        monkeypatch.setattr(montecarlo, "BLOCK", 1000)
+        assert simulate(c) == whole, phases
 
 
 @pytest.mark.parametrize(
@@ -264,8 +270,10 @@ def test_report_ignores_block_size(strategy, mode, monkeypatch):
         # One register with a fixed row, one sampled jointly.
         ["--strategy", "measurement", "--n", "3", "--phase-a", "0.4"],
         ["--strategy", "unified-collective", "--n", "12", "--mixed-mode", "full"],
+        # Outcome cells tallied per block and scored once per run.
+        ["--strategy", "measurement", "--n", "3", "--phase-a", "0.4", "--phase-b", "1.9"],
     ],
-    ids=["uniform", "half-fixed", "full-mixed"],
+    ids=["uniform", "half-fixed", "full-mixed", "both-fixed"],
 )
 def test_report_ignores_worker_count(argv, monkeypatch, capsys):
     # Each block draws from its own seek into the stream and every partial
@@ -273,15 +281,19 @@ def test_report_ignores_worker_count(argv, monkeypatch, capsys):
     # same bytes. Blocks of 4096 give 5 workers uneven ranges of 17 blocks;
     # a short switch interval interleaves the workers often.
     threads = set()
-    exact_sum = montecarlo._exact_sum
+    sum_blocks = montecarlo._sum_blocks
 
-    def recording(values, *scratch):
-        # A thread object, unlike its ident, is not reused once its thread
-        # ends, which on one CPU can come before the next worker starts.
-        threads.add(threading.current_thread())
-        return exact_sum(values, *scratch)
+    def recording(block, trials):
+        def recorded(*args):
+            # A thread object, unlike its ident, is not reused once its
+            # thread ends, which on one CPU can come before the next worker
+            # starts.
+            threads.add(threading.current_thread())
+            return block(*args)
 
-    monkeypatch.setattr(montecarlo, "_exact_sum", recording)
+        return sum_blocks(recorded, trials)
+
+    monkeypatch.setattr(montecarlo, "_sum_blocks", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -297,6 +309,74 @@ def test_report_ignores_worker_count(argv, monkeypatch, capsys):
         sys.setswitchinterval(interval)
     assert reports[1] == reports[0] and reports[2] == reports[0]
     assert json.loads(reports[0])["report"]["trials"] == 65543
+
+
+# --- both phases fixed: outcome cells ----------------------------------------
+
+@pytest.mark.parametrize("mode", MIXED_MODES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_all_fixed_run_scores_each_cell_once(strategy, mode, monkeypatch):
+    # Inside the cell bound no trial is scored alone, except a full-mixed
+    # perp trial: its estimate is random, so its value and error are scored
+    # one by one.
+    sizes = []
+    cos2_half = montecarlo._cos2_half
+
+    def recording(x):
+        sizes.append(x.size)
+        return cos2_half(x)
+
+    monkeypatch.setattr(montecarlo, "_cos2_half", recording)
+    n = 12
+    report = simulate(config(strategy=strategy, mixed_mode=mode, n_copies=n, trials=65543,
+                             phase_a=0.4, phase_b=1.9))
+    full = mode == FULL_MIXED and strategy != MEASUREMENT
+    cells = n + 2 if full else (n + 1) ** len(report.tallies)
+    above = [size for size in sizes if size > cells]
+    if full:
+        perp = report.tallies["difference"][-1]
+        assert perp > 3 * cells and sum(above) <= 2 * perp
+    else:
+        assert above == []
+
+
+@pytest.mark.parametrize("n, cell_path", [(180, True), (181, False)])
+def test_cell_path_bound(n, cell_path, monkeypatch):
+    # Measurement tallies (N+1)^2 cells; past BLOCK of them it scores every
+    # trial, as a uniform run does.
+    sizes = []
+    cos2_half = montecarlo._cos2_half
+
+    def recording(x):
+        sizes.append(x.size)
+        return cos2_half(x)
+
+    monkeypatch.setattr(montecarlo, "_cos2_half", recording)
+    simulate(config(n_copies=n, trials=BLOCK + 7, phase_a=0.4, phase_b=1.9))
+    assert (max(sizes) <= (n + 1) ** 2 < BLOCK) == cell_path
+    assert (max(sizes) == BLOCK) != cell_path
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=40),
+    mass=st.floats(0.5, 1.0),
+    extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+)
+def test_guide_search_equals_searchsorted(weights, mass, extra):
+    # Nondecreasing CDFs with ties (zero-probability outcomes) and a mass
+    # short of one (a full-mixed row, whose rest is perp); uniforms on every
+    # bucket edge, on and next to every CDF entry, at 0 and at 1 - 2^-53.
+    w = np.array(weights)
+    cdf = np.cumsum(w) / w.sum() * mass if w.sum() > 0.0 else np.zeros(len(w))
+    buckets = 4 * len(cdf)
+    u = np.concatenate([np.arange(buckets) / buckets, cdf, np.nextafter(cdf, 0.0),
+                        np.nextafter(cdf, 1.0), [0.0, 1.0 - 2.0**-53], extra])
+    u = u[u < 1.0]
+    m = len(u)
+    found = montecarlo._guide_search(cdf)(u, np.empty(m, dtype=np.intp),
+                                          np.empty(m, dtype=np.intp), np.empty(m))
+    assert np.array_equal(found, np.searchsorted(cdf, u))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
