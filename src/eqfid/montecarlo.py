@@ -41,8 +41,9 @@ Blocks and workers
 ------------------
 Trials run in blocks of BLOCK. Each block seeks its own place in the random
 stream, samples its trials and returns its partial results: a tally row per
-register (or the cell histogram) and the exact integer numerators (numerics._exact_sum) of the sums
-of the score, its square, the fidelity error and its square. The blocks
+register, or the cell histogram, and the exact integer numerators
+(numerics._exact_sum) of the sums of the score, its square, the fidelity
+error and its square. The blocks
 split into contiguous ranges, one per CPU the process may run on
 (os.sched_getaffinity, which taskset limits), at most one per block. The
 first range runs on the calling thread, each other one on a thread of its
@@ -335,7 +336,7 @@ def simulate(config: TrialConfig) -> TrialReport:
     counts, *sums = _sum_blocks(cell_block if by_cell else trial_block, config.trials)
     if by_cell:
         counts = counts.reshape((n_slots,) * len(registers))
-        # Cells of the symmetric subspace; the perp cell's trials are summed.
+        # The blocks scored the perp cell's trials; score the other cells.
         inside = counts[(slice(0, n + 1),) * len(registers)]
         sums = [a + b for a, b in zip(sums, _cell_sums(inside, phases, estimates))]
         # Each register's tally is the histogram's marginal on its axis.

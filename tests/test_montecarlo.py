@@ -313,12 +313,8 @@ def test_report_ignores_worker_count(argv, monkeypatch, capsys):
 
 # --- both phases fixed: outcome cells ----------------------------------------
 
-@pytest.mark.parametrize("mode", MIXED_MODES)
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_all_fixed_run_scores_each_cell_once(strategy, mode, monkeypatch):
-    # Inside the cell bound no trial is scored alone, except a full-mixed
-    # perp trial: its estimate is random, so its value and error are scored
-    # one by one.
+def scored_sizes(monkeypatch) -> list:
+    """The sizes of the arrays simulate scores, one per _cos2_half call."""
     sizes = []
     cos2_half = montecarlo._cos2_half
 
@@ -327,6 +323,16 @@ def test_all_fixed_run_scores_each_cell_once(strategy, mode, monkeypatch):
         return cos2_half(x)
 
     monkeypatch.setattr(montecarlo, "_cos2_half", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("mode", MIXED_MODES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_all_fixed_run_scores_each_cell_once(strategy, mode, monkeypatch):
+    # Inside the cell bound no trial is scored alone, except a full-mixed
+    # perp trial: its estimate is random, so its value and error are scored
+    # one by one.
+    sizes = scored_sizes(monkeypatch)
     n = 12
     report = simulate(config(strategy=strategy, mixed_mode=mode, n_copies=n, trials=65543,
                              phase_a=0.4, phase_b=1.9))
@@ -344,14 +350,7 @@ def test_all_fixed_run_scores_each_cell_once(strategy, mode, monkeypatch):
 def test_cell_path_bound(n, cell_path, monkeypatch):
     # Measurement tallies (N+1)^2 cells; past BLOCK of them it scores every
     # trial, as a uniform run does.
-    sizes = []
-    cos2_half = montecarlo._cos2_half
-
-    def recording(x):
-        sizes.append(x.size)
-        return cos2_half(x)
-
-    monkeypatch.setattr(montecarlo, "_cos2_half", recording)
+    sizes = scored_sizes(monkeypatch)
     simulate(config(n_copies=n, trials=BLOCK + 7, phase_a=0.4, phase_b=1.9))
     assert (max(sizes) <= (n + 1) ** 2 < BLOCK) == cell_path
     assert (max(sizes) == BLOCK) != cell_path
