@@ -257,7 +257,7 @@ def test_report_ignores_block_size(strategy, mode, monkeypatch):
     for phases in ({}, {"phase_a": 0.4, "phase_b": 1.9}):
         c = config(strategy=strategy, mixed_mode=mode, n_copies=12, trials=5_003, seed=21,
                    **phases)
-        monkeypatch.setattr(montecarlo, "BLOCK", 1 << 15)
+        monkeypatch.setattr(montecarlo, "BLOCK", BLOCK)
         whole = simulate(c)
         monkeypatch.setattr(montecarlo, "BLOCK", 1000)
         assert simulate(c) == whole, phases
