@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import montecarlo
 from .montecarlo import TrialConfig, TrialReport, simulate
+from .numerics import as_phase
 from .povm import outcome_distribution, phase_estimates
 from .strategies import StrategyCurvePoint, curve_table
 from .verify import run_checks
@@ -56,10 +57,11 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _parse_phase(raw: str, degrees: bool) -> float | None:
+    """The phase the laws read and the output echoes, in [0, 2 pi); None for 'uniform'."""
     if raw.strip().lower() == "uniform":
         return None
     value = float(raw)
-    return math.radians(value) if degrees else value
+    return as_phase(math.radians(value) if degrees else value)
 
 
 def cmd_curves(args) -> int:
@@ -169,38 +171,22 @@ def build_parser() -> argparse.ArgumentParser:
     curves.add_argument("--n-max", type=int, required=True)
     curves.add_argument("--format", choices=("csv", "json"), default="csv")
     curves.add_argument("--out", help="output path (default stdout)")
-    curves.add_argument(
-        "--gnuplot",
-        action="store_true",
-        help="also write a gnuplot script next to the CSV",
-    )
+    curves.add_argument("--gnuplot", action="store_true",
+                        help="also write a gnuplot script next to the CSV")
     curves.set_defaults(func=cmd_curves)
 
     simulate_p = sub.add_parser("simulate", help="run a seeded Monte Carlo simulation")
-    simulate_p.add_argument(
-        "--strategy",
-        choices=montecarlo.STRATEGIES,
-        required=True,
-    )
+    simulate_p.add_argument("--strategy", choices=montecarlo.STRATEGIES, required=True)
     simulate_p.add_argument("--n", type=int, required=True, help="copies per ensemble")
     simulate_p.add_argument("--trials", type=int, required=True)
     simulate_p.add_argument("--seed", type=int, default=0)
-    simulate_p.add_argument(
-        "--phase-a", default="uniform", help="radians, or the word 'uniform'"
-    )
-    simulate_p.add_argument(
-        "--phase-b", default="uniform", help="radians, or the word 'uniform'"
-    )
-    simulate_p.add_argument(
-        "--mixed-mode",
-        choices=montecarlo.MIXED_MODES,
-        default=montecarlo.ANALYTIC_FACTOR,
-    )
+    for flag in ("--phase-a", "--phase-b"):
+        simulate_p.add_argument(flag, default="uniform", help="radians, or the word 'uniform'")
+    simulate_p.add_argument("--mixed-mode", choices=montecarlo.MIXED_MODES,
+                            default=montecarlo.ANALYTIC_FACTOR)
     simulate_p.add_argument("--format", choices=("json", "csv"), default="json")
     simulate_p.add_argument("--out", help="output path (default stdout)")
-    simulate_p.add_argument(
-        "--degrees", action="store_true", help="interpret phases as degrees"
-    )
+    simulate_p.add_argument("--degrees", action="store_true", help="interpret phases as degrees")
     simulate_p.set_defaults(func=cmd_simulate)
 
     povm = sub.add_parser("povm", help="print the outcome law at one phase")

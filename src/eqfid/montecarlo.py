@@ -9,9 +9,10 @@ each unified strategy measures one register, difference, at
 at N = 1, so the two unified strategies differ only in the gate size.
 
 Both outcome laws, pure and full-mixed, are shift covariant,
-p_k(phi) = q(phi - est_k), and one vector of Fourier coefficients
-(povm.pure_coefficients, povm.mixed_coefficients), both computed in the
-(N+1)-dimensional symmetric subspace, describes each. A full-mixed trial has
+p_k(phi) = q(phi - est_k), and one vector of Fourier coefficients describes
+each. One builder in the (N+1)-dimensional symmetric subspace,
+povm.mixed_coefficients, gives both: a short sum of rank-one terms, whose
+first alone is the pure law (povm.pure_coefficients). A full-mixed trial has
 one more slot, N+1, outside the symmetric subspace. Its probability is what
 the law leaves of one, 1 - (N+1) c_0; no row holds it.
 mixed_ensemble_distribution evaluates the full-mixed law in the 2^N space
@@ -302,8 +303,10 @@ def simulate(config: TrialConfig) -> TrialReport:
             if fixed is None:
                 # N+1 slots of weight c_0 each; a full-mixed draw past them
                 # lands in the perp slot, where the phase is uniform on its own.
-                np.divide(outcome_draws, coeffs[0], out=k, casting="unsafe")
-                np.minimum(k, n_slots - 1, out=k)
+                # The quotient is capped before it becomes an int: from
+                # N = 243 the pair gate's c_0 is below 2^-63.
+                np.divide(outcome_draws, coeffs[0], out=scratch)
+                np.copyto(k, np.minimum(scratch, n_slots - 1, out=scratch), casting="unsafe")
             else:
                 search(offset_draws, k, ints[1], scratch)
             # Mode "clip" reads est_N at the perp slot, k = N+1.

@@ -2,9 +2,9 @@
 
 N identical qubits never leave the (N+1)-dimensional permutation-symmetric
 subspace, so an N-copy equatorial state is held as an (N+1)-vector of Dicke
-amplitudes instead of a 2^N-vector. Each N's Dicke weights and pure-law
-coefficients are kept for the process: 16 (N+1) bytes, about 30 KB for N up
-to 60 and at most about 8.5 MB for every N up to BASIS_CAP.
+amplitudes instead of a 2^N-vector. Each N's Dicke weights, which both
+outcome laws are built from, are kept for the process: 8 (N+1) bytes, about
+15 KB for N up to 60 and at most about 4.3 MB for every N up to BASIS_CAP.
 """
 
 import functools
@@ -21,9 +21,9 @@ from .numerics import as_phase, binomial_log_pmf
 # it, and simulate never does.
 EMBEDDING_CAP = 12
 
-# Largest N with an outcome law: every N that ever ran. It bounds the
-# O(N^3) full-mixed set-up, about 6 s at the cap, and pure_coefficients'
-# O(N^2) correlation; an outcome row is one FFT at any N.
+# Largest N with an outcome law: every N that ever ran. It bounds one cost,
+# the O(N^2) correlations behind either law (1 pure, up to 24 full-mixed,
+# 4 ms at the cap); an outcome row is one FFT at any N.
 BASIS_CAP = 1029
 
 
@@ -45,7 +45,7 @@ def symmetric_state(n_copies: int, phase) -> np.ndarray:
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
     n = operator.index(n_copies)
-    w = _pure_law(n)[0] if n <= BASIS_CAP else _dicke_weights(n)
+    w = _weights(n) if n <= BASIS_CAP else _dicke_weights(n)
     return w * np.exp(1j * as_phase(phase) * np.arange(n + 1))
 
 
@@ -57,14 +57,11 @@ def _dicke_weights(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _pure_law(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Dicke weights w and pure-law coefficients c (see
-    povm.pure_coefficients) of an int N that has passed check_cap."""
+def _weights(n: int) -> np.ndarray:
+    """Read-only Dicke weights of an int N that has passed check_cap."""
     w = _dicke_weights(n)
-    c = np.correlate(w, w, "full")[n:] / (n + 1)
-    c[1:] *= 2.0
-    w.flags.writeable = c.flags.writeable = False
-    return w, c
+    w.flags.writeable = False
+    return w
 
 
 def dicke_embedding(n_copies: int) -> np.ndarray:

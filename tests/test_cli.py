@@ -7,7 +7,7 @@ import pytest
 
 from eqfid import montecarlo, povm, strategies
 from eqfid.cli import main
-from eqfid.povm import BASIS_CAP, mean_fidelity_closed
+from eqfid.povm import BASIS_CAP, mean_fidelity_closed, outcome_distribution
 from eqfid.strategies import p_measurement, p_unified_pair
 
 
@@ -274,6 +274,18 @@ def test_povm_degrees(capsys):
     assert abs(payload["probabilities"][0] - 0.5) < 1e-12
 
 
+def test_povm_echoes_the_evaluated_phase(capsys):
+    # The law is evaluated at the phase reduced into [0, 2 pi), and that is
+    # the phase the JSON names, as in simulate's config block.
+    for raw, echoed in (("7", 7 - 2 * math.pi), ("-0.0", 0.0), ("2.5", 2.5)):
+        assert run(["povm", "--n", "3", f"--phase={raw}"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["phase"] == echoed and math.copysign(1.0, payload["phase"]) == 1.0
+        assert payload["probabilities"] == outcome_distribution(3, echoed).tolist()
+    assert run(["povm", "--n", "1", "--phase", "450", "--degrees"]) == 0
+    assert json.loads(capsys.readouterr().out)["phase"] == math.radians(450) - 2 * math.pi
+
+
 def test_povm_csv(capsys):
     assert run(["povm", "--n", "2", "--phase", "0", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -312,6 +324,19 @@ def test_n_at_basis_cap_runs(capsys):
         assert run(args) == 0
         report = _strict_json(capsys.readouterr().out)["report"]
         assert 0.0 < report["analytic_probability"] <= 1.0
+    # The full-mixed law at the cap is a handful of correlations, not O(N^3).
+    for strategy in ("unified-pair", "unified-collective"):
+        args = ["simulate", "--strategy", strategy, "--n", str(BASIS_CAP), "--trials", "200",
+                "--mixed-mode", "full"]
+        assert run(args) == 0
+        report = _strict_json(capsys.readouterr().out)["report"]
+        assert 0.0 < report["mean_overlap_product"] <= 1.0
+        if strategy == "unified-pair":
+            # The pair gate's symmetric weight, (N+1) c_0, is below 1e-70
+            # here: every trial is perp, and none may wrap into slot 0.
+            assert report["perp_probability"] == 1.0
+        else:
+            assert 0.0 <= report["perp_probability"] < 1.0
 
 
 def test_n_past_basis_cap_exits_2(capsys):

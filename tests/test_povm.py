@@ -25,6 +25,7 @@ from eqfid.povm import (
 from eqfid.strategies import curve_table
 from eqfid.symmetric import symmetric_state
 from eqfid.verify import run_checks
+from reference import dicke_recursion_coefficients
 
 
 def test_basis_single_copy_vectors():
@@ -71,8 +72,8 @@ def test_outcome_distribution_normalized():
 
 
 def test_outcome_rows_lie_in_unit_interval():
-    # At N = 1 and phi = 0 the Dicke weight exp(log(1/2) / 2) rounds c_0 up to
-    # 0.5000000000000001, so the certain outcome summed to just past one.
+    # At N = 1 and phi = 0 outcome 0 is certain, and a coefficient rounded up
+    # would sum it to just past one.
     assert outcome_distribution(1, 0.0)[0] == 1.0
     for n in range(1, 61):
         # The estimator phases include phi = 0, the estimate of outcome 0.
@@ -178,7 +179,8 @@ def test_estimator_offset_never_improves():
 
 
 def test_pure_law_is_computed_once_per_n(monkeypatch):
-    symmetric._pure_law.cache_clear()
+    symmetric._weights.cache_clear()
+    povm._pure_law.cache_clear()
     seen = Counter()
     weights = symmetric._dicke_weights
 
@@ -190,16 +192,18 @@ def test_pure_law_is_computed_once_per_n(monkeypatch):
     curve_table(1, 60)
     run_checks(60)
     outcome_distribution(60, 2.5)
-    # Integer-like N share the entry of the int.
+    # Integer-like N share the entry of the int, and both laws the weights.
     pure_coefficients(np.int64(60))
+    mixed_coefficients(np.int64(60), 0.5)
     symmetric_state(np.int64(60), 0.0)
     assert set(seen) == set(range(1, 61))
     assert max(seen.values()) == 1
+    assert povm._pure_law.cache_info().currsize == 60
     # Past BASIS_CAP the weights are computed on every call and not kept.
-    cached = symmetric._pure_law.cache_info().currsize
+    cached = symmetric._weights.cache_info().currsize
     symmetric_state(BASIS_CAP + 1, 0.0)
     symmetric_state(BASIS_CAP + 1, 0.0)
-    assert seen[BASIS_CAP + 1] == 2 and symmetric._pure_law.cache_info().currsize == cached
+    assert seen[BASIS_CAP + 1] == 2 and symmetric._weights.cache_info().currsize == cached
     with pytest.raises(TypeError):
         symmetric_state(2.0, 0.0)
     with pytest.raises(TypeError):
@@ -207,7 +211,7 @@ def test_pure_law_is_computed_once_per_n(monkeypatch):
 
 
 def test_cached_pure_law_is_read_only():
-    for cached in (pure_coefficients(5), *symmetric._pure_law(5)):
+    for cached in (pure_coefficients(5), symmetric._weights(5)):
         with pytest.raises(ValueError):
             cached[0] = 0.0
     # What callers get to keep is fresh and writable.
@@ -220,6 +224,27 @@ def test_cached_pure_law_is_read_only():
     for fn in (symmetric_state, pure_coefficients, outcome_rows, outcome_distribution,
                mean_fidelity_numeric, phase_estimates):
         assert inspect.isfunction(fn)
+
+
+def test_pure_law_has_exact_trace():
+    # The pure law is the builder's j = 0 term divided by its own trace, so
+    # c_0 is 1/(N+1) to the last bit.
+    for n in range(1, BASIS_CAP + 1):
+        assert pure_coefficients(n)[0] == 1 / (n + 1), n
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 100, 200])
+def test_mixed_coefficients_match_dicke_recursion(n):
+    for eta in (shrinking_factor(n, 2 * n).value, shrinking_factor(1, 2).value, 0.0, 0.37, 0.93):
+        c, reference = mixed_coefficients(n, eta), dicke_recursion_coefficients(n, eta)
+        worst = np.max(np.abs(c - reference))
+        assert worst <= 2e-16, (n, eta, worst)
+        # The offset sampler reads c_m / c_0, which holds to a few ulp away
+        # from eta = 0 (at eta = 0 and large N, c_0 is 2^-N and the
+        # Krawtchouk recurrence loses the ratios).
+        if eta >= 0.37:
+            worst = np.max(np.abs(c / c[0] - reference / reference[0]))
+            assert worst <= 1e-14, (n, eta, worst)
 
 
 def test_fixed_phase_row_at_the_cap_is_small():
@@ -247,9 +272,7 @@ def _offset_cdf(coeffs, theta):
 
 def _laws(n):
     yield pure_coefficients(n)
-    # mixed_coefficients costs O(N^3), about 6 s at N = 1029.
-    if n <= 200:
-        yield mixed_coefficients(n, shrinking_factor(n, 2 * n).value)
+    yield mixed_coefficients(n, shrinking_factor(n, 2 * n).value)
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 60, 200, 1029])
@@ -282,20 +305,23 @@ def test_offset_sampler_ignores_batching():
 
 
 # SHA-256 of the output bytes of offset_sampler(coeffs)(u) for the uniforms of
-# test_offset_sampler_output_is_pinned, recorded with numpy 2.4.6 before the
-# sampler was rewritten for memory traffic: a rewrite must keep every bit.
+# test_offset_sampler_output_is_pinned, recorded with numpy 2.4.6, and
+# re-recorded where the coefficients moved by an ulp when both laws became
+# one rank-one sum: a rewrite of the sampler must keep every bit.
 SAMPLER_PINS = {
     ("pure", 1): "decd8fa83f16b35076b9dcd81aa012c9059cf168892826382255ae6eb4fa79fc",
     ("full-mixed", 1): "e58346d0e6a2ec851e1ec76dfd0ab847742965c281a6b04c4da39a688455c4b8",
     ("pure", 2): "77cd93fdfdb3652a54204f1a924c20c1478f53ab1905d9a48477b15d461b6ce0",
     ("full-mixed", 2): "2c696607016a1a605f7ca30cf06794b8299cf424e3fda050d1d633915d7aaea3",
-    ("pure", 3): "e8eac91aeae5be40fbc492f799a4e88827c19067544aeb1508be7257ee76806b",
-    ("full-mixed", 3): "4302bdee1f82be77f33438b9f6d68746c4fcde77f6af295292e63ef0950f7f47",
-    ("pure", 12): "f7aa31578290846deba1f841552b303f41079fa673ef5994bbdde0e617231913",
-    ("full-mixed", 12): "5c9997b1a3aa9cf8f4702c822090a5e682d9d999bb95283d4d55ddc5f26f1ce0",
-    ("pure", 60): "c3908fd13e6cb61c86f088d968deef2bc5f71cc8db1757310e5a13c468602bcf",
-    ("full-mixed", 60): "cb460eaaff2a6c1edc83cf7137bf41c08fc792a859b4924187672d58ebb16056",
+    ("pure", 3): "efc604a168171fb84c37832035a3a41a8947992f0cc4c7bc9693e26732d7ac33",
+    ("full-mixed", 3): "9f0ba76affd5bffa493eed028af2e6fffad97746ae9dd6faeae9e85fe56ecf25",
+    ("pure", 12): "bff8ecc5f557f3d54f47354efea48bc0cc8a158f8d160a39b43ad69a7ce0a5a6",
+    ("full-mixed", 12): "356649c79cbf25252ae98b8e473eb28791fd8f51815ba2836f3e3b7a0fa0a771",
+    ("pure", 60): "436e8c188743bc57f4600683ffeb449c06d197845e72505aab50735313036072",
+    ("full-mixed", 60): "bebf6788375a1939cce53c787084f8db9daa6a100ca50ac293ebaf86a4688560",
+    ("full-mixed", 200): "38e377732131d9d241df6625e2c09ef31974ea8472efa10e88dc2d039d6ed4fb",
     ("pure", 1029): "d77ca4c5cc8790f974724e684a91447d55c5726bbb1a7feb8fc35c8c75cda286",
+    ("full-mixed", 1029): "4e010d427daad96eb5d6de029036b35a2ca2bc740e0e2f73055aa57a699fb4ee",
 }
 
 
@@ -311,10 +337,10 @@ def test_offset_sampler_output_is_pinned(monkeypatch):
 
     monkeypatch.setattr(povm, "_bisect", recording)
     digests = {}
-    for n in (1, 2, 3, 12, 60, 1029):
-        laws = {"pure": pure_coefficients(n)}
-        if n <= 60:
-            laws["full-mixed"] = mixed_coefficients(n, shrinking_factor(n, 2 * n).value)
+    for n in (1, 2, 3, 12, 60, 200, 1029):
+        laws = {"full-mixed": mixed_coefficients(n, shrinking_factor(n, 2 * n).value)}
+        if n != 200:
+            laws["pure"] = pure_coefficients(n)
         for name, coeffs in laws.items():
             law = (name, n)
             digests[law] = hashlib.sha256(offset_sampler(coeffs)(u).tobytes()).hexdigest()

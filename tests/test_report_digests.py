@@ -83,7 +83,7 @@ DIGESTS = {
     "curves-csv": "515a89a01386435aaed17420a5f699cee02fb0de15d743918804c4b23e09d423",
     "curves-json": "7f6b84f9324dec022073e15d4872161fa9d06d76048912fbeb59107d3ca5f7d5",
     "measurement-analytic-a-fixed-block-plus-7": "f68de5bfb0790628a94a1d45eb8bdff72e68b3909778ab6399241f1e7a1552ea",
-    "measurement-analytic-b-fixed-block-plus-7": "1c5cef00acfa227c4e7802e48b65957e350707b28174e11cd1df9231b412fe3d",
+    "measurement-analytic-b-fixed-block-plus-7": "ab176fa1fedb8114a894da38c85102211cd48a572d286cba129060f83a66a373",
     "measurement-analytic-fixed-csv": "4401501abfc10d291964e38437e1b8bc3277164dc7b8a6264758515440fb2eab",
     "measurement-analytic-fixed-json": "a54560372a0519dfb104cb016c83fd71b3b8d82cfc382abc00db91c6e45e8901",
     "measurement-analytic-fixed-n180": "71271b4b21c0962386ef601fc6a334ded19fa34043a82e074ce7a28e3cd8226a",
@@ -91,31 +91,31 @@ DIGESTS = {
     "measurement-analytic-fixed-n30": "3e4274e03949019221be49ccf3d818d9a780ba7416f6b40ab213bbde95b892d4",
     "measurement-analytic-uniform-csv": "c2575b50e277b7468edbe605aed4bdffdc43a00949bca9cbbad7ca24439ff14b",
     "measurement-analytic-uniform-json": "5ffb2c0573543ffbac29149e86b4b286b39d735e4e2c157dafd406fe23e092ec",
-    "measurement-analytic-uniform-n60-csv": "a5fc90d2722e7b8a14386bb468f0e0fed65ff4bac70aef39ca1045003c859a7c",
-    "measurement-analytic-uniform-n60-json": "5399bbfe25a77a2be8ce9c407e06158badad0b1685e0430036bff64282802ca1",
+    "measurement-analytic-uniform-n60-csv": "0d49410cf09f9de1b0bedd21a55bb70bd01df1df17df7be3f340c2dcaaad2631",
+    "measurement-analytic-uniform-n60-json": "ef71e06e9fc15542c98d7c924db85c65667c92f71c915186416e571aa7a83661",
     "measurement-block-plus-7-csv": "7114065416ea1e8c0c2de47f4b34903e5d3e0aa373f707250c63194b67551687",
     "measurement-block-plus-7-json": "e5453c8a8de704e3017edfccb8acd6748840368806f7196504b3d36ee0235a20",
     "measurement-full-a-fixed-block-plus-7": "8ca19b1539b61b9ca2916a8271eca3f534c3ecef1d12e7a638d3c090a91c3cf5",
-    "measurement-full-b-fixed-block-plus-7": "fa3a8f2f86551e1fb2ef5e2a6076ab542ed308229b4a9a73cba77cc827bc7a5f",
+    "measurement-full-b-fixed-block-plus-7": "bbdd7ac9063d9b6dc9604eafa2fcd00ccf27913dcf5ce2f1279ee41ef4fbbc74",
     "measurement-full-fixed-csv": "6f16908540663f2f9846dbf1e442d685e7f211f3eb2fa3f4d74dd80fa1f6a624",
     "measurement-full-fixed-json": "3da0c61e98f71bed5e86ef9ccda5c46ff7b0a0fe65e48d46cf625c7095a9b3f9",
     "measurement-full-uniform-csv": "55c64f7da278152d331c4a78f380bb583f6a49ead834297e2b39e1d49ae2aaa0",
     "measurement-full-uniform-json": "7b57171d54a85d367b7cfe61d7a8c49151e09878488c95f40985d1fdde373863",
-    "povm-csv": "b49ce0e6c6bdcaef8775e6434b7b4b89e99e54ec3325b76c4e6b3b68ed0886cc",
-    "povm-json": "d882d160253f5b14328b832e0ddeb9ac13715d11adefc86711ea37ca8ce06576",
+    "povm-csv": "b2025eac7bae28a1f559bcab9a645879b61170a03742f07fda6dd2d3ed5a8f80",
+    "povm-json": "b0dc1e4fb878c974e2175ed56f6a7f071caf7e5d9ea984efafc3068aa601fdfc",
     "unified-collective-analytic-a-fixed-block-plus-7": "831cd25daa39ba0f23bd0fd71b29f53f087387b1974e8499c30261eed182d1cb",
     "unified-collective-analytic-b-fixed-block-plus-7": "515ca61543c2f23148b523bdd8ff0c82741a0d24e9e6b4ca2ecdcd0eca193014",
     "unified-collective-analytic-fixed-csv": "62cc59b2254f506730762924d606b9f7cd64b249cabcae6f78e932f5b6bef55d",
     "unified-collective-analytic-fixed-json": "7ccd54ddac10d05ad97a341a24b5c3494baa15b930b4cbd81297a2cf79abcf92",
     "unified-collective-analytic-uniform-csv": "a8ad446b57b03a30e8b2ed67839673fbec2f87c1222d80ce10585dd6e6568309",
     "unified-collective-analytic-uniform-json": "428b24961a4a16a2cb2a274dcb511750412e9bee3c5ee44337cf6d3cc2de6530",
-    "unified-collective-full-a-fixed-block-plus-7": "8ffffafb848571d455b1308426542b8a3228c2b1782953173c45e397b89addf4",
-    "unified-collective-full-b-fixed-block-plus-7": "18b87cacc9c61cfe907ad8a634603be914c98c870e664cb7a327840052b65f56",
+    "unified-collective-full-a-fixed-block-plus-7": "f16a3dda77484ea0cdeb37000a5e2a60fee465888cef89d9886bfe2379dd7f60",
+    "unified-collective-full-b-fixed-block-plus-7": "3ef37650d13a0dab995b0b1d196b6b2b25dda086a9d96a9b67c29eb19104bb77",
     "unified-collective-full-fixed-csv": "e84c31812c1fce0551a39ea235d695f903edb331149e57285d396af1a2b2a6cd",
     "unified-collective-full-fixed-json": "f80b4f395daf48a32c4698f63decf28874fabd153f55295d9ba2fa0e3230e6cc",
     "unified-collective-full-fixed-n12": "f11758156b742ece7b707f94f174372e6160edf343e36b2e6d664be699b00e30",
-    "unified-collective-full-uniform-csv": "8e8c5fff4f7ae071c9789e7fc66e8b25359d5578ca7bd43b20891c85c0095af9",
-    "unified-collective-full-uniform-json": "dc0ecb98ec866d5817885ac32cdc8a51434ef2f20b88630d43b3340ea691dc86",
+    "unified-collective-full-uniform-csv": "e1d39ab39e3b8fcdc1f6f230224afa305de469803d20f09067a3f88f9d937b0a",
+    "unified-collective-full-uniform-json": "7cbece193750ecca4e1996875cdfd4c5357d8e5a0a0870a700819080ad18dc45",
     "unified-pair-analytic-a-fixed-block-plus-7": "eaeb5308c229d740ea83594f75d5dacc127c915dc9e2132399d0838f015124c5",
     "unified-pair-analytic-b-fixed-block-plus-7": "348cce40a0169231f38c5eec3527134e2bb0b0d6c102bdbe4b084865ee564b8f",
     "unified-pair-analytic-fixed-csv": "3f8445a017447b4962e82ea619142aa020ece36f88a044940064e08f8d98ca7d",
