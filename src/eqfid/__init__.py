@@ -11,7 +11,6 @@ from .cloning import (
     eqcm_fidelity,
     gcnot_fidelity,
     shrinking_factor,
-    shrinking_factor_limit,
 )
 from .montecarlo import (
     ANALYTIC_FACTOR,
@@ -79,7 +78,6 @@ __all__ = [
     "povm_basis",
     "run_checks",
     "shrinking_factor",
-    "shrinking_factor_limit",
     "simulate",
     "sqrt_binom_sum",
     "sqrt_binom_sum_scaled",

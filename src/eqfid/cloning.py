@@ -1,6 +1,5 @@
 """Shrinking factors and fidelities of the equatorial cloner and difference gates."""
 
-import math
 from dataclasses import dataclass
 
 from .numerics import sqrt_binom_sum_scaled
@@ -11,7 +10,7 @@ class ShrinkingFactor:
     """Bloch-vector contraction of each output copy of an N -> M cloner."""
 
     n_in: int
-    m_out: float  # integer count, or math.inf for the asymptotic machine
+    m_out: int
     value: float
 
 
@@ -29,17 +28,11 @@ def shrinking_factor(n_in: int, m_out: int) -> ShrinkingFactor:
     return ShrinkingFactor(n_in, m_out, value)
 
 
-def shrinking_factor_limit(n_in: int) -> ShrinkingFactor:
-    """eta(N, infinity) = S_N / 2^N, the many-copy limit of eta(N, M)."""
-    if n_in < 1:
-        raise ValueError("n_in must be >= 1")
-    return ShrinkingFactor(n_in, math.inf, sqrt_binom_sum_scaled(n_in))
-
-
 def eqcm_fidelity(n_in: int) -> float:
     """Per-copy reconstruction probability of the asymptotic equatorial
     cloner: (1 + eta(N, inf)) / 2."""
-    return (1.0 + shrinking_factor_limit(n_in).value) / 2.0
+    # S_N / 2^N is eta(N, inf), the many-copy limit of eta(N, M).
+    return (1.0 + sqrt_binom_sum_scaled(n_in)) / 2.0
 
 
 def gcnot_fidelity(n_copies: int) -> float:

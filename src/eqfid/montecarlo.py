@@ -21,9 +21,10 @@ fast route is checked against, and no simulation uses it.
 
 A register with a fixed phase builds one outcome row per run
 (povm.covariant_rows, one FFT) and finds each trial's outcome in the row's
-CDF by a guide table (_guide_search), with np.searchsorted's answers. A
-register whose phase is uniform builds no row: it samples phase and outcome
-jointly. The outcome is then uniform over the N+1 slots of weight c_0 (the
+CDF by povm.guide_search, which the offset sampler finds its cells with:
+np.searchsorted's answers, side right, so no outcome of probability zero is
+drawn. A register whose phase is uniform builds no row: it samples phase
+and outcome jointly. The outcome is then uniform over the N+1 slots of weight c_0 (the
 perp slot takes the rest), and the offset theta = phi - est_k has one fixed
 law, sampled by povm.offset_sampler; phi = est_k + theta (mod 2 pi). The
 difference of two phases is uniform when either phase is.
@@ -33,10 +34,11 @@ its outcome cell, one slot per register, apart from a full-mixed perp trial,
 whose estimate is random. If a run has at most BLOCK cells ((N+1)^2 for
 measurement, so N <= 180; N+1 or N+2 for the unified strategies), each
 block tallies its trials per cell and scores only its perp trials, one by
-one; after the blocks, each cell is scored once, with the float steps of a
-trial, and weighted by its count (_cell_sums), so the report has the bits of
-trial-by-trial scoring. Past the bound a block's histogram would cost more
-than its trials, and every trial is scored, as with a uniform phase.
+one; after the blocks, each live cell is scored once as one of its trials
+and weighted by its count (_cell_sums). _score scores every trial and every
+cell, so the report has the bits of trial-by-trial scoring. Past the bound
+a block's histogram would cost more than its trials, and every trial is
+scored, as with a uniform phase.
 
 Blocks and workers
 ------------------
@@ -93,6 +95,7 @@ from .numerics import SUM_DENOMINATOR, TWO_PI, _exact_sum, as_phase
 from .povm import (
     check_cap,
     covariant_rows,
+    guide_search,
     mixed_coefficients,
     offset_sampler,
     phase_estimates,
@@ -255,7 +258,7 @@ def simulate(config: TrialConfig) -> TrialReport:
     # first n_slots - 1 CDF entries puts a pure draw past the row's rounded
     # sum in slot N, and a full-mixed one in the perp slot, N+1.
     searches = [None if fixed is None else
-                _guide_search(np.cumsum(covariant_rows(coeffs, [fixed])[0])[: n_slots - 1])
+                guide_search(np.cumsum(covariant_rows(coeffs, [fixed])[0])[: n_slots - 1])
                 for fixed in phases]
     offsets = offset_sampler(coeffs) if any(fixed is None for fixed in phases) else None
     # With every phase fixed a trial's score depends only on its outcome cell,
@@ -270,7 +273,7 @@ def simulate(config: TrialConfig) -> TrialReport:
         draws, floats, ints = _draws(config.seed, start, stop, ws)
         cell, k = ints[0], ints[1]
         for i, ((_, column, _), search) in enumerate(zip(registers, searches)):
-            search(draws[:, column + 2], k if i else cell, ints[2], floats[0])
+            search(draws[:, column + 2], k if i else cell, floats[0], ints[2])
             if i:
                 cell *= n_slots
                 cell += k
@@ -279,13 +282,13 @@ def simulate(config: TrialConfig) -> TrialReport:
             return [counts, 0, 0, 0, 0]
         # Full-mixed runs have one register, difference, whose last cell is
         # perp. A perp trial's estimate is random: score those trials one by
-        # one, with the float steps of trial_block.
+        # one.
         perp = np.greater(cell, n, out=ints[2].view(bool)[: len(cell)])
         est = np.compress(perp, draws[:, 3], out=floats[1, : counts[-1]])
         est *= TWO_PI
-        value = _cos2_half(np.subtract(est, phases[0], out=floats[0, : counts[-1]]))
-        error = np.subtract(_cos2_half(est), _cos2_half(np.array([phases[0]])), out=est)
-        return [counts, *_moment_sums(value, np.abs(error, out=error), floats, ints)]
+        value = floats[0, : counts[-1]]
+        error = _score([est], [np.array([phases[0]])], value, floats[2, : counts[-1]])
+        return [counts, *_moment_sums(value, error, floats, ints)]
 
     def trial_block(start: int, stop: int, ws: _Workspace) -> list:
         """Tallies (one row per register) and the exact numerators of the sums
@@ -293,10 +296,10 @@ def simulate(config: TrialConfig) -> TrialReport:
         computed in the rows of ws."""
         m = stop - start
         draws, floats, ints = _draws(config.seed, start, stop, ws)
-        value, scratch = floats[0], floats[5]
+        scratch = floats[5]
         k, perp = ints[0], ints[1].view(bool)[:m]
         counts = np.empty((len(registers), n_slots), dtype=np.int64)
-        est_diff = phase_diff = 0.0
+        ests, phis = [], []
         for i, ((_, column, fixed), search) in enumerate(zip(registers, searches)):
             outcome_draws, offset_draws = draws[:, column], draws[:, column + 2]
             est, phi = floats[1 + 2 * i], floats[2 + 2 * i]
@@ -308,7 +311,7 @@ def simulate(config: TrialConfig) -> TrialReport:
                 np.divide(outcome_draws, coeffs[0], out=scratch)
                 np.copyto(k, np.minimum(scratch, n_slots - 1, out=scratch), casting="unsafe")
             else:
-                search(offset_draws, k, ints[1], scratch)
+                search(offset_draws, k, scratch, ints[1])
             # Mode "clip" reads est_N at the perp slot, k = N+1.
             np.take(estimates, k, out=est, mode="clip")
             if fixed is None:
@@ -322,19 +325,11 @@ def simulate(config: TrialConfig) -> TrialReport:
                 if fixed is None:
                     np.multiply(offset_draws, TWO_PI, out=phi, where=perp)
                 np.multiply(draws[:, 3], TWO_PI, out=est, where=perp)
-            # value is the product over registers of cos^2((est - phi) / 2).
-            cos2 = _cos2_half(np.subtract(est, phi, out=scratch if i else value))
-            if i:
-                value *= cos2
-            # Differences run register to register, from 0: b - a over two
-            # registers, the register itself over one. A fixed phi is one
-            # number, and so is a difference of two.
-            est_diff = np.subtract(est, est_diff, out=est)
-            phase_diff = np.subtract(phi, phase_diff, out=phi if phi.size == m else
-                                     phase_diff if np.size(phase_diff) == m else None)
+            ests.append(est)
+            phis.append(phi)
             counts[i] = np.bincount(k, minlength=n_slots)
-        error = np.subtract(_cos2_half(est_diff), _cos2_half(phase_diff), out=est_diff)
-        return [counts, *_moment_sums(value, np.abs(error, out=error), floats, ints)]
+        error = _score(ests, phis, floats[0], scratch)
+        return [counts, *_moment_sums(floats[0], error, floats, ints)]
 
     counts, *sums = _sum_blocks(cell_block if by_cell else trial_block, config.trials)
     if by_cell:
@@ -385,8 +380,9 @@ class _Workspace(NamedTuple):
 def _workspace(rows: int) -> _Workspace:
     """A workspace for blocks of up to rows trials. Float rows 0-4 hold the
     score and each register's est and phi, rows 5-14 and int rows 1-2 the
-    offset sampler's scratch, int row 0 the outcomes; block reuses a row once
-    it is free. np.empty touches no page, so rows that a run never writes
+    offset sampler's scratch, float row 5 and int row 1 also the guide
+    search's and the scorer's, int row 0 the outcomes; block reuses a row
+    once it is free. np.empty touches no page, so rows that a run never writes
     take no memory."""
     return _Workspace(np.empty((rows, DRAWS_PER_TRIAL)), np.empty((15, rows)),
                       np.empty((3, rows), dtype=np.intp))
@@ -454,6 +450,26 @@ def _mean_and_se(total: int, square_total: int, n: int) -> tuple[float, float]:
     return mean, math.sqrt(variance / n)
 
 
+def _score(ests: list, phis: list, value: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Scores trials, given each register's estimates and phases (a row, or a
+    one-entry array for a fixed phase): writes the product over registers of
+    cos^2((est - phi) / 2) into value and returns the fidelity error
+    |cos^2(est_diff / 2) - cos^2(phase_diff / 2)| in the last est row. The
+    differences are b - a over two registers, the register itself over one.
+    The phis and scratch may be overwritten."""
+    for i, (est, phi) in enumerate(zip(ests, phis)):
+        cos2 = _cos2_half(np.subtract(est, phi, out=scratch if i else value))
+        if i:
+            value *= cos2
+    est_diff, phase_diff = ests[-1], phis[-1]
+    if len(ests) > 1:
+        np.subtract(ests[1], ests[0], out=est_diff)
+        # A fixed phi is one number, and so is a difference of two.
+        phase_diff = np.subtract(phis[1], phis[0], out=max(phis, key=np.size))
+    error = np.subtract(_cos2_half(est_diff), _cos2_half(phase_diff), out=est_diff)
+    return np.abs(error, out=error)
+
+
 def _cos2_half(x: np.ndarray) -> np.ndarray:
     """cos^2(x / 2), in place."""
     x /= 2.0
@@ -488,23 +504,16 @@ def _cell_sums(counts: np.ndarray, phases: list[float], estimates: np.ndarray) -
     over the trials that counts tallies per cell of the symmetric subspace,
     register i's outcome along axis i.
 
-    Each cell is scored once, with the float steps a trial of that cell
-    takes in trial_block, and weighted by its count in Python ints.
+    Each live cell is scored once, as one of its trials, and weighted by its
+    count in Python ints.
     """
-    value = est_diff = phase_diff = 0.0
-    for i, fixed in enumerate(phases):
-        est = estimates.reshape((-1,) + (1,) * (len(phases) - 1 - i))
-        phi = np.array([fixed])
-        cos2 = _cos2_half(est - phi)
-        value = cos2 if i == 0 else value * cos2
-        est_diff = est - est_diff
-        phase_diff = phi - phase_diff
-    error = np.abs(_cos2_half(est_diff) - _cos2_half(phase_diff))
-    live = np.flatnonzero(counts)
-    weights = counts.ravel()[live].tolist()
+    live = np.nonzero(counts)
+    value, scratch = np.empty((2, len(live[0])))
+    error = _score([estimates[k] for k in live], [np.array([fixed]) for fixed in phases],
+                   value, scratch)
+    weights = counts[live].tolist()
     sums = []
     for x in (value, error):
-        x = x.ravel()[live]
         sums += [_counted_sum(x, weights), _counted_sum(x * x, weights)]
     return sums
 
@@ -518,34 +527,3 @@ def _counted_sum(values: np.ndarray, counts: list[int]) -> int:
         total += c * a << (shift - b.bit_length())
     return total
 
-
-def _guide_search(cdf: np.ndarray) -> Callable:
-    """np.searchsorted(cdf, u) (side left) for uniforms u in [0, 1), by a
-    guide table: Chen and Asau's indexed search (AIIE Trans. 6, 1974;
-    Devroye, Non-Uniform Random Variate Generation, III.2.4).
-
-    u falls in bucket floor(u B) of B = 4 len(cdf) buckets. That bucket is
-    nondecreasing in u, so every cdf entry in an earlier bucket lies below
-    u; guide counts them, and the answer is the guide unless the cdf entry
-    at the guide lies below u too. np.searchsorted takes only those
-    uniforms, which a bucket holding a cdf entry leaves short.
-    """
-    buckets = 4 * len(cdf)
-    entry_buckets = np.minimum(cdf * buckets, buckets).astype(np.intp)
-    guide = np.searchsorted(entry_buckets, np.arange(buckets + 1))
-    at_guide = np.append(cdf, np.inf)
-
-    def search(u: np.ndarray, out: np.ndarray, index: np.ndarray,
-               floats: np.ndarray) -> np.ndarray:
-        """Writes the answers for u into out, an intp row of len(u); index
-        (intp) and floats are scratch rows of the same length."""
-        # take writes into out unbuffered only outside mode "raise"; every
-        # index is in range, so "clip" never clips.
-        np.multiply(u, buckets, out=index, casting="unsafe")
-        np.take(guide, index, out=out, mode="clip")
-        np.take(at_guide, out, out=floats, mode="clip")
-        short = np.flatnonzero(np.less(floats, u, out=index.view(bool)[: len(u)]))
-        out[short] = np.searchsorted(cdf, u[short])
-        return out
-
-    return search

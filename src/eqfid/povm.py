@@ -14,6 +14,7 @@ mean estimation fidelity both in closed form and by direct quadrature.
 import functools
 import math
 import operator
+from typing import Callable
 
 import numpy as np
 
@@ -25,8 +26,7 @@ DEFAULT_PHASE_GRID = 64
 
 # offset_sampler interpolates the offset CDF on a theta grid of 2^k cells,
 # at least OFFSET_CELLS_PER_ROOT_N sqrt(N) of them: the quintic Hermite error
-# bound, h^6 max|F^(6)| / 46080, grows as N^3 and stays near 2e-16. Its guide
-# table has two buckets over u per cell.
+# bound, h^6 max|F^(6)| / 46080, grows as N^3 and stays near 2e-16.
 OFFSET_CELLS_PER_ROOT_N = 600
 
 # mixed_coefficients drops each rank-one term below this fraction of the first.
@@ -66,6 +66,43 @@ def covariant_rows(coeffs, phis) -> np.ndarray:
     return np.clip(np.fft.fft(waves, axis=-1).real, 0.0, 1.0)
 
 
+def guide_search(cdf: np.ndarray) -> Callable:
+    """np.searchsorted(cdf, u, side="right") for uniforms u in [0, 1) and a
+    nondecreasing cdf, by a guide table: Chen and Asau's indexed search (AIIE
+    Trans. 6, 1974; Devroye, Non-Uniform Random Variate Generation, III.2.4).
+
+    Side right is the textbook inverse CDF: a tie in cdf, a slot of
+    probability zero, never takes a uniform. u falls in bucket floor(u B) of
+    B = 4 len(cdf) buckets, which is nondecreasing in u, so every entry in an
+    earlier bucket lies below u; guide counts them. One probe step forward
+    takes the entry at the guide if it is at most u; np.searchsorted takes
+    the few uniforms that a second entry in their bucket leaves short.
+    """
+    buckets = 4 * len(cdf)
+    counts = np.bincount((cdf * buckets).astype(np.intp), minlength=buckets)
+    guide = np.append(0, np.cumsum(counts[:buckets]))
+    at = np.append(cdf, np.inf)
+
+    def search(u: np.ndarray, out: np.ndarray, upper: np.ndarray,
+               index: np.ndarray) -> np.ndarray:
+        """Writes the answers for u into out, an intp row of len(u), and
+        cdf[answer], the first entry above u (inf past the end), into upper, a
+        float row; index is an intp scratch row of the same length."""
+        below = index.view(bool)[: len(u)]
+        # take writes into out unbuffered only outside mode "raise"; every
+        # index is in range, so "clip" never clips.
+        np.multiply(u, buckets, out=index, casting="unsafe")
+        np.take(guide, index, out=out, mode="clip")
+        out += np.less_equal(np.take(at, out, out=upper, mode="clip"), u, out=below)
+        np.take(at, out, out=upper, mode="clip")
+        short = np.flatnonzero(np.less_equal(upper, u, out=below))
+        out[short] = np.searchsorted(cdf, u[short], side="right")
+        upper[short] = at[out[short]]
+        return out
+
+    return search
+
+
 def offset_sampler(coeffs):
     """Inverse-CDF sampler of the offset theta = phi - est_k of a
     shift-covariant law with one-sided Fourier coefficients c_0 .. c_N, when
@@ -76,9 +113,10 @@ def offset_sampler(coeffs):
     F(theta) = (theta + pi) / 2 pi + sum_m c_m sin(m theta) / (2 pi c_0 m).
     One inverse FFT of the coefficients gives F, F' and F'' on a theta grid;
     each cell holds the quintic Hermite interpolant of F.
-    The returned function maps uniforms u to offsets F^-1(u): a guide table
-    over u finds each cell, and from the root of a quadratic model, Newton
-    steps on the cell's quintic settle F(theta) = u to a residual near 1e-16.
+    The returned function maps uniforms u to offsets F^-1(u): guide_search
+    finds each cell in the grid's CDF, and from the root of a quadratic
+    model, Newton steps on the cell's quintic settle F(theta) = u to a
+    residual near 1e-16.
     One step settles almost every uniform; bisection takes any that three
     leave unsettled. Each offset depends on its own uniform alone, so samples
     do not depend on how uniforms are batched.
@@ -86,7 +124,6 @@ def offset_sampler(coeffs):
     c = np.asarray(coeffs, dtype=float)
     m = np.arange(len(c))
     cells = 1 << math.ceil(math.log2(OFFSET_CELLS_PER_ROOT_N * math.sqrt(len(c) - 1)))
-    buckets = 2 * cells
     h = TWO_PI / cells
     sines = np.zeros(len(c))
     sines[1:] = c[1:] / (TWO_PI * c[0] * m[1:])
@@ -115,10 +152,7 @@ def offset_sampler(coeffs):
     # uniform once dt^2 is below eps / max |p''| at the cell's ends.
     bend_max = np.maximum(np.abs(bend[:-1]), np.abs(bend[1:]))
     settled = np.sqrt(2.0**-53 / np.maximum(bend_max, 2.0**-60))
-    # guide[i] is the last j with cdf[j] <= i / buckets: the number of cdf[j]
-    # whose ceiling in buckets is at most i, less one.
-    ceilings = np.ceil(cdf * buckets).astype(np.intp)
-    guide = np.cumsum(np.bincount(ceilings, minlength=buckets + 1)[:buckets]) - 1
+    search = guide_search(cdf)
 
     def sample(u: np.ndarray, floats: np.ndarray | None = None,
                ints: np.ndarray | None = None) -> np.ndarray:
@@ -131,18 +165,10 @@ def offset_sampler(coeffs):
             floats, ints = np.empty((10, n)), np.empty((2, n), dtype=np.intp)
         p, (t, upper, root) = floats[:6, :n], floats[6:9, :n]
         j, index = ints[:2, :n]
+        # u's cell j has cdf[j] <= u < cdf[j + 1] = upper.
+        search(u, j, upper, index)
+        j -= 1
         below = index.view(bool)[:n]
-        # take writes into out unbuffered only outside mode "raise"; every
-        # index is in range, so "clip" never clips.
-        np.multiply(u, buckets, out=index, casting="unsafe")
-        np.take(guide, index, out=j, mode="clip")
-        # A guide bucket spans at most one cell edge except where the density
-        # is small; search only the uniforms still short of their cell.
-        j += np.less_equal(np.take(cdf[1:], j, out=upper, mode="clip"), u, out=below)
-        np.take(cdf[1:], j, out=upper, mode="clip")
-        short = np.flatnonzero(np.less_equal(upper, u, out=below))
-        j[short] = np.searchsorted(cdf, u[short], side="right") - 1
-        upper[short] = cdf[j[short] + 1]
         for row, coefficient in zip(p, quintic):
             np.take(coefficient, j, out=row, mode="clip")
         # Start from the root of the quadratic through p(0), p'(0) and p(1):

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloning import shrinking_factor, shrinking_factor_limit
+from .cloning import shrinking_factor
+from .numerics import sqrt_binom_sum_scaled
 from .povm import mean_fidelity_closed, mean_fidelity_numeric, outcome_rows, povm_basis
 from .strategies import CURVE_N_CAP, StrategyCurvePoint, curve_table
 from .symmetric import symmetric_state
@@ -129,7 +130,8 @@ def _check_pairwise_crossover(table: list[StrategyCurvePoint]) -> CheckResult:
 
 def _check_shrinking_bound(n_max: int) -> CheckResult:
     ok = all(
-        shrinking_factor(n, 2 * n).value > shrinking_factor_limit(n).value
+        # S_N / 2^N is eta(N, inf).
+        shrinking_factor(n, 2 * n).value > sqrt_binom_sum_scaled(n)
         for n in range(1, n_max + 1)
     )
     return CheckResult(

@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from eqfid.cloning import gcnot_fidelity, shrinking_factor, shrinking_factor_limit
+from eqfid.cloning import gcnot_fidelity, shrinking_factor
 from eqfid.montecarlo import (
     MEASUREMENT,
     UNIFIED_COLLECTIVE,
@@ -16,6 +16,7 @@ from eqfid.montecarlo import (
     mixed_ensemble_distribution,
     simulate,
 )
+from eqfid.numerics import sqrt_binom_sum_scaled
 from eqfid.povm import (
     mean_fidelity_closed,
     mean_fidelity_numeric,
@@ -205,7 +206,8 @@ def test_criterion_9_shrinking_factor_properties():
         for m in range(n, 4 * n)
     )
     ok = ok and all(
-        shrinking_factor(n, 2 * n).value > shrinking_factor_limit(n).value
+        # S_N / 2^N is eta(N, inf).
+        shrinking_factor(n, 2 * n).value > sqrt_binom_sum_scaled(n)
         for n in range(1, 51)
     )
     report(

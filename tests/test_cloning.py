@@ -2,13 +2,12 @@ import math
 
 import pytest
 
-from eqfid.cloning import (
-    eqcm_fidelity,
-    gcnot_fidelity,
-    shrinking_factor,
-    shrinking_factor_limit,
-)
+from eqfid.cloning import eqcm_fidelity, gcnot_fidelity, shrinking_factor
+from eqfid.numerics import sqrt_binom_sum_scaled
 from eqfid.povm import mean_fidelity_closed
+
+# eta(N, inf) = S_N / 2^N, the many-copy limit of eta(N, M).
+limit = sqrt_binom_sum_scaled
 
 
 def test_identity_when_no_extra_copies():
@@ -31,13 +30,13 @@ def test_shrinking_factor_domain_errors():
     with pytest.raises(ValueError):
         shrinking_factor(0, 2)
     with pytest.raises(ValueError):
-        shrinking_factor_limit(0)
+        eqcm_fidelity(0)
 
 
 def test_limit_values():
-    assert shrinking_factor_limit(1).value == 0.5
-    assert abs(shrinking_factor_limit(2).value - math.sqrt(2.0) / 2.0) < 1e-15
-    assert shrinking_factor_limit(3).m_out == math.inf
+    assert limit(1) == 0.5
+    assert abs(limit(2) - math.sqrt(2.0) / 2.0) < 1e-15
+    assert eqcm_fidelity(1) == (1.0 + limit(1)) / 2.0
 
 
 def test_limit_consistency_large_m():
@@ -46,17 +45,15 @@ def test_limit_consistency_large_m():
     gaps_1e3 = []
     gaps_1e4 = []
     for n in range(1, 6):
-        limit = shrinking_factor_limit(n).value
-        gaps_1e3.append(abs(shrinking_factor(n, 10**3).value - limit))
-        gaps_1e4.append(abs(shrinking_factor(n, 10**4).value - limit))
+        gaps_1e3.append(abs(shrinking_factor(n, 10**3).value - limit(n)))
+        gaps_1e4.append(abs(shrinking_factor(n, 10**4).value - limit(n)))
     assert all(g < 5e-4 for g in gaps_1e3)
     assert all(g < 5e-5 for g in gaps_1e4)
     assert all(small < big / 5 for small, big in zip(gaps_1e4, gaps_1e3))
 
 
 def test_limit_consistency_to_1e6():
-    limit = shrinking_factor_limit(2).value
-    assert abs(shrinking_factor(2, 10**6).value - limit) <= 1e-6
+    assert abs(shrinking_factor(2, 10**6).value - limit(2)) <= 1e-6
 
 
 def test_monotone_decreasing_in_output_size():
@@ -73,7 +70,7 @@ def test_monotone_increasing_at_doubled_output():
 
 def test_doubled_output_exceeds_limit():
     for n in range(1, 51):
-        assert shrinking_factor(n, 2 * n).value > shrinking_factor_limit(n).value
+        assert shrinking_factor(n, 2 * n).value > limit(n)
 
 
 def test_cnot_fidelity_value():

@@ -7,8 +7,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from eqfid import montecarlo, numerics, povm
 from eqfid.cli import main
@@ -253,14 +251,17 @@ def test_full_mixed_uniform_perp_frequency(n):
 def test_report_ignores_block_size(strategy, mode, monkeypatch):
     # Every trial's offset depends on its own uniforms only, the sums are
     # exact, and with both phases fixed the outcome cells' histogram adds
-    # over blocks, so blocks of 1000 give the report of one block.
+    # over blocks, so blocks of 1000 give the report of one block. Blocks of
+    # 8 are fewer trials than any N = 12 run has cells, so a both-fixed run
+    # scores every trial alone, and must give the cell path's report.
     for phases in ({}, {"phase_a": 0.4, "phase_b": 1.9}):
         c = config(strategy=strategy, mixed_mode=mode, n_copies=12, trials=5_003, seed=21,
                    **phases)
         monkeypatch.setattr(montecarlo, "BLOCK", BLOCK)
         whole = simulate(c)
-        monkeypatch.setattr(montecarlo, "BLOCK", 1000)
-        assert simulate(c) == whole, phases
+        for block in (1000, 8):
+            monkeypatch.setattr(montecarlo, "BLOCK", block)
+            assert simulate(c) == whole, (phases, block)
 
 
 @pytest.mark.parametrize(
@@ -356,26 +357,33 @@ def test_cell_path_bound(n, cell_path, monkeypatch):
     assert (max(sizes) == BLOCK) != cell_path
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=40),
-    mass=st.floats(0.5, 1.0),
-    extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
-)
-def test_guide_search_equals_searchsorted(weights, mass, extra):
-    # Nondecreasing CDFs with ties (zero-probability outcomes) and a mass
-    # short of one (a full-mixed row, whose rest is perp); uniforms on every
-    # bucket edge, on and next to every CDF entry, at 0 and at 1 - 2^-53.
-    w = np.array(weights)
-    cdf = np.cumsum(w) / w.sum() * mass if w.sum() > 0.0 else np.zeros(len(w))
-    buckets = 4 * len(cdf)
-    u = np.concatenate([np.arange(buckets) / buckets, cdf, np.nextafter(cdf, 0.0),
-                        np.nextafter(cdf, 1.0), [0.0, 1.0 - 2.0**-53], extra])
-    u = u[u < 1.0]
-    m = len(u)
-    found = montecarlo._guide_search(cdf)(u, np.empty(m, dtype=np.intp),
-                                          np.empty(m, dtype=np.intp), np.empty(m))
-    assert np.array_equal(found, np.searchsorted(cdf, u))
+@pytest.mark.parametrize("block", [BLOCK, 2], ids=["cells", "trials"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_fixed_phase_never_draws_a_zero_probability_outcome(n, block, monkeypatch):
+    # The rows at phases 0 and pi have outcomes of probability exactly 0 for
+    # N = 1 and 3: the first and the last at pi, an inner one at N = 3 and 0.
+    # Neither u = 0 nor a u on an entry of either row's CDF may land on one,
+    # on the cell path or, with blocks smaller than the cell count, per trial.
+    rows = {name: outcome_distribution(n, phase)
+            for name, phase in (("ensemble_a", 0.0), ("ensemble_b", math.pi),
+                                ("difference", math.pi))}
+    pool = np.concatenate([[0.0]] + [np.cumsum(row)[:-1] for row in rows.values()])
+    pool = pool[pool < 1.0]
+    draws = montecarlo._draws
+
+    def on_edges(seed, start, stop, ws):
+        d, floats, ints = draws(seed, start, stop, ws)
+        d[:] = pool[np.arange(start, stop) % len(pool), None]
+        return d, floats, ints
+
+    monkeypatch.setattr(montecarlo, "_draws", on_edges)
+    monkeypatch.setattr(montecarlo, "BLOCK", block)
+    for strategy in (MEASUREMENT, UNIFIED_PAIR):
+        report = simulate(config(strategy=strategy, n_copies=n, trials=4 * len(pool),
+                                 phase_a=0.0, phase_b=math.pi))
+        for name, tally in report.tallies.items():
+            assert all(rows[name][k] > 0.0 for k, count in enumerate(tally) if count), \
+                (name, tally)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")

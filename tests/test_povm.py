@@ -6,12 +6,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqfid import povm, symmetric
 from eqfid.cloning import shrinking_factor
 from eqfid.povm import (
     BASIS_CAP,
     estimate_phase,
+    guide_search,
     mean_fidelity_closed,
     mean_fidelity_numeric,
     mixed_coefficients,
@@ -273,6 +276,30 @@ def _offset_cdf(coeffs, theta):
 def _laws(n):
     yield pure_coefficients(n)
     yield mixed_coefficients(n, shrinking_factor(n, 2 * n).value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=40),
+    mass=st.floats(0.5, 1.0),
+    extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+)
+def test_guide_search_equals_searchsorted(weights, mass, extra):
+    # Nondecreasing CDFs with ties (zero-probability outcomes) and a mass
+    # short of one (a full-mixed row, whose rest is perp); uniforms on every
+    # bucket edge, on and next to every CDF entry, at 0 and at 1 - 2^-53.
+    w = np.array(weights)
+    cdf = np.cumsum(w) / w.sum() * mass if w.sum() > 0.0 else np.zeros(len(w))
+    buckets = 4 * len(cdf)
+    u = np.concatenate([np.arange(buckets) / buckets, cdf, np.nextafter(cdf, 0.0),
+                        np.nextafter(cdf, 1.0), [0.0, 1.0 - 2.0**-53], extra])
+    u = u[u < 1.0]
+    m = len(u)
+    found, upper = np.empty(m, dtype=np.intp), np.empty(m)
+    guide_search(cdf)(u, found, upper, np.empty(m, dtype=np.intp))
+    assert np.array_equal(found, np.searchsorted(cdf, u, side="right"))
+    # upper is the first entry above u, or inf past the end.
+    assert np.array_equal(upper, np.append(cdf, np.inf)[found])
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 60, 200, 1029])
