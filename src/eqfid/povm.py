@@ -93,9 +93,12 @@ def guide_search(cdf: np.ndarray) -> Callable:
         # index is in range, so "clip" never clips.
         np.multiply(u, buckets, out=index, casting="unsafe")
         np.take(guide, index, out=out, mode="clip")
-        out += np.less_equal(np.take(at, out, out=upper, mode="clip"), u, out=below)
         np.take(at, out, out=upper, mode="clip")
-        short = np.flatnonzero(np.less_equal(upper, u, out=below))
+        # The probe step, on the few uniforms that reach the guide's entry.
+        moved = np.flatnonzero(np.less_equal(upper, u, out=below))
+        out[moved] += 1
+        upper[moved] = at[out[moved]]
+        short = moved[upper[moved] <= u[moved]]
         out[short] = np.searchsorted(cdf, u[short], side="right")
         upper[short] = at[out[short]]
         return out
