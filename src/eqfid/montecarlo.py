@@ -281,8 +281,7 @@ def simulate(config: TrialConfig) -> TrialReport:
         if not full:
             return [counts, 0, 0, 0, 0]
         # Full-mixed runs have one register, difference, whose last cell is
-        # perp. A perp trial's estimate is random: score those trials one by
-        # one.
+        # perp. A perp trial's estimate is random: score those trials one by one.
         perp = np.greater(cell, n, out=ints[2].view(bool)[: len(cell)])
         est = np.compress(perp, draws[:, 3], out=floats[1, : counts[-1]])
         est *= TWO_PI
@@ -512,10 +511,7 @@ def _cell_sums(counts: np.ndarray, phases: list[float], estimates: np.ndarray) -
     error = _score([estimates[k] for k in live], [np.array([fixed]) for fixed in phases],
                    value, scratch)
     weights = counts[live].tolist()
-    sums = []
-    for x in (value, error):
-        sums += [_counted_sum(x, weights), _counted_sum(x * x, weights)]
-    return sums
+    return [_counted_sum(y, weights) for x in (value, error) for y in (x, x * x)]
 
 
 def _counted_sum(values: np.ndarray, counts: list[int]) -> int:

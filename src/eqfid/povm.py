@@ -88,14 +88,13 @@ def guide_search(cdf: np.ndarray) -> Callable:
         """Writes the answers for u into out, an intp row of len(u), and
         cdf[answer], the first entry above u (inf past the end), into upper, a
         float row; index is an intp scratch row of the same length."""
-        below = index.view(bool)[: len(u)]
         # take writes into out unbuffered only outside mode "raise"; every
         # index is in range, so "clip" never clips.
         np.multiply(u, buckets, out=index, casting="unsafe")
         np.take(guide, index, out=out, mode="clip")
         np.take(at, out, out=upper, mode="clip")
         # The probe step, on the few uniforms that reach the guide's entry.
-        moved = np.flatnonzero(np.less_equal(upper, u, out=below))
+        moved = np.flatnonzero(np.less_equal(upper, u, out=index.view(bool)[: len(u)]))
         out[moved] += 1
         upper[moved] = at[out[moved]]
         short = moved[upper[moved] <= u[moved]]
