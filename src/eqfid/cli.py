@@ -84,13 +84,17 @@ def cmd_curves(args) -> int:
 
 
 def _gnuplot_script(csv_name: str) -> str:
+    # gnuplot counts columns from 1; the CSV's are StrategyCurvePoint's fields.
+    column = {f.name: i for i, f in enumerate(fields(StrategyCurvePoint), 1)}
     return (
         "set datafile separator ','\n"
         "set xlabel 'ensemble size N'\n"
         "set ylabel 'probability of correct fidelity reconstruction'\n"
         "set key bottom right\n"
-        f"plot '{csv_name}' skip 1 using 1:6 with points pt 7 title 'measurement', \\\n"
-        f"     '{csv_name}' skip 1 using 1:9 with points pt 5 title 'collective unified'\n"
+        f"plot '{csv_name}' skip 1 using 1:{column['p_measurement']}"
+        " with points pt 7 title 'measurement', \\\n"
+        f"     '{csv_name}' skip 1 using 1:{column['p_unified_collective']}"
+        " with points pt 5 title 'collective unified'\n"
     )
 
 

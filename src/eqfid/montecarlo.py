@@ -12,9 +12,9 @@ Both outcome laws, pure and full-mixed, are shift covariant,
 p_k(phi) = q(phi - est_k), and one vector of Fourier coefficients describes
 each. One builder in the (N+1)-dimensional symmetric subspace,
 povm.mixed_coefficients, gives both: a short sum of rank-one terms, whose
-first alone is the pure law (povm.pure_coefficients). A full-mixed trial has
-one more slot, N+1, outside the symmetric subspace. Its probability is what
-the law leaves of one, 1 - (N+1) c_0; no row holds it.
+first alone is the pure law (eta = 1). A full-mixed trial has one more slot,
+N+1, outside the symmetric subspace. Its probability is what the law leaves
+of one, 1 - (N+1) c_0; no row holds it.
 mixed_ensemble_distribution evaluates the full-mixed law in the 2^N space
 instead, from the shrunk 2x2 copy it builds itself; it is the reference the
 fast route is checked against, and no simulation uses it.
@@ -83,6 +83,7 @@ Per-trial uniform layout (columns of the draw matrix):
 """
 
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -90,7 +91,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cloning import gcnot_fidelity, shrinking_factor
+from .cloning import shrinking_factor
 from .numerics import SUM_DENOMINATOR, TWO_PI, _exact_sum, as_phase
 from .povm import (
     check_cap,
@@ -100,7 +101,6 @@ from .povm import (
     offset_sampler,
     phase_estimates,
     povm_basis,
-    pure_coefficients,
 )
 from .strategies import p_measurement, p_unified_collective, p_unified_pair
 from .symmetric import EMBEDDING_CAP, dicke_embedding
@@ -134,6 +134,10 @@ class TrialConfig:
     mixed_mode: str = ANALYTIC_FACTOR
 
     def __post_init__(self):
+        # Integer fields become ints (bools and numpy ints too); a float raises
+        # TypeError here, not deep inside simulate.
+        for name in ("n_copies", "trials", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         check_cap(self.n_copies)
         if not 1 <= self.trials <= TRIALS_CAP:
             raise ValueError(f"trials must lie in 1..{TRIALS_CAP}, got {self.trials}")
@@ -232,8 +236,8 @@ def simulate(config: TrialConfig) -> TrialReport:
     applied. The measurement strategy has no gate and ignores mixed_mode.
     """
     n = config.n_copies
-    full = False
-    gate_factor = 1.0
+    # The gate's shrinking factor; the measurement strategy has no gate.
+    eta, full = 1.0, False
     # Registers: (tally, outcome column, fixed phase or None).
     if config.strategy == MEASUREMENT:
         registers = [("ensemble_a", 0, config.phase_a), ("ensemble_b", 1, config.phase_b)]
@@ -244,13 +248,13 @@ def simulate(config: TrialConfig) -> TrialReport:
         pair = config.strategy == UNIFIED_PAIR
         analytic = p_unified_pair(n) if pair else p_unified_collective(n)
         size = 1 if pair else n
+        eta = shrinking_factor(size, 2 * size).value
         full = config.mixed_mode == FULL_MIXED
-        if full:
-            eta = shrinking_factor(size, 2 * size)
-        else:
-            gate_factor = gcnot_fidelity(size)
-    # One coefficient vector feeds the fixed-phase rows and the offset sampler.
-    coeffs = mixed_coefficients(n, eta.value) if full else pure_coefficients(n)
+    # One law per run: the shrunk one in full-mixed mode, else the pure one,
+    # whose mean the gate factor (1 + eta) / 2 scales. Its coefficient vector
+    # feeds the fixed-phase rows and the offset sampler.
+    coeffs = mixed_coefficients(n, eta if full else 1.0)
+    gate_factor = 1.0 if full else (1.0 + eta) / 2.0
     estimates = phase_estimates(n)
     n_slots = n + 2 if full else n + 1
     phases = [fixed for _, _, fixed in registers]
@@ -420,6 +424,8 @@ def _sum_blocks(block: Callable[[int, int, _Workspace], list], trials: int) -> l
             results[i] = exc
             failed.set()
 
+    # One thread per range, on purpose: ThreadPoolExecutor.map hands a range to
+    # any idle thread, so ranges can run one after another on one thread.
     threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
     for thread in threads:
         thread.start()

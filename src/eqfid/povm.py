@@ -7,11 +7,10 @@ provides the basis, which verify holds the outcome laws to, the one row
 builder for shift-covariant outcome laws (one FFT of their Fourier
 coefficients per phase) and the inverse-CDF sampler of their offsets at a
 uniform phase, the Fourier coefficients of both outcome laws from one
-rank-one sum (the pure law's kept per N per process), the estimator and the
-mean estimation fidelity both in closed form and by direct quadrature.
+rank-one sum (the pure law is its eta = 1 case), the estimator and the mean
+estimation fidelity both in closed form and by direct quadrature.
 """
 
-import functools
 import math
 import operator
 from typing import Callable
@@ -248,24 +247,10 @@ def _bisect(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def pure_coefficients(n_copies: int) -> np.ndarray:
-    """One-sided Fourier coefficients of the pure outcome law: mixed_coefficients
-    at eta = 1, its j = 0 term alone, so c_0 is exactly 1 / (N+1). N is
-    checked first; the read-only vector is kept per N."""
-    check_cap(n_copies)
-    return _pure_law(operator.index(n_copies))
-
-
-@functools.cache
-def _pure_law(n: int) -> np.ndarray:
-    c = mixed_coefficients(n, 1.0)
-    c.flags.writeable = False
-    return c
-
-
 def mixed_coefficients(n_copies: int, eta_value: float) -> np.ndarray:
     """One-sided Fourier coefficients of the full-mixed outcome law: the phase
     measurement on N shrunk copies rho = eta |psi(delta)><psi(delta)| + (1-eta) I/2.
+    At eta = 1 it is the pure law, the j = 0 term alone, with c_0 exactly 1/(N+1).
 
     rho(0) = p+ |+><+| + p- |-><-| with p+- = (1 +- eta) / 2, so the Dicke
     block of rho(0)^{(x) N} is R = sum_j p+^{N-j} p-^j |D_j><D_j| over the
@@ -301,7 +286,7 @@ def mixed_coefficients(n_copies: int, eta_value: float) -> np.ndarray:
 def outcome_rows(n_copies: int, phis) -> np.ndarray:
     """Outcome probabilities p_k(phi) = |<basis_k | Phi(phi)>|^2, k = 0 .. N,
     one row per phase in phis; each row sums to one."""
-    return covariant_rows(pure_coefficients(n_copies), phis)
+    return covariant_rows(mixed_coefficients(n_copies, 1.0), phis)
 
 
 def outcome_distribution(n_copies: int, phase) -> np.ndarray:
@@ -310,7 +295,8 @@ def outcome_distribution(n_copies: int, phase) -> np.ndarray:
 
 
 def estimate_phase(outcome: int, n_copies: int) -> float:
-    """Phase estimate 2 pi k / (N+1) attached to outcome k."""
+    """Phase estimate 2 pi k / (N+1) attached to outcome k; k and N are integers."""
+    outcome, n_copies = operator.index(outcome), operator.index(n_copies)
     if n_copies < 1:
         raise ValueError(f"n_copies must be >= 1, got {n_copies}")
     if not 0 <= outcome <= n_copies:

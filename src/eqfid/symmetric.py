@@ -3,8 +3,9 @@
 N identical qubits never leave the (N+1)-dimensional permutation-symmetric
 subspace, so an N-copy equatorial state is held as an (N+1)-vector of Dicke
 amplitudes instead of a 2^N-vector. Each N's Dicke weights, which both
-outcome laws are built from, are kept for the process: 8 (N+1) bytes, about
-15 KB for N up to 60 and at most about 4.3 MB for every N up to BASIS_CAP.
+outcome laws are built from, are kept for the process (the laws are built
+afresh on each call): 8 (N+1) bytes, about 15 KB for N up to 60 and at most
+about 4.3 MB for every N up to BASIS_CAP.
 """
 
 import functools

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import threading
 import time
 
@@ -80,6 +81,11 @@ def test_curves_gnuplot_script(tmp_path):
     script = (tmp_path / "fig.gp").read_text()
     assert "fig.csv" in script
     assert "plot" in script
+    # Each plotted column is its curve's position in the CSV header.
+    header = out.read_text().splitlines()[0].split(",")
+    plotted = re.findall(r"using 1:(\d+) .* title '([a-z ]+)'", script)
+    assert [(header[int(col) - 1], title) for col, title in plotted] == [
+        ("p_measurement", "measurement"), ("p_unified_collective", "collective unified")]
 
 
 def test_curves_gnuplot_requires_out(tmp_path, capsys, monkeypatch):

@@ -33,7 +33,6 @@ from eqfid.povm import (
     outcome_distribution,
     outcome_rows,
     phase_estimates,
-    pure_coefficients,
 )
 from eqfid.strategies import p_measurement, p_unified_collective, p_unified_pair
 
@@ -73,6 +72,17 @@ def test_n_past_cap_refused_before_any_closed_form(strategy, monkeypatch):
     for mode in MIXED_MODES:
         with pytest.raises(ValueError, match=f"{BASIS_CAP}.*{10**8}"):
             simulate(config(n_copies=10**8, trials=1, strategy=strategy, mixed_mode=mode))
+
+
+def test_config_takes_integer_fields_as_ints():
+    # Bools and numpy ints become ints, so the report echoes numbers; a float
+    # is refused when the config is built, not deep inside simulate.
+    c = config(n_copies=True, trials=np.int64(5), seed=np.uint8(3))
+    assert [(v, type(v)) for v in (c.n_copies, c.trials, c.seed)] == [(1, int), (5, int), (3, int)]
+    assert json.dumps(asdict(c)).startswith('{"strategy": "measurement", "n_copies": 1,')
+    for name in ("n_copies", "trials", "seed"):
+        with pytest.raises(TypeError):
+            config(**{name: 3.5})
 
 
 def test_config_normalizes_fixed_phases():
@@ -588,11 +598,28 @@ def test_full_mixed_collective_reports_perp():
     assert 0.0 <= report.mean_overlap_product <= 1.0
 
 
-def test_full_mixed_sampling_law_at_eta_one_matches_pure():
-    # At eta = 1 the rank-one sum is its j = 0 term, the pure law: one
-    # builder, so the same bits.
-    for n in (1, 2, 4, 12, 60, 200, BASIS_CAP):
-        assert np.array_equal(mixed_coefficients(n, 1.0), pure_coefficients(n)), n
+@pytest.mark.parametrize("phases", [(None, None), (None, 1.1), (0.3, 1.1)])
+def test_one_law_per_run(phases, monkeypatch):
+    # Every run builds one outcome law: the pure one (eta = 1) for measurement
+    # and analytic mode, the shrunk one at eta(size, 2 size) in full-mixed mode.
+    calls = []
+    build = montecarlo.mixed_coefficients
+
+    def recording(n, eta):
+        calls.append((n, eta))
+        return build(n, eta)
+
+    monkeypatch.setattr(montecarlo, "mixed_coefficients", recording)
+    n = 3
+    runs = [(MEASUREMENT, mode, 1.0) for mode in MIXED_MODES]
+    for strategy, size in ((UNIFIED_PAIR, 1), (UNIFIED_COLLECTIVE, n)):
+        runs += [(strategy, ANALYTIC_FACTOR, 1.0),
+                 (strategy, FULL_MIXED, shrinking_factor(size, 2 * size).value)]
+    for strategy, mode, eta in runs:
+        calls.clear()
+        simulate(config(n_copies=n, trials=100, strategy=strategy, mixed_mode=mode,
+                        phase_a=phases[0], phase_b=phases[1]))
+        assert calls == [(n, eta)], (strategy, mode)
 
 
 def test_full_mixed_single_copy_tallies_match_exact_law():

@@ -23,7 +23,6 @@ from eqfid.povm import (
     outcome_rows,
     phase_estimates,
     povm_basis,
-    pure_coefficients,
 )
 from eqfid.strategies import curve_table
 from eqfid.symmetric import symmetric_state
@@ -104,6 +103,14 @@ def test_estimate_phase_domain_errors(k, n):
         estimate_phase(k, n)
 
 
+def test_estimate_phase_takes_integers_only():
+    # No outcome 1.5 exists, so it has no estimate; integer-like k and N do.
+    assert estimate_phase(np.int64(1), np.int64(1)) == estimate_phase(True, 1) == math.pi
+    for k, n in ((1.5, 3), (1.0, 3), (1, 3.0)):
+        with pytest.raises(TypeError):
+            estimate_phase(k, n)
+
+
 def test_mean_fidelity_closed_values():
     assert mean_fidelity_closed(1) == 0.75
     assert abs(mean_fidelity_closed(2) - 0.8535533905932737) < 1e-15
@@ -181,9 +188,8 @@ def test_estimator_offset_never_improves():
         assert all(value <= base + 1e-12 for value in offset)
 
 
-def test_pure_law_is_computed_once_per_n(monkeypatch):
+def test_dicke_weights_are_computed_once_per_n(monkeypatch):
     symmetric._weights.cache_clear()
-    povm._pure_law.cache_clear()
     seen = Counter()
     weights = symmetric._dicke_weights
 
@@ -196,12 +202,11 @@ def test_pure_law_is_computed_once_per_n(monkeypatch):
     run_checks(60)
     outcome_distribution(60, 2.5)
     # Integer-like N share the entry of the int, and both laws the weights.
-    pure_coefficients(np.int64(60))
+    mixed_coefficients(np.int64(60), 1.0)
     mixed_coefficients(np.int64(60), 0.5)
     symmetric_state(np.int64(60), 0.0)
     assert set(seen) == set(range(1, 61))
     assert max(seen.values()) == 1
-    assert povm._pure_law.cache_info().currsize == 60
     # Past BASIS_CAP the weights are computed on every call and not kept.
     cached = symmetric._weights.cache_info().currsize
     symmetric_state(BASIS_CAP + 1, 0.0)
@@ -210,13 +215,12 @@ def test_pure_law_is_computed_once_per_n(monkeypatch):
     with pytest.raises(TypeError):
         symmetric_state(2.0, 0.0)
     with pytest.raises(TypeError):
-        pure_coefficients(2.0)
+        mixed_coefficients(2.0, 1.0)
 
 
-def test_cached_pure_law_is_read_only():
-    for cached in (pure_coefficients(5), symmetric._weights(5)):
-        with pytest.raises(ValueError):
-            cached[0] = 0.0
+def test_cached_weights_are_read_only():
+    with pytest.raises(ValueError):
+        symmetric._weights(5)[0] = 0.0
     # What callers get to keep is fresh and writable.
     state, rows = symmetric_state(5, 0.3), outcome_rows(5, [0.3])
     state[:] = 0.0
@@ -224,16 +228,16 @@ def test_cached_pure_law_is_read_only():
     assert np.array_equal(symmetric_state(5, 0.3), np.abs(symmetric_state(5, 0.0)) * np.exp(0.3j * np.arange(6)))
     assert np.array_equal(outcome_rows(5, [0.3]), outcome_distribution(5, 0.3)[None])
     # The public functions stay plain functions, so tracers can wrap them.
-    for fn in (symmetric_state, pure_coefficients, outcome_rows, outcome_distribution,
+    for fn in (symmetric_state, mixed_coefficients, outcome_rows, outcome_distribution,
                mean_fidelity_numeric, phase_estimates):
         assert inspect.isfunction(fn)
 
 
-def test_pure_law_has_exact_trace():
+def test_law_at_eta_one_has_exact_trace():
     # The pure law is the builder's j = 0 term divided by its own trace, so
     # c_0 is 1/(N+1) to the last bit.
     for n in range(1, BASIS_CAP + 1):
-        assert pure_coefficients(n)[0] == 1 / (n + 1), n
+        assert mixed_coefficients(n, 1.0)[0] == 1 / (n + 1), n
 
 
 @pytest.mark.parametrize("n", [*range(1, 61), 100, 200])
@@ -252,7 +256,7 @@ def test_mixed_coefficients_match_dicke_recursion(n):
 
 def test_fixed_phase_row_at_the_cap_is_small():
     # One row is one FFT of N+1 coefficients: O(N) memory, no N^2 table.
-    coeffs = pure_coefficients(BASIS_CAP)
+    coeffs = mixed_coefficients(BASIS_CAP, 1.0)
     tracemalloc.start()
     try:
         row = povm.covariant_rows(coeffs, [0.3])
@@ -274,7 +278,7 @@ def _offset_cdf(coeffs, theta):
 
 
 def _laws(n):
-    yield pure_coefficients(n)
+    yield mixed_coefficients(n, 1.0)
     yield mixed_coefficients(n, shrinking_factor(n, 2 * n).value)
 
 
@@ -367,7 +371,7 @@ def test_offset_sampler_output_is_pinned(monkeypatch):
     for n in (1, 2, 3, 12, 60, 200, 1029):
         laws = {"full-mixed": mixed_coefficients(n, shrinking_factor(n, 2 * n).value)}
         if n != 200:
-            laws["pure"] = pure_coefficients(n)
+            laws["pure"] = mixed_coefficients(n, 1.0)
         for name, coeffs in laws.items():
             law = (name, n)
             digests[law] = hashlib.sha256(offset_sampler(coeffs)(u).tobytes()).hexdigest()
