@@ -305,7 +305,10 @@ def estimate_phase(outcome: int, n_copies: int) -> float:
 
 
 def phase_estimates(n_copies: int) -> np.ndarray:
-    """Phase estimates of all outcomes k = 0 .. N, in outcome order."""
+    """Phase estimates of all outcomes k = 0 .. N, in outcome order; N is an
+    integer in 1..BASIS_CAP."""
+    n_copies = operator.index(n_copies)
+    check_cap(n_copies)
     return TWO_PI * np.arange(n_copies + 1) / (n_copies + 1)
 
 

@@ -1,12 +1,18 @@
 import inspect
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from reference import summed_binomial_log_pmf, summed_sqrt_binom_sum_scaled
 
 from eqfid import numerics
 from eqfid.numerics import (
+    SUM_DENOMINATOR,
     as_phase,
     binomial_log_pmf,
     sqrt_binom_sum,
@@ -53,27 +59,46 @@ def test_binomial_log_pmf_domain_error():
         binomial_log_pmf(-1)
 
 
-def _fsum_log_pmf(n):
-    """binomial_log_pmf written out with math.fsum for the centre term."""
-    c, m = n // 2, (n + 1) // 2
-    centre = math.fsum(np.log1p(-0.5 / np.arange(1, m + 1)).tolist())
-    k = math.isqrt(373 * n) + 2
-    lo, hi = max(0, c - k), min(n, c + k)
-    up = np.arange(c, hi)
-    down = np.arange(c, lo, -1)
-    right = np.cumsum(np.log1p((n - 2 * up - 1) / (up + 1)))
-    left = np.cumsum(np.log1p((2 * down - n - 1) / (n - down + 1)))
-    return lo, np.concatenate([left[::-1] + centre, [centre], right + centre])
-
-
 def test_exact_sums_match_fsum_bit_for_bit():
-    # Both routines round the exact sum once, so they agree in every bit;
-    # the large n cross many centre-term chunks, 999736 among them.
-    for n in [*range(1, 2001), 10**4, 10**5, 999736, 10**6, 3 * 10**6]:
+    # Up to n = 8192 the centre term is an _exact_sum, which rounds the exact
+    # sum once as math.fsum does, so every row keeps the bits of the earlier
+    # O(n) route, and so does S_n / 2^n, a fixed function of the row; S
+    # itself is compared up to n = 2000 and then on a stride. Past 8192 the
+    # centre comes from Stirling's series, which tests/test_oracle.py holds
+    # to the oracle.
+    for n in range(1, 8193):
         lo, logs = binomial_log_pmf(n)
-        old_lo, old_logs = _fsum_log_pmf(n)
+        old_lo, old_logs = summed_binomial_log_pmf(n)
         assert lo == old_lo and np.array_equal(logs, old_logs), n
-        assert sqrt_binom_sum_scaled(n) == math.fsum(np.exp(0.5 * (old_logs[:-1] + old_logs[1:])).tolist()), n
+        if n <= 2000 or n % 64 == 0:
+            assert sqrt_binom_sum_scaled(n) == summed_sqrt_binom_sum_scaled(n), n
+    for n in (8193, 8194):
+        lo, logs = binomial_log_pmf(n)
+        assert logs[n // 2 - lo] == numerics._log_central_binomial(4097), n
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 5000),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_exact_sum_is_the_exact_sum(values):
+    # hypothesis draws both signs, subnormals and the whole exponent range.
+    assert numerics._exact_sum(values) == SUM_DENOMINATOR * sum(map(Fraction, values.tolist()))
+
+
+def test_exact_sum_slices_long_inputs(monkeypatch):
+    # Inputs longer than _SLICE are binned a slice at a time; a short slice
+    # length makes every case below take several, ragged ones included.
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(1001) * 10.0 ** rng.integers(-300, 300, 1001)
+    values[::5] = 2.0**1023
+    values[1::7] = 5e-324
+    expected = SUM_DENOMINATOR * sum(map(Fraction, values.tolist()))
+    for length in (1, 7, 64, 1000, 1001):
+        monkeypatch.setattr(numerics, "_SLICE", length)
+        assert numerics._exact_sum(values) == expected, length
+        # Caller scratch of only the slice length is enough.
+        floats, ints = np.empty((3, length)), np.empty((1, length), dtype=np.intp)
+        assert numerics._exact_sum(values, floats, ints) == expected, length
 
 
 def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):

@@ -97,6 +97,15 @@ def test_phase_estimates_match_estimate_phase():
         assert np.array_equal(phase_estimates(n), expected), n
 
 
+def test_phase_estimates_domain_errors():
+    with pytest.raises(TypeError):
+        phase_estimates(1.5)
+    for n in (0, -3, BASIS_CAP + 1):
+        with pytest.raises(ValueError):
+            phase_estimates(n)
+    assert np.array_equal(phase_estimates(np.int64(5)), phase_estimates(5))
+
+
 @pytest.mark.parametrize("k,n", [(-1, 3), (4, 3), (2, 1), (0, 0)])
 def test_estimate_phase_domain_errors(k, n):
     with pytest.raises(ValueError):
