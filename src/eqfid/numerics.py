@@ -1,9 +1,8 @@
 """Binomial weights, their exact sums and the phase normalization.
 
-Every binomial quantity the package uses, the closed-form sums S_n and the
-Dicke weights, comes from binomial_log_pmf, one routine finite at every n
-and O(sqrt(n)) in time and memory: an O(1) centre term (an exact sum up to
-n = 8192, Stirling's series above) and an O(sqrt(n)) window around it.
+Every binomial quantity the package uses, S_n / 2^n and the Dicke weights,
+is a quotient of exact sums over the O(sqrt(n)) window of
+binomial_log_ratios: one route for every n, with no centre term.
 Every exactly rounded sum in the package, here and in montecarlo, is an
 _exact_sum numerator over SUM_DENOMINATOR. S_n / 2^n is kept per n for the
 process, one float each; symmetric keeps each N's Dicke weights. Every
@@ -18,14 +17,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# binomial_log_pmf sums its centre term exactly while m = ceil(n / 2) is at
-# most this, and takes it from _log_central_binomial past it.
-_EXACT_CENTRE_MAX = 4096
-# Coefficients of m^-1, m^-3 and m^-5 in log(C(2m, m) / 4^m) + log(pi m) / 2,
-# B_2k (2^(1-2k) - 2) / (2k (2k - 1)) from Stirling's series.
-_CENTRE_SERIES = (-1 / 8, 1 / 192, -1 / 640)
-# log(pi) as the sum of two floats.
-_LOG_PI = (1.1447298858494002, 1.0265951162707826e-17)
 # _exact_sum numerators count units of 2^-1126, the lowest bit of the
 # smallest subnormal.
 SUM_DENOMINATOR = 1 << (1073 + 53)
@@ -81,60 +72,37 @@ def _exact_sum(values: np.ndarray, floats: np.ndarray | None = None,
     return total
 
 
-def _log_central_binomial(m: int) -> float:
-    """log(C(2m, m) / 4^m) for m > _EXACT_CENTRE_MAX, from Stirling's series
-    -log(pi m) / 2 - 1/(8m) + 1/(192 m^3) - 1/(640 m^5); the first omitted
-    term, 17/(14336 m^7), is below 1e-28 there. One Newton step on the
-    rounded log m carries log m to about 1e-16 absolute, and one fsum rounds
-    the whole, so the result is within 0.55 ulp of the exact value (305 m
-    from 4097 to 1.5e6, against mpmath at 40 digits).
-    """
-    log_m = math.log(m)
-    x = 1.0 / m
-    c1, c3, c5 = _CENTRE_SERIES
-    series = x * (c1 + x * x * (c3 + x * x * c5))
-    # Halving is exact, so the fsum is the one rounding.
-    halves = [-0.5 * v for v in (log_m, m * math.exp(-log_m) - 1.0, *_LOG_PI)]
-    return math.fsum([*halves, series])
+def binomial_log_ratios(n: int) -> tuple[int, np.ndarray, int]:
+    """Window start lo, l_i = log(C(n, i) / C(n, c)) over the window, c = n // 2,
+    and the _exact_sum numerator of D = sum_i e^(l_i) = 2^n / C(n, c).
 
-
-def binomial_log_pmf(n: int) -> tuple[int, np.ndarray]:
-    """Window start lo and log(C(n, i) / 2^n) for i = lo .. lo + len - 1.
-
-    The centre term, at c = n // 2, is log(C(2m, m) / 4^m) with
-    m = ceil(n/2): up to m = _EXACT_CENTRE_MAX (n = 8192) the exactly
-    rounded sum of log1p(-1/(2j)) over j = 1 .. m, above it Stirling's
-    series (_log_central_binomial), so the centre costs O(1) at every n.
-    The walk outward adds the exact term ratios
-    log1p((n - 2i - 1) / (i + 1)). By Hoeffding, C(n, i) / 2^n
-    is at most exp(-2 (i - n/2)^2 / n), so every index isqrt(373 n) + 2 or
-    more from c lies below exp(-746) and rounds to zero: sums over the window
-    equal sums over the whole row, and memory is O(sqrt(n)).
+    The walk out of l_c = 0 adds the exact ratios log1p((n - 2i - 1) / (i + 1)).
+    By Hoeffding, C(n, i) / C(n, c) <= (n + 1) exp(-2 (i - n/2)^2 / n), so every
+    index isqrt(n (373 + bits(n))) + 2 or more from c lies below 2^-1075 and
+    rounds to zero: window sums equal whole-row sums, in O(sqrt(n)) time and
+    memory.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    c, m = n // 2, (n + 1) // 2
-    if m <= _EXACT_CENTRE_MAX:
-        centre = _exact_sum(np.log1p(-0.5 / np.arange(1, m + 1))) / SUM_DENOMINATOR
-    else:
-        centre = _log_central_binomial(m)
-    k = math.isqrt(373 * n) + 2
+    c = n // 2
+    k = math.isqrt(n * (373 + n.bit_length())) + 2
     lo, hi = max(0, c - k), min(n, c + k)
     up = np.arange(c, hi)
     down = np.arange(c, lo, -1)
     right = np.cumsum(np.log1p((n - 2 * up - 1) / (up + 1)))
     left = np.cumsum(np.log1p((2 * down - n - 1) / (n - down + 1)))
-    return lo, np.concatenate([left[::-1] + centre, [centre], right + centre])
+    logs = np.concatenate([left[::-1], [0.0], right])
+    return lo, logs, _exact_sum(np.exp(logs))
 
 
 def sqrt_binom_sum_scaled(n: int) -> float:
     """S_n / 2^n with S_n = sum_i sqrt(C(n,i) C(n,i+1)), i = 0 .. n-1.
 
-    The exactly rounded sum of exp((l_i + l_{i+1}) / 2) over the window of
-    binomial_log_pmf, finite at every n. Against an mpmath oracle the
-    relative error is at most 7.6e-16 up to n = 3e6 (n = 1..2000 and 109 n
-    above 8190, worst at n = 2138339) and 1.9e-15 up to 1e8 (46 n). Each n
-    is computed once per process.
+    The exact window sum of exp((l_i + l_{i+1}) / 2) over D, both from
+    binomial_log_ratios: one correctly rounded int / int quotient, whose two
+    sums share the walk's rounding. Within 1.2e-16 relative of an mpmath
+    oracle (n = 1..2058 and 76 n from 1e3 to 1e8). Each n is computed once per
+    process.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -143,8 +111,8 @@ def sqrt_binom_sum_scaled(n: int) -> float:
 
 @functools.cache
 def _sqrt_binom_sum_scaled(n: int) -> float:
-    _, logs = binomial_log_pmf(n)
-    return _exact_sum(np.exp(0.5 * (logs[:-1] + logs[1:]))) / SUM_DENOMINATOR
+    _, logs, total = binomial_log_ratios(n)
+    return _exact_sum(np.exp(0.5 * (logs[:-1] + logs[1:]))) / total
 
 
 def sqrt_binom_sum(n: int) -> float:

@@ -328,8 +328,9 @@ def mean_fidelity_numeric(n_copies: int, phase_grid: int = DEFAULT_PHASE_GRID) -
     integrand is a trigonometric polynomial whose only non-constant harmonic
     is cos((N+1) phi). Offsetting the uniform grid by pi / (2(N+1)) makes the
     grid average of that harmonic vanish for every grid size, hence any
-    phase_grid >= 1 returns the exact phase average.
+    integer phase_grid >= 1 returns the exact phase average.
     """
+    phase_grid = operator.index(phase_grid)
     if phase_grid < 1:
         raise ValueError("phase_grid must be >= 1")
     offset = math.pi / (2.0 * (n_copies + 1))

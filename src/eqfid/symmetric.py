@@ -15,7 +15,7 @@ import operator
 
 import numpy as np
 
-from .numerics import as_phase, binomial_log_pmf
+from .numerics import SUM_DENOMINATOR, as_phase, binomial_log_ratios
 
 # Largest N for which the 2^N-dimensional embedding is materialized (4096-dim
 # at the cap); only the full-space reference mixed_ensemble_distribution needs
@@ -41,7 +41,8 @@ def symmetric_state(n_copies: int, phase) -> np.ndarray:
     Component n is sqrt(C(N, n)) e^{i n phi} / 2^{N/2}: the modulus carries
     the binomial weight of strings with n excitations and the phase winds
     linearly, which is what makes covariant phase measurements tractable.
-    Weights outside the window of binomial_log_pmf are exactly zero.
+    The weights are sqrt(e^(l_i) / D) over the window of binomial_log_ratios
+    and exactly zero outside it.
     """
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
@@ -51,9 +52,9 @@ def symmetric_state(n_copies: int, phase) -> np.ndarray:
 
 
 def _dicke_weights(n: int) -> np.ndarray:
-    lo, logs = binomial_log_pmf(n)
+    lo, logs, total = binomial_log_ratios(n)
     w = np.zeros(n + 1)
-    w[lo : lo + len(logs)] = np.exp(0.5 * logs)
+    w[lo : lo + len(logs)] = np.sqrt(np.exp(logs) / (total / SUM_DENOMINATOR))
     return w
 
 

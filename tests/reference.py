@@ -33,26 +33,3 @@ def dicke_recursion_coefficients(n_copies: int, eta_value: float) -> np.ndarray:
     c[1:] *= 2.0
     return c
 
-
-def summed_binomial_log_pmf(n: int) -> tuple[int, np.ndarray]:
-    """binomial_log_pmf by the earlier O(n) route: the centre term
-    log(C(n, n // 2) / 2^n) is the exactly rounded sum of log1p(-1/(2j)),
-    j = 1 .. ceil(n/2). That route summed it in 4096-term chunks of exact
-    sums and rounded once, so math.fsum gives its bits. The window walk is
-    numerics'."""
-    c, m = n // 2, (n + 1) // 2
-    centre = math.fsum(np.log1p(-0.5 / np.arange(1, m + 1)).tolist())
-    k = math.isqrt(373 * n) + 2
-    lo, hi = max(0, c - k), min(n, c + k)
-    up = np.arange(c, hi)
-    down = np.arange(c, lo, -1)
-    right = np.cumsum(np.log1p((n - 2 * up - 1) / (up + 1)))
-    left = np.cumsum(np.log1p((2 * down - n - 1) / (n - down + 1)))
-    return lo, np.concatenate([left[::-1] + centre, [centre], right + centre])
-
-
-def summed_sqrt_binom_sum_scaled(n: int) -> float:
-    """S_n / 2^n by the earlier O(n) route, the exactly rounded sum of
-    exp((l_i + l_{i+1}) / 2) over summed_binomial_log_pmf."""
-    logs = summed_binomial_log_pmf(n)[1]
-    return math.fsum(np.exp(0.5 * (logs[:-1] + logs[1:])).tolist())

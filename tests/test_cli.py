@@ -95,6 +95,8 @@ def test_curves_gnuplot_requires_out(tmp_path, capsys, monkeypatch):
         ["curves", "--n-min", "1", "--n-max", "3", "--format", "json", "--out", "t.json",
          "--gnuplot"]
     ) == 2
+    # The script would overwrite the CSV it plots.
+    assert run(["curves", "--n-min", "1", "--n-max", "3", "--out", "plot.gp", "--gnuplot"]) == 2
     # The flag combination is rejected before anything is written.
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []

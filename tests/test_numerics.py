@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from reference import summed_binomial_log_pmf, summed_sqrt_binom_sum_scaled
 
 from eqfid import numerics
 from eqfid.numerics import (
     SUM_DENOMINATOR,
     as_phase,
-    binomial_log_pmf,
+    binomial_log_ratios,
     sqrt_binom_sum,
     sqrt_binom_sum_scaled,
 )
@@ -35,46 +34,35 @@ def test_sqrt_binom_sum_domain_error():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 60, 1500, 1501, 1600, 10**5, 2 * 10**6 + 1])
 def test_binomial_log_pmf_window(n):
-    lo, logs = binomial_log_pmf(n)
+    lo, logs, total = binomial_log_ratios(n)
     hi = lo + len(logs) - 1
-    pmf = np.exp(logs)
-    assert abs(math.fsum(pmf) - 1.0) < 1e-15
+    ratios = np.exp(logs)
+    assert logs[n // 2 - lo] == 0.0
+    assert total == numerics._exact_sum(ratios)
+    # D = 2^n / C(n, n // 2); math.comb grows too slow to check past 10^5.
+    if n <= 10**5:
+        pmf_centre = math.comb(n, n // 2) / 2**n
+        assert abs(total / SUM_DENOMINATOR * pmf_centre - 1.0) <= 4e-16
     # The row decreases away from its centre, so once the cut-off ends round
     # to zero every dropped index would add exactly zero.
-    assert lo == 0 or pmf[0] == 0.0
-    assert hi == n or pmf[-1] == 0.0
+    assert lo == 0 or ratios[0] == 0.0
+    assert hi == n or ratios[-1] == 0.0
 
 
 def test_binomial_log_pmf_small_rows_exact():
     for n in range(0, 61):
-        lo, logs = binomial_log_pmf(n)
+        lo, logs, total = binomial_log_ratios(n)
         assert (lo, len(logs)) == (0, n + 1)
+        centre = math.comb(n, n // 2)
         for i, value in enumerate(logs):
-            exact = math.log(math.comb(n, i)) - n * math.log(2.0)
+            exact = math.log(math.comb(n, i) / centre)
             assert abs(value - exact) <= 4e-15 * max(1.0, abs(exact))
+        assert abs(total / SUM_DENOMINATOR * centre / 2**n - 1.0) <= 4e-16
 
 
 def test_binomial_log_pmf_domain_error():
     with pytest.raises(ValueError):
-        binomial_log_pmf(-1)
-
-
-def test_exact_sums_match_fsum_bit_for_bit():
-    # Up to n = 8192 the centre term is an _exact_sum, which rounds the exact
-    # sum once as math.fsum does, so every row keeps the bits of the earlier
-    # O(n) route, and so does S_n / 2^n, a fixed function of the row; S
-    # itself is compared up to n = 2000 and then on a stride. Past 8192 the
-    # centre comes from Stirling's series, which tests/test_oracle.py holds
-    # to the oracle.
-    for n in range(1, 8193):
-        lo, logs = binomial_log_pmf(n)
-        old_lo, old_logs = summed_binomial_log_pmf(n)
-        assert lo == old_lo and np.array_equal(logs, old_logs), n
-        if n <= 2000 or n % 64 == 0:
-            assert sqrt_binom_sum_scaled(n) == summed_sqrt_binom_sum_scaled(n), n
-    for n in (8193, 8194):
-        lo, logs = binomial_log_pmf(n)
-        assert logs[n // 2 - lo] == numerics._log_central_binomial(4097), n
+        binomial_log_ratios(-1)
 
 
 @settings(deadline=None)
@@ -104,13 +92,13 @@ def test_exact_sum_slices_long_inputs(monkeypatch):
 def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):
     numerics._sqrt_binom_sum_scaled.cache_clear()
     seen = Counter()
-    log_pmf = numerics.binomial_log_pmf
+    log_ratios = numerics.binomial_log_ratios
 
     def counting(n):
         seen[n] += 1
-        return log_pmf(n)
+        return log_ratios(n)
 
-    monkeypatch.setattr(numerics, "binomial_log_pmf", counting)
+    monkeypatch.setattr(numerics, "binomial_log_ratios", counting)
     curve_table(1, 60)
     run_checks(60)
     # Integer-like n share the memo entry of the int.

@@ -10,7 +10,6 @@ import math
 
 import pytest
 
-from eqfid import numerics
 from eqfid.cloning import shrinking_factor
 from eqfid.montecarlo import FULL_MIXED, UNIFIED_COLLECTIVE, TrialConfig, simulate
 from eqfid.numerics import sqrt_binom_sum_scaled
@@ -65,27 +64,13 @@ def eta(n, m):
 
 
 def test_sqrt_binom_sum_scaled_matches_oracle():
-    # 8191 .. 8194 straddle the switch from the summed centre term to
-    # Stirling's series.
-    ns = [*range(1, 71), 1000, 1023, 1100, *range(8191, 8195), 10**4, 10**5, 999736, 10**6,
-          3 * 10**6, 10**7, 10**8]
+    # S_n / 2^n is one rounding of a quotient whose two sums share the walk's
+    # rounding; hold it to 2e-16, never looser. 6281617 and 78881935 are
+    # where an earlier centre-term route reached 1.2e-15 and 1.9e-15.
+    grid = [round(10 ** (k / 2)) for k in range(7, 17)]
+    ns = [*range(1, 71), 1000, 1023, 1100, 999736, 3 * 10**6, 6281617, 78881935, *grid]
     worst = max((rel_err(sqrt_binom_sum_scaled(n), oracle_scaled_sum(n)), n) for n in ns)
-    assert worst[0] <= REL_TOL, worst
-
-
-def test_central_binomial_series_matches_oracle():
-    # Stirling's series for log Gamma gives the m^(1-2k) coefficient of
-    # log(C(2m, m) / 4^m) + log(pi m) / 2 as B_2k (2^(1-2k) - 2) / (2k (2k - 1)).
-    for k, coefficient in enumerate(numerics._CENTRE_SERIES, start=1):
-        exact = mpmath.bernoulli(2 * k) * (mpmath.mpf(2) ** (1 - 2 * k) - 2) / (2 * k * (2 * k - 1))
-        assert coefficient == float(exact), k
-    hi, lo = numerics._LOG_PI
-    assert hi == float(mpmath.log(mpmath.pi)) and lo == float(mpmath.log(mpmath.pi) - hi)
-    # From the switch up the centre term is within 0.55 ulp of the exact one.
-    for m in [4097, 4098, 5000, 12345, 10**5, 654321, 1_500_000, 5 * 10**7]:
-        exact = mpmath.log(mpmath.binomial(2 * m, m)) - 2 * m * mpmath.log(2)
-        value = numerics._log_central_binomial(m)
-        assert abs(mpmath.mpf(value) - exact) <= 0.55 * math.ulp(value), m
+    assert worst[0] <= 2e-16, worst
 
 
 def test_curve_table_matches_oracle():
@@ -104,8 +89,9 @@ def test_curve_table_matches_oracle():
             "p_unified_pair": fb * f_cnot,
             "p_unified_collective": fb * f_gcnot,
         }
-        for name, value in exact.items():
-            assert rel_err(getattr(point, name), value) <= REL_TOL, (n, name)
+        for name, exact_value in exact.items():
+            value = getattr(point, name)
+            assert abs(mpmath.mpf(value) - exact_value) <= 3 * math.ulp(value), (n, name)
 
 
 def test_closed_forms_finite_and_exact_past_float_range():

@@ -151,6 +151,10 @@ def test_numeric_examples():
 def test_numeric_domain_errors():
     with pytest.raises(ValueError):
         mean_fidelity_numeric(1, 0)
+    # A grid of 2.5 points does not exist; integer-like grid sizes do.
+    with pytest.raises(TypeError):
+        mean_fidelity_numeric(2, 2.5)
+    assert mean_fidelity_numeric(2, np.int64(8)) == mean_fidelity_numeric(2, 8)
     with pytest.raises(ValueError):
         mean_fidelity_closed(0)
 
@@ -353,15 +357,15 @@ SAMPLER_PINS = {
     ("full-mixed", 1): "e58346d0e6a2ec851e1ec76dfd0ab847742965c281a6b04c4da39a688455c4b8",
     ("pure", 2): "77cd93fdfdb3652a54204f1a924c20c1478f53ab1905d9a48477b15d461b6ce0",
     ("full-mixed", 2): "2c696607016a1a605f7ca30cf06794b8299cf424e3fda050d1d633915d7aaea3",
-    ("pure", 3): "efc604a168171fb84c37832035a3a41a8947992f0cc4c7bc9693e26732d7ac33",
-    ("full-mixed", 3): "9f0ba76affd5bffa493eed028af2e6fffad97746ae9dd6faeae9e85fe56ecf25",
-    ("pure", 12): "bff8ecc5f557f3d54f47354efea48bc0cc8a158f8d160a39b43ad69a7ce0a5a6",
-    ("full-mixed", 12): "356649c79cbf25252ae98b8e473eb28791fd8f51815ba2836f3e3b7a0fa0a771",
-    ("pure", 60): "436e8c188743bc57f4600683ffeb449c06d197845e72505aab50735313036072",
-    ("full-mixed", 60): "bebf6788375a1939cce53c787084f8db9daa6a100ca50ac293ebaf86a4688560",
-    ("full-mixed", 200): "38e377732131d9d241df6625e2c09ef31974ea8472efa10e88dc2d039d6ed4fb",
-    ("pure", 1029): "d77ca4c5cc8790f974724e684a91447d55c5726bbb1a7feb8fc35c8c75cda286",
-    ("full-mixed", 1029): "4e010d427daad96eb5d6de029036b35a2ca2bc740e0e2f73055aa57a699fb4ee",
+    ("pure", 3): "eee7d541d671d0fa0e3028553d0566dd4e847d33e7cc1f6a1df9593bd18a5037",
+    ("full-mixed", 3): "d28d0c060099f398037a61aa15543e138289b168386b3187a30c9d6bf5c86942",
+    ("pure", 12): "47c3a7d588e5127edc5de5d985ec6c7d09c078f7b852a438770e77b31c38d433",
+    ("full-mixed", 12): "d5a06d688f68763b57e3f5f58540ba611d3bfb1277688345c088ddbf5080686f",
+    ("pure", 60): "1a23082aabb6c40d51df40a330081d30a1bd76157d7a18d30b77641e22628eeb",
+    ("full-mixed", 60): "5ee90ec5a4f71f0337674815cb46af7807fc182c288a5f3fdd71cdd25bd5f34b",
+    ("full-mixed", 200): "6463115eac50779be98d4cb57ef973e7fe70bec1bd90b5996cf8c593b9ebdeab",
+    ("pure", 1029): "49dd997493788138fedacd25b262df1f8dd57022f2eac66d85c682be280d70d4",
+    ("full-mixed", 1029): "807c0b2e86df55526d5c9a0520f40ef2813e24bd2bba6e0fc27142de42b9b7d7",
 }
 
 

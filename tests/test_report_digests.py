@@ -80,8 +80,8 @@ CASES = {
 }
 
 DIGESTS = {
-    "curves-csv": "515a89a01386435aaed17420a5f699cee02fb0de15d743918804c4b23e09d423",
-    "curves-json": "7f6b84f9324dec022073e15d4872161fa9d06d76048912fbeb59107d3ca5f7d5",
+    "curves-csv": "3e4e22cbe599c517b82b33fb9ef9e921581f94df03d6cb439baf5694d058bfd8",
+    "curves-json": "28e6adf4b2f7574ae01a84768719e9ee41829f7ccb58572446a62e7a02159dde",
     "measurement-analytic-a-fixed-block-plus-7": "f68de5bfb0790628a94a1d45eb8bdff72e68b3909778ab6399241f1e7a1552ea",
     "measurement-analytic-b-fixed-block-plus-7": "ab176fa1fedb8114a894da38c85102211cd48a572d286cba129060f83a66a373",
     "measurement-analytic-fixed-csv": "4401501abfc10d291964e38437e1b8bc3277164dc7b8a6264758515440fb2eab",
@@ -91,8 +91,8 @@ DIGESTS = {
     "measurement-analytic-fixed-n30": "3e4274e03949019221be49ccf3d818d9a780ba7416f6b40ab213bbde95b892d4",
     "measurement-analytic-uniform-csv": "c2575b50e277b7468edbe605aed4bdffdc43a00949bca9cbbad7ca24439ff14b",
     "measurement-analytic-uniform-json": "5ffb2c0573543ffbac29149e86b4b286b39d735e4e2c157dafd406fe23e092ec",
-    "measurement-analytic-uniform-n60-csv": "0d49410cf09f9de1b0bedd21a55bb70bd01df1df17df7be3f340c2dcaaad2631",
-    "measurement-analytic-uniform-n60-json": "ef71e06e9fc15542c98d7c924db85c65667c92f71c915186416e571aa7a83661",
+    "measurement-analytic-uniform-n60-csv": "8b02727c5e595e47e2773cae66bbe52e14924df8bcce0e47f1adb1aed5fd6930",
+    "measurement-analytic-uniform-n60-json": "fb394ad9be9a5e98ea0cdb8c44daa634d0699cfe3322e33c3207efec8b29c1a6",
     "measurement-block-plus-7-csv": "7114065416ea1e8c0c2de47f4b34903e5d3e0aa373f707250c63194b67551687",
     "measurement-block-plus-7-json": "e5453c8a8de704e3017edfccb8acd6748840368806f7196504b3d36ee0235a20",
     "measurement-full-a-fixed-block-plus-7": "8ca19b1539b61b9ca2916a8271eca3f534c3ecef1d12e7a638d3c090a91c3cf5",
@@ -101,8 +101,8 @@ DIGESTS = {
     "measurement-full-fixed-json": "3da0c61e98f71bed5e86ef9ccda5c46ff7b0a0fe65e48d46cf625c7095a9b3f9",
     "measurement-full-uniform-csv": "55c64f7da278152d331c4a78f380bb583f6a49ead834297e2b39e1d49ae2aaa0",
     "measurement-full-uniform-json": "7b57171d54a85d367b7cfe61d7a8c49151e09878488c95f40985d1fdde373863",
-    "povm-csv": "b2025eac7bae28a1f559bcab9a645879b61170a03742f07fda6dd2d3ed5a8f80",
-    "povm-json": "b0dc1e4fb878c974e2175ed56f6a7f071caf7e5d9ea984efafc3068aa601fdfc",
+    "povm-csv": "76fdf7c5c61bff4b881ff9a381dd54af5d83866bdfc604dbdb25e698079c72e9",
+    "povm-json": "9ca310b5cadea70e2861d3dceff040080444500ac688ef113e0029e0a1dc6dbc",
     "unified-collective-analytic-a-fixed-block-plus-7": "831cd25daa39ba0f23bd0fd71b29f53f087387b1974e8499c30261eed182d1cb",
     "unified-collective-analytic-b-fixed-block-plus-7": "515ca61543c2f23148b523bdd8ff0c82741a0d24e9e6b4ca2ecdcd0eca193014",
     "unified-collective-analytic-fixed-csv": "62cc59b2254f506730762924d606b9f7cd64b249cabcae6f78e932f5b6bef55d",
@@ -113,7 +113,7 @@ DIGESTS = {
     "unified-collective-full-b-fixed-block-plus-7": "3ef37650d13a0dab995b0b1d196b6b2b25dda086a9d96a9b67c29eb19104bb77",
     "unified-collective-full-fixed-csv": "e84c31812c1fce0551a39ea235d695f903edb331149e57285d396af1a2b2a6cd",
     "unified-collective-full-fixed-json": "f80b4f395daf48a32c4698f63decf28874fabd153f55295d9ba2fa0e3230e6cc",
-    "unified-collective-full-fixed-n12": "f11758156b742ece7b707f94f174372e6160edf343e36b2e6d664be699b00e30",
+    "unified-collective-full-fixed-n12": "de44eb75b9432f6c4137d68f0712ccf8c83059505f8ffb240a87eeebd6a63eb4",
     "unified-collective-full-uniform-csv": "e1d39ab39e3b8fcdc1f6f230224afa305de469803d20f09067a3f88f9d937b0a",
     "unified-collective-full-uniform-json": "7cbece193750ecca4e1996875cdfd4c5357d8e5a0a0870a700819080ad18dc45",
     "unified-pair-analytic-a-fixed-block-plus-7": "eaeb5308c229d740ea83594f75d5dacc127c915dc9e2132399d0838f015124c5",
