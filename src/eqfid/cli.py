@@ -66,10 +66,9 @@ def _parse_phase(raw: str, degrees: bool) -> float | None:
 
 def cmd_curves(args) -> int:
     out = _resolve_out(args.out)
-    if args.gnuplot and (out is None or args.format != "csv"):
-        raise ValueError("--gnuplot requires --out together with --format csv")
-    if args.gnuplot and out.suffix == ".gp":
-        raise ValueError("--gnuplot writes <out>.gp, so --out must not end in .gp")
+    # The script goes to out with suffix .gp, so an out ending in .gp would be overwritten.
+    if args.gnuplot and (out is None or out.suffix == ".gp" or args.format != "csv"):
+        raise ValueError("--gnuplot requires --format csv and an --out path not ending in .gp")
     rows = [tuple(vars(p).values()) for p in curve_table(args.n_min, args.n_max)]
     # The first field, n_copies, is written as N in CSV and n in JSON.
     names = [f.name for f in fields(StrategyCurvePoint)][1:]

@@ -100,9 +100,9 @@ def sqrt_binom_sum_scaled(n: int) -> float:
 
     The exact window sum of exp((l_i + l_{i+1}) / 2) over D, both from
     binomial_log_ratios: one correctly rounded int / int quotient, whose two
-    sums share the walk's rounding. Within 1.2e-16 relative of an mpmath
-    oracle (n = 1..2058 and 76 n from 1e3 to 1e8). Each n is computed once per
-    process.
+    sums share the walk's rounding. Within 1.4e-16 relative of an mpmath
+    oracle (n = 1..2058 and 76 n from 1e3 to 1e8) with numpy's AVX-512 or
+    AVX2 loops. Each n is computed once per process.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -1,8 +1,6 @@
 """Reference implementations that the package's fast routes are checked
 against. Each is slow and written for plainness; none is used by eqfid."""
 
-import math
-
 import numpy as np
 
 

@@ -65,8 +65,8 @@ def eta(n, m):
 
 def test_sqrt_binom_sum_scaled_matches_oracle():
     # S_n / 2^n is one rounding of a quotient whose two sums share the walk's
-    # rounding; hold it to 2e-16, never looser. 6281617 and 78881935 are
-    # where an earlier centre-term route reached 1.2e-15 and 1.9e-15.
+    # rounding; hold it to 2e-16, never looser. At 6281617 and 78881935 a
+    # centre term rounded to one float puts S past 1e-15.
     grid = [round(10 ** (k / 2)) for k in range(7, 17)]
     ns = [*range(1, 71), 1000, 1023, 1100, 999736, 3 * 10**6, 6281617, 78881935, *grid]
     worst = max((rel_err(sqrt_binom_sum_scaled(n), oracle_scaled_sum(n)), n) for n in ns)
