@@ -291,7 +291,7 @@ def simulate(config: TrialConfig) -> TrialReport:
         est *= TWO_PI
         value = floats[0, : counts[-1]]
         error = _score([est], [np.array([phases[0]])], value, floats[2, : counts[-1]])
-        return [counts, *_moment_sums(value, error, floats, ints)]
+        return [counts, *_moment_sums(value, error, floats)]
 
     def trial_block(start: int, stop: int, ws: _Workspace) -> list:
         """Tallies (one row per register) and the exact numerators of the sums
@@ -332,7 +332,7 @@ def simulate(config: TrialConfig) -> TrialReport:
             phis.append(phi)
             counts[i] = np.bincount(k, minlength=n_slots)
         error = _score(ests, phis, floats[0], scratch)
-        return [counts, *_moment_sums(floats[0], error, floats, ints)]
+        return [counts, *_moment_sums(floats[0], error, floats)]
 
     counts, *sums = _sum_blocks(cell_block if by_cell else trial_block, config.trials)
     if by_cell:
@@ -491,16 +491,15 @@ def _draws(seed: int, start: int, stop: int, ws: _Workspace) -> tuple:
     return rng.random(out=ws.draws[:m]), ws.floats[:, :m], ws.ints[:, :m]
 
 
-def _moment_sums(value: np.ndarray, error: np.ndarray, floats: np.ndarray,
-                 ints: np.ndarray) -> list[int]:
+def _moment_sums(value: np.ndarray, error: np.ndarray, floats: np.ndarray) -> list[int]:
     """The exact numerators of the sums of value, value^2, error and error^2;
-    floats rows 5-8 and ints row 1 are scratch."""
+    floats rows 5-8 are scratch, rows 6-8 for _exact_sum as int64."""
     sums = []
     for x in (value, error):
         m = len(x)
-        sums.append(_exact_sum(x, floats[6:9, :m], ints[1:2, :m]))
-        square = np.multiply(x, x, out=floats[5, :m])
-        sums.append(_exact_sum(square, floats[6:9, :m], ints[1:2, :m]))
+        scratch = floats[6:9, :m].view(np.int64)
+        sums.append(_exact_sum(x, scratch))
+        sums.append(_exact_sum(np.multiply(x, x, out=floats[5, :m]), scratch))
     return sums
 
 

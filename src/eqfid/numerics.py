@@ -4,9 +4,14 @@ Every binomial quantity the package uses, S_n / 2^n and the Dicke weights,
 is a quotient of exact sums over the O(sqrt(n)) window of
 binomial_log_ratios: one route for every n, with no centre term.
 Every exactly rounded sum in the package, here and in montecarlo, is an
-_exact_sum numerator over SUM_DENOMINATOR. S_n / 2^n is kept per n for the
-process, one float each; symmetric keeps each N's Dicke weights. Every
-phase the package takes passes through as_phase.
+_exact_sum numerator over SUM_DENOMINATOR. _exact_sum reads each float's
+exponent and mantissa from its bits and adds them as integers: a short input
+in Python ints; a longer one in two int64 sums over the band of exponents
+next to the largest, which holds all or most of a Monte Carlo block's
+values, and in bins by exponent below the band, as across the wide span of
+a binomial window. S_n / 2^n is kept per n for the process, one float each;
+symmetric keeps each N's Dicke weights. Every phase the package takes
+passes through as_phase.
 """
 
 import functools
@@ -17,12 +22,15 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# _exact_sum numerators count units of 2^-1126, the lowest bit of the
-# smallest subnormal.
+# _exact_sum numerators count units of 2^-1126, 2^-52 of the smallest
+# subnormal: the value m 2^(e - 1075) is m << (e + 51).
 SUM_DENOMINATOR = 1 << (1073 + 53)
-# _exact_sum bins at most this many values at a time, so that no bin sum
-# reaches 2^53.
+# _exact_sum sums at most this many values at a time, so that no bin sum
+# passes 2^53 in magnitude and the band keeps at least 9 binades.
 _SLICE = 1 << 26
+# Up to this many terms are added in Python ints.
+_SMALL = 200
+_LOW_HALF = (1 << 26) - 1
 
 
 def as_phase(phi) -> float:
@@ -36,40 +44,104 @@ def as_phase(phi) -> float:
     return 0.0 if v >= TWO_PI else v
 
 
-def _exact_sum(values: np.ndarray, floats: np.ndarray | None = None,
-               ints: np.ndarray | None = None) -> int:
-    """The integer S with S / SUM_DENOMINATOR the exact sum of values, so
-    that S / SUM_DENOMINATOR rounds to math.fsum(values).
+def _exact_sum(values: np.ndarray, scratch: np.ndarray | None = None) -> int:
+    """The integer S with S / SUM_DENOMINATOR the exact sum of the float64
+    values, so that S / SUM_DENOMINATOR rounds to math.fsum(values); a
+    ValueError for an infinite or NaN value.
 
-    frexp writes each value as m 2^(e - 53) with m a 53-bit integer. Its
-    26-bit halves, floor(m 2^-26) and m - 2^26 floor(m 2^-26), are exact in
-    floats; they are summed per exponent by bincount, exactly while a bin
-    stays below 2^53, and the bins fold into one Python int. A longer input
-    is binned _SLICE values at a time, so a high-half bin stays below
-    2^27 _SLICE = 2^53. Exponents run from -1073 (the smallest subnormal)
-    up. floats (3 rows) and ints (1 row) are scratch matrices of at least
-    min(len(values), _SLICE) columns, allocated when not given.
+    Each value's bits give its biased exponent e = bits >> 52 and its 53-bit
+    mantissa m, the low 52 bits plus the implicit bit; subnormals and zeros
+    take e = 1 and no implicit bit, so that the value is m 2^(e - 1075) and
+    S = sum m << (e + 51). Up to _SMALL values are added in Python ints. A
+    longer input splits m into its 27- and 26-bit halves and adds those of
+    the band of exponents within 36 - bits(n) binades of the largest,
+    shifted by e less the band's base, in two int64 sums: no shifted half
+    passes 2^(26 + band) in magnitude, so neither sum reaches 2^62. The
+    values below the band are summed apart (_sum_apart: in Python ints, or
+    binned by exponent), and when they are the majority, all values are. An
+    input longer than _SLICE is summed a slice at a time. scratch is an
+    int64 matrix of at least 3 rows and min(len(values), _SLICE) columns,
+    allocated when not given.
     """
     n = len(values)
-    if floats is None:
-        size = min(n, _SLICE)
-        floats, ints = np.empty((3, size)), np.empty((1, size), dtype=np.intp)
+    if scratch is None:
+        scratch = np.empty((3, min(n, _SLICE)), dtype=np.int64)
     if n > _SLICE:
-        return sum(_exact_sum(values[i:i + _SLICE], floats, ints) for i in range(0, n, _SLICE))
-    m, high, low = floats[:3, :n]
-    bins = ints[0, :n]
-    np.frexp(values, out=(m, bins))
-    bins += 1073
-    m *= 2.0**53
-    np.floor(np.multiply(m, 2.0**-26, out=high), out=high)
-    np.subtract(m, np.multiply(high, 2.0**26, out=low), out=low)
-    high = np.bincount(bins, weights=high)
-    low = np.bincount(bins, weights=low)
-    live = np.flatnonzero((high != 0.0) | (low != 0.0))
+        return sum(_exact_sum(values[i:i + _SLICE], scratch) for i in range(0, n, _SLICE))
+    if not n:
+        return 0
+    e, m, t = scratch[:3, :n]
+    bits = values.view(np.int64)
+    np.right_shift(bits, 52, out=e)
+    np.bitwise_and(bits, (1 << 52) - 1, out=m)
+    m |= 1 << 52
+    low, top = int(e.min()), int(e.max())
+    signed = low < 0
+    if signed:
+        e &= 0x7FF
+        low, top = int(e.min()), int(e.max())
+    if top == 0x7FF:
+        raise ValueError("an exact sum takes finite values only")
+    if low == 0:  # zeros and subnormals: exponent 1 and no implicit bit
+        tiny = np.flatnonzero(np.equal(e, 0, out=t.view(bool)[:n]))
+        m[tiny] ^= 1 << 52
+        e[tiny] = 1
+        low = 1
+    if signed:
+        np.right_shift(bits, 63, out=t)  # -1 where negative, else 0
+        m ^= t
+        m -= t
+    if n <= _SMALL:
+        return _sum_apart(m, e, t, low)
+    base = max(low, top + n.bit_length() - 35)
     total = 0
-    for e, h, l in zip(live.tolist(), high[live].tolist(), low[live].tolist()):
-        total += ((int(h) << 26) + int(l)) << e
-    return total
+    if low < base:
+        below = np.less(e, base, out=t.view(bool)[:n])
+        if 2 * np.count_nonzero(below) > n:
+            return _sum_apart(m, e, t, low)
+        below = np.flatnonzero(below)
+        total = _sum_apart(m[below], e[below], t[:len(below)], low)
+        # A zero mantissa and shift, never a negative shift count.
+        m[below] = 0
+        e[below] = base
+    np.right_shift(m, 26, out=t)
+    m &= _LOW_HALF
+    if top > base:
+        e -= base
+        t <<= e
+        m <<= e
+    return total + (((int(t.sum()) << 26) + int(m.sum())) << (base + 51))
+
+
+def _sum_apart(m: np.ndarray, e: np.ndarray, t: np.ndarray, low: int) -> int:
+    """The _exact_sum numerator of sum m 2^(e - 1075), for at most _SLICE
+    mantissas m and exponents e >= low >= 1; the scratch row t is
+    overwritten, and so is e when there are at most _SMALL terms.
+
+    Up to _SMALL terms are added in Python ints. More are binned by e: the
+    bins of the mantissas' halves are exact, as every bin sum stays within
+    2^27 _SLICE = 2^53. They fold into int64 sums from bin low up, in which
+    a high half lands 26 bins above its low half, and then runs of w
+    adjacent sums fold into one, each shifted by its place in the run; w
+    leaves every run's sum below 2^62. The runs fold into one Python int.
+    """
+    if len(m) <= _SMALL:
+        e -= low
+        return sum(map(operator.lshift, m.tolist(), e.tolist())) << (low + 51)
+    weights = t.view(np.float64)
+    low_sums = np.bincount(e, weights=np.bitwise_and(m, _LOW_HALF, out=weights))[low:]
+    size = len(low_sums) + 26
+    # Room to pad the sums to a whole number of runs of any length w <= 62.
+    sums = np.zeros(size + 62, dtype=np.int64)
+    sums[:size - 26] = low_sums
+    high_sums = np.bincount(e, weights=np.right_shift(m, 26, out=weights))[low:]
+    sums[26:size] += high_sums.astype(np.int64)
+    w = 62 - int(np.abs(sums).max()).bit_length()
+    runs = sums[:-(-size // w) * w].reshape(-1, w) << np.arange(w)
+    total = 0
+    for run in reversed(runs.sum(axis=1).tolist()):
+        total = (total << w) + run
+    return total << (low + 51)
 
 
 def binomial_log_ratios(n: int) -> tuple[int, np.ndarray, int]:

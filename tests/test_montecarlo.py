@@ -449,6 +449,23 @@ def test_exact_sum_equals_fsum():
     assert montecarlo._exact_sum(arrays["edges"]) == SUM_DENOMINATOR * sum(map(Fraction, edges))
 
 
+def test_exact_sum_in_moment_sums_scratch_rows():
+    # A block hands _exact_sum float workspace rows viewed as int64, beside
+    # the rows that hold its values: the sums are exact and the values stay.
+    rng = np.random.default_rng(17)
+    n = 5000
+    floats = montecarlo._workspace(n).floats
+    value, error = floats[0], floats[1]
+    value[:] = 0.5 + rng.random(n) / 2  # one exponent
+    error[:] = rng.random(n) ** 8  # some below the band, more once squared
+    error[::50] = 0.0
+    kept = value.copy(), error.copy()
+    expected = [SUM_DENOMINATOR * sum(map(Fraction, x.tolist()))
+                for x in (value, value * value, error, error * error)]
+    assert montecarlo._moment_sums(value, error, floats) == expected
+    assert np.array_equal(value, kept[0]) and np.array_equal(error, kept[1])
+
+
 # --- mixed ensemble distribution ------------------------------------------
 
 def test_mixed_distribution_pure_limit():

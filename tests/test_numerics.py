@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -64,28 +65,90 @@ def test_binomial_log_pmf_domain_error():
         binomial_log_ratios(-1)
 
 
+def exact(values):
+    """The _exact_sum numerator of values, from Fractions."""
+    return SUM_DENOMINATOR * sum(map(Fraction, values.tolist()))
+
+
 @settings(deadline=None)
 @given(hnp.arrays(np.float64, st.integers(0, 5000),
                   elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_exact_sum_is_the_exact_sum(values):
     # hypothesis draws both signs, subnormals and the whole exponent range.
-    assert numerics._exact_sum(values) == SUM_DENOMINATOR * sum(map(Fraction, values.tolist()))
+    assert numerics._exact_sum(values) == exact(values)
 
 
 def test_exact_sum_slices_long_inputs(monkeypatch):
-    # Inputs longer than _SLICE are binned a slice at a time; a short slice
-    # length makes every case below take several, ragged ones included.
+    # Inputs longer than _SLICE are summed a slice at a time; a short slice
+    # length makes every case below take several, ragged ones included, by
+    # the small route (1, 7, 64) and by the band and its binned remainder
+    # (1000, 1001).
     rng = np.random.default_rng(7)
     values = rng.standard_normal(1001) * 10.0 ** rng.integers(-300, 300, 1001)
     values[::5] = 2.0**1023
     values[1::7] = 5e-324
-    expected = SUM_DENOMINATOR * sum(map(Fraction, values.tolist()))
+    expected = exact(values)
     for length in (1, 7, 64, 1000, 1001):
         monkeypatch.setattr(numerics, "_SLICE", length)
         assert numerics._exact_sum(values) == expected, length
         # Caller scratch of only the slice length is enough.
-        floats, ints = np.empty((3, length)), np.empty((1, length), dtype=np.intp)
-        assert numerics._exact_sum(values, floats, ints) == expected, length
+        scratch = np.empty((3, length), dtype=np.int64)
+        assert numerics._exact_sum(values, scratch) == expected, length
+
+
+def _band_edge():
+    # The band of a 4096-value input spans 36 - 13 = 23 binades: powers of
+    # two from 2^-30 to 2^0 straddle its edge, and a remainder of tiny values
+    # lies far below it.
+    rng = np.random.default_rng(11)
+    values = rng.random(4096) * 2.0 ** rng.integers(-30, 1, 4096)
+    values[::97] = 3e-300
+    return values
+
+
+def _exact_sum_cases():
+    rng = np.random.default_rng(5)
+    tiny = 5e-324  # 2^-1074
+    subnormals = rng.integers(-(2**20), 2**20, 3000) * tiny
+    subnormals[::3] = rng.random(1000) * 2.0**-1022
+    subnormals[1::50] = tiny
+    yield "hot bin", 0.5 + rng.random(32768) / 2
+    yield "band edge", _band_edge()
+    # Every value but one at the top of its binade and shifted across the
+    # whole band: the int64 sums come within 2^62 (2^63 with a band two
+    # binades wider).
+    yield "full band", np.append(np.full(32767, np.nextafter(2.0, 0.0)), 2.0**-30)
+    yield "subnormals", subnormals
+    yield "zeros", np.zeros(1000)
+    yield "zeros and one", np.concatenate([np.zeros(500), [1.5], -np.zeros(500)])
+    yield "mixed signs", rng.standard_normal(5000) * 2.0 ** rng.integers(-40, 40, 5000)
+    yield "mostly below the band", np.exp(-rng.random(3000) * 700.0)
+    yield "cancelling", np.array([1e300, 1.0, -1e300, 2.0**-1074] * 100)
+    for length in (numerics._SMALL - 1, numerics._SMALL, numerics._SMALL + 1):
+        scale = 2.0 ** rng.integers(-60, 60, length)
+        yield f"length {length}", rng.standard_normal(length) * scale
+
+
+@pytest.mark.parametrize("values", [pytest.param(v, id=name) for name, v in _exact_sum_cases()])
+def test_exact_sum_routes(values):
+    expected = exact(values)
+    assert numerics._exact_sum(values) == expected
+    assert numerics._exact_sum(-values) == -expected
+    assert numerics._exact_sum(values[::-1]) == expected
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -math.nan])
+@pytest.mark.parametrize("length", [1, numerics._SMALL, numerics._SMALL + 1, 40000])
+def test_exact_sum_rejects_non_finite(bad, length):
+    # Read as bits, an infinity or a NaN would sum as a huge finite value;
+    # it is a ValueError, with no warning on the way, wherever it sits.
+    for where in (0, length // 2, length - 1):
+        values = np.full(length, 0.75)
+        values[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                numerics._exact_sum(values)
 
 
 def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):

@@ -2,7 +2,7 @@
 
 The oracle sums exact integer products for small n; for large n it starts
 from the central term and walks outward with the exact term ratio until the
-terms fall below 1e-45 of the central one.
+terms fall below 1e-20 of the central one, and bounds the tails it drops.
 """
 
 import functools
@@ -19,6 +19,10 @@ from eqfid.strategies import curve_table, p_unified_collective
 mpmath = pytest.importorskip("mpmath")
 
 REL_TOL = 1e-15
+# oracle_scaled_sum stops its walks below FLOOR of the central term and
+# bounds what they drop by TAIL, relative.
+FLOOR = 1e-20
+TAIL = 1e-20
 
 
 @pytest.fixture(autouse=True)
@@ -30,24 +34,42 @@ def forty_digits():
 
 @functools.cache
 def oracle_scaled_sum(n):
-    """S_n / 2^n with S_n = sum_i sqrt(C(n,i) C(n,i+1)), i = 0 .. n-1."""
+    """S_n / 2^n with S_n = sum_i sqrt(C(n,i) C(n,i+1)), i = 0 .. n-1.
+
+    Past n = 2000 two walks leave the central term by the exact term ratio
+    and stop once a term falls below FLOOR of it. The terms are log-concave
+    in i (each is a geometric mean of two log-concave binomials), so the
+    ratios shrink outward: with t the last term a walk adds and r the ratio
+    of the next one to it, its dropped tail is at most t r / (1 - r). Each
+    sum asserts that its two tails together stay below TAIL of it, 5e-5 of
+    the 2e-16 that test_sqrt_binom_sum_scaled_matches_oracle allows.
+    """
     if n <= 2000:
         total = mpmath.fsum(mpmath.sqrt(math.comb(n, i) * math.comb(n, i + 1)) for i in range(n))
         return total / mpmath.mpf(2) ** n
     c = (n - 1) // 2
     first = mpmath.sqrt(mpmath.binomial(n, c) * mpmath.binomial(n, c + 1)) / mpmath.mpf(2) ** n
-    floor = first * mpmath.mpf(10) ** -45
-    total = first
-    term, i = first, c
-    while i + 1 < n and term > floor:  # term(i+1) / term(i)
-        term *= mpmath.sqrt(mpmath.mpf((n - i) * (n - i - 1)) / ((i + 1) * (i + 2)))
-        i += 1
-        total += term
-    term, i = first, c
-    while i > 0 and term > floor:  # term(i-1) / term(i)
-        term *= mpmath.sqrt(mpmath.mpf(i * (i + 1)) / ((n - i + 1) * (n - i)))
-        i -= 1
-        total += term
+
+    def up(i):  # term(i+1) / term(i), 0 past the last term
+        if i + 1 == n:
+            return 0
+        return mpmath.sqrt(mpmath.mpf((n - i) * (n - i - 1)) / ((i + 1) * (i + 2)))
+
+    def down(i):  # term(i-1) / term(i), 0 past the first term
+        if i == 0:
+            return 0
+        return mpmath.sqrt(mpmath.mpf(i * (i + 1)) / ((n - i + 1) * (n - i)))
+
+    total, tails, floor = first, 0, first * FLOOR
+    for ratio, step in ((up, 1), (down, -1)):
+        term, i = first, c
+        while term > floor and (r := ratio(i)):
+            term *= r
+            i += step
+            total += term
+        r = ratio(i)
+        tails += term * r / (1 - r)
+    assert tails <= TAIL * total, (n, tails / total)
     return total
 
 
