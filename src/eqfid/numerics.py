@@ -1,17 +1,20 @@
 """Binomial weights, their exact sums and the phase normalization.
 
 Every binomial quantity the package uses, S_n / 2^n and the Dicke weights,
-is a quotient of exact sums over the O(sqrt(n)) window of
-binomial_log_ratios: one route for every n, with no centre term.
+comes from the O(sqrt(n)) window of binomial_log_ratios, with no centre
+term: S_n / 2^n up to n = SERIES_FROM and the Dicke weights at every n are
+quotients of exact sums over it. Above SERIES_FROM, S_n / 2^n is 1 - d_n
+from the first five terms of d_n's 1/n series, in O(1) and IEEE operations
+only. binomial_window keeps each window up to BASIS_CAP for the process, so
+that S_n and the weights share one walk per n; S_n / 2^n is kept per n up
+to SERIES_FROM, one float each.
 Every exactly rounded sum in the package, here and in montecarlo, is an
 _exact_sum numerator over SUM_DENOMINATOR. _exact_sum reads each float's
 exponent and mantissa from its bits and adds them as integers: a short input
 in Python ints; a longer one in two int64 sums over the band of exponents
 next to the largest, which holds all or most of a Monte Carlo block's
 values, and in bins by exponent below the band, as across the wide span of
-a binomial window. S_n / 2^n is kept per n for the process, one float each;
-symmetric keeps each N's Dicke weights. Every phase the package takes
-passes through as_phase.
+a binomial window. Every phase the package takes passes through as_phase.
 """
 
 import functools
@@ -31,6 +34,21 @@ _SLICE = 1 << 26
 # Up to this many terms are added in Python ints.
 _SMALL = 200
 _LOW_HALF = (1 << 26) - 1
+
+# Largest N with an outcome law: every N that ever ran. It bounds one cost,
+# the O(N^2) correlations behind either law (1 pure, up to 24 full-mixed,
+# 4 ms at the cap); an outcome row is one FFT at any N. binomial_window keeps
+# the windows up to the cap, each the whole row of N+1 floats: about 4.3 MB
+# for all of them.
+BASIS_CAP = 1029
+
+# Above this n, S_n / 2^n = 1 - d_n with
+# d_n = 1/(2n) - 1/(8n^2) + 7/(16n^3) + 101/(128n^4) + 1191/(256n^5),
+# each coefficient exact in binary. The next term, 29163/(1024 n^6), is below
+# 1e-22 past the threshold, and d_n is below 2^-14, so the float evaluation
+# rounds S to within 0.501 ulp.
+SERIES_FROM = 8192
+DEFICIT_SERIES = (1 / 2, -1 / 8, 7 / 16, 101 / 128, 1191 / 256)
 
 
 def as_phase(phi) -> float:
@@ -167,23 +185,44 @@ def binomial_log_ratios(n: int) -> tuple[int, np.ndarray, int]:
     return lo, logs, _exact_sum(np.exp(logs))
 
 
+def binomial_window(n: int) -> tuple[int, np.ndarray, int]:
+    """binomial_log_ratios(n), kept for the process when n <= BASIS_CAP (its
+    logs read-only) and walked afresh on every call above."""
+    return _window(n) if n <= BASIS_CAP else binomial_log_ratios(n)
+
+
+@functools.cache
+def _window(n: int) -> tuple[int, np.ndarray, int]:
+    lo, logs, total = binomial_log_ratios(n)
+    logs.flags.writeable = False
+    return lo, logs, total
+
+
 def sqrt_binom_sum_scaled(n: int) -> float:
     """S_n / 2^n with S_n = sum_i sqrt(C(n,i) C(n,i+1)), i = 0 .. n-1.
 
-    The exact window sum of exp((l_i + l_{i+1}) / 2) over D, both from
-    binomial_log_ratios: one correctly rounded int / int quotient, whose two
-    sums share the walk's rounding. Within 1.4e-16 relative of an mpmath
-    oracle (n = 1..2058 and 76 n from 1e3 to 1e8) with numpy's AVX-512 or
-    AVX2 loops. Each n is computed once per process.
+    Up to SERIES_FROM: the exact window sum of exp((l_i + l_{i+1}) / 2) over
+    D, both from binomial_window: one correctly rounded int / int quotient,
+    whose two sums share the walk's rounding, kept per n for the process.
+    Within 1.4e-16 relative of an mpmath oracle (n = 1..2058 and 1e3..8192)
+    with numpy's AVX-512 or AVX2 loops. Above: 1 - d_n, d_n = sum_k a_k / n^k
+    over DEFICIT_SERIES by Horner's rule in x = 1 / n, a correctly rounded
+    int division; O(1), host-independent, and within 0.501 ulp at every n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _sqrt_binom_sum_scaled(operator.index(n))
+    n = operator.index(n)
+    if n <= SERIES_FROM:
+        return _sqrt_binom_sum_scaled(n)
+    x, d = 1 / n, 0.0
+    for a in reversed(DEFICIT_SERIES):
+        d = d * x + a
+    return 1.0 - d * x
 
 
 @functools.cache
 def _sqrt_binom_sum_scaled(n: int) -> float:
-    _, logs, total = binomial_log_ratios(n)
+    _, logs, total = binomial_window(n)
     return _exact_sum(np.exp(0.5 * (logs[:-1] + logs[1:]))) / total
 
 

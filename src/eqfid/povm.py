@@ -19,7 +19,7 @@ import numpy as np
 
 from .numerics import TWO_PI, as_phase, sqrt_binom_sum_scaled
 # BASIS_CAP and check_cap bound every outcome law; callers read them here.
-from .symmetric import BASIS_CAP, _weights, check_cap
+from .symmetric import BASIS_CAP, _dicke_weights, check_cap
 
 DEFAULT_PHASE_GRID = 64
 
@@ -267,7 +267,7 @@ def mixed_coefficients(n_copies: int, eta_value: float) -> np.ndarray:
     if not 0.0 <= eta_value <= 1.0:
         raise ValueError(f"shrinking factor must lie in [0, 1], got {eta_value}")
     n, eta = operator.index(n_copies), float(eta_value)
-    w, p_plus, p_minus = _weights(n), (1.0 + eta) / 2.0, (1.0 - eta) / 2.0
+    w, p_plus, p_minus = _dicke_weights(n), (1.0 + eta) / 2.0, (1.0 - eta) / 2.0
     slope = n - 2 * np.arange(n + 1)
     h_prev, h, c = np.zeros(n + 1), np.ones(n + 1), np.zeros(n + 1)
     for j in range(n + 1):

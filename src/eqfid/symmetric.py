@@ -2,30 +2,25 @@
 
 N identical qubits never leave the (N+1)-dimensional permutation-symmetric
 subspace, so an N-copy equatorial state is held as an (N+1)-vector of Dicke
-amplitudes instead of a 2^N-vector. Each N's Dicke weights, which both
-outcome laws are built from, are kept for the process (the laws are built
-afresh on each call): 8 (N+1) bytes, about 15 KB for N up to 60 and at most
-about 4.3 MB for every N up to BASIS_CAP.
+amplitudes instead of a 2^N-vector. The Dicke weights, which both outcome
+laws are built from, are taken afresh on each call from the binomial window
+of numerics.binomial_window, which keeps each N's window up to BASIS_CAP for
+the process and shares it with S_N / 2^N: 8 (N+1) bytes, about 15 KB for N
+up to 60 and at most about 4.3 MB for every N up to BASIS_CAP.
 """
 
-import functools
 import itertools
 import math
 import operator
 
 import numpy as np
 
-from .numerics import SUM_DENOMINATOR, as_phase, binomial_log_ratios
+from .numerics import BASIS_CAP, SUM_DENOMINATOR, as_phase, binomial_window
 
 # Largest N for which the 2^N-dimensional embedding is materialized (4096-dim
 # at the cap); only the full-space reference mixed_ensemble_distribution needs
 # it, and simulate never does.
 EMBEDDING_CAP = 12
-
-# Largest N with an outcome law: every N that ever ran. It bounds one cost,
-# the O(N^2) correlations behind either law (1 pure, up to 24 full-mixed,
-# 4 ms at the cap); an outcome row is one FFT at any N.
-BASIS_CAP = 1029
 
 
 def check_cap(n_copies: int) -> None:
@@ -41,28 +36,20 @@ def symmetric_state(n_copies: int, phase) -> np.ndarray:
     Component n is sqrt(C(N, n)) e^{i n phi} / 2^{N/2}: the modulus carries
     the binomial weight of strings with n excitations and the phase winds
     linearly, which is what makes covariant phase measurements tractable.
-    The weights are sqrt(e^(l_i) / D) over the window of binomial_log_ratios
+    The weights are sqrt(e^(l_i) / D) over the window of binomial_window
     and exactly zero outside it.
     """
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
     n = operator.index(n_copies)
-    w = _weights(n) if n <= BASIS_CAP else _dicke_weights(n)
-    return w * np.exp(1j * as_phase(phase) * np.arange(n + 1))
+    return _dicke_weights(n) * np.exp(1j * as_phase(phase) * np.arange(n + 1))
 
 
 def _dicke_weights(n: int) -> np.ndarray:
-    lo, logs, total = binomial_log_ratios(n)
+    """Fresh Dicke weights of an int N >= 0."""
+    lo, logs, total = binomial_window(n)
     w = np.zeros(n + 1)
     w[lo : lo + len(logs)] = np.sqrt(np.exp(logs) / (total / SUM_DENOMINATOR))
-    return w
-
-
-@functools.cache
-def _weights(n: int) -> np.ndarray:
-    """Read-only Dicke weights of an int N that has passed check_cap."""
-    w = _dicke_weights(n)
-    w.flags.writeable = False
     return w
 
 

@@ -1,6 +1,9 @@
 """Reference implementations that the package's fast routes are checked
 against. Each is slow and written for plainness; none is used by eqfid."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -31,3 +34,55 @@ def dicke_recursion_coefficients(n_copies: int, eta_value: float) -> np.ndarray:
     c[1:] *= 2.0
     return c
 
+
+def binomial_central_moments(order: int) -> list[list[Fraction]]:
+    """E (X - n/2)^j for X ~ Bin(n, 1/2), j = 0 .. order, each as the
+    coefficients of n^0, n^1, ... of a polynomial in n.
+
+    X - n/2 is a sum of n independent steps of +-1/2, so its cumulants are n
+    times a step's, k_j; those follow from the step's moments 2^-j (j even,
+    0 odd) by the moment-cumulant recurrence, and the moments of X - n/2 from
+    its cumulants by the same recurrence. Odd cumulants vanish, so the j-th
+    moment has degree j // 2 in n.
+    """
+    step = [Fraction(1, 2**j) if j % 2 == 0 else Fraction(0) for j in range(order + 1)]
+    k = [Fraction(0)] * (order + 1)
+    for j in range(1, order + 1):
+        k[j] = step[j] - sum(math.comb(j - 1, i - 1) * k[i] * step[j - i] for i in range(1, j))
+    moments = [[Fraction(1)]]
+    for j in range(1, order + 1):
+        poly = [Fraction(0)] * (j // 2 + 1)
+        for i in range(2, j + 1, 2):
+            for t, c in enumerate(moments[j - i]):
+                poly[t + 1] += math.comb(j - 1, i - 1) * k[i] * c
+        moments.append(poly)
+    return moments
+
+
+def deficit_series(terms: int) -> list[Fraction]:
+    """a_1 .. a_terms of the deficit d_n = 1 - S_n / 2^n = sum_k a_k / n^k.
+
+    S_n / 2^n = E sqrt((n - X) / (X + 1)), X ~ Bin(n, 1/2). With m = n/2,
+    u = (X - m) / m and h = 1 / m, the root is (1 - u)^(1/2) (1 + h + u)^(-1/2),
+    whose double series sum c_jk u^j h^k comes from two binomial series. The
+    mean of u^j h^k is mu_j(n) (2/n)^(j+k), mu_j the central moment, a
+    polynomial of degree j // 2 in n: its n^t part adds to the coefficient of
+    n^-(j+k-t). Powers up to terms need j <= 2 terms and k <= terms. The
+    expansion is asymptotic: the binomial tails it ignores past u = 1 are
+    exponentially small.
+    """
+    def series(r, k):  # the binomial coefficient (r choose k), r a Fraction
+        return math.prod((r - i) / (i + 1) for i in range(k)) if k else Fraction(1)
+
+    moments = binomial_central_moments(2 * terms)
+    half = Fraction(1, 2)
+    coefficients = [Fraction(0)] * (terms + 1)
+    for j in range(2 * terms + 1):
+        for k in range(terms + 1):
+            c = sum(series(half, a) * (-1) ** a * series(-half, j - a + k) * math.comb(j - a + k, k)
+                    for a in range(j + 1))
+            for t, mu in enumerate(moments[j]):
+                if j + k - t <= terms:
+                    coefficients[j + k - t] += c * mu * 2 ** (j + k)
+    assert coefficients[0] == 1
+    return [-a for a in coefficients[1:]]

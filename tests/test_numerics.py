@@ -12,14 +12,20 @@ from hypothesis.extra import numpy as hnp
 
 from eqfid import numerics
 from eqfid.numerics import (
+    BASIS_CAP,
+    DEFICIT_SERIES,
+    SERIES_FROM,
     SUM_DENOMINATOR,
     as_phase,
     binomial_log_ratios,
     sqrt_binom_sum,
     sqrt_binom_sum_scaled,
 )
+from eqfid.povm import mixed_coefficients, outcome_distribution
 from eqfid.strategies import curve_table
+from eqfid.symmetric import symmetric_state
 from eqfid.verify import run_checks
+from reference import deficit_series
 
 
 def test_sqrt_binom_sum_values():
@@ -151,30 +157,74 @@ def test_exact_sum_rejects_non_finite(bad, length):
                 numerics._exact_sum(values)
 
 
-def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):
+def test_binomial_windows_are_walked_once_per_n(monkeypatch):
+    numerics._window.cache_clear()
     numerics._sqrt_binom_sum_scaled.cache_clear()
     seen = Counter()
-    log_ratios = numerics.binomial_log_ratios
+    walk = numerics.binomial_log_ratios
 
     def counting(n):
         seen[n] += 1
-        return log_ratios(n)
+        return walk(n)
 
     monkeypatch.setattr(numerics, "binomial_log_ratios", counting)
     curve_table(1, 60)
     run_checks(60)
-    # Integer-like n share the memo entry of the int.
+    outcome_distribution(60, 2.5)
+    # Integer-like n share the entries of the int, and S_n and both laws
+    # share the window.
     sqrt_binom_sum_scaled(np.int64(60))
-    assert set(range(1, 61)) <= set(seen)
+    mixed_coefficients(np.int64(60), 1.0)
+    mixed_coefficients(np.int64(60), 0.5)
+    symmetric_state(np.int64(60), 0.0)
+    # The gate factor reads S_2N too.
+    assert set(seen) == {*range(1, 61), *range(62, 121, 2)}
     assert max(seen.values()) == 1
+    # Past BASIS_CAP the weights walk on every call and keep nothing; above
+    # SERIES_FROM S_n never walks.
+    kept = numerics._window.cache_info().currsize
+    symmetric_state(BASIS_CAP + 1, 0.0)
+    symmetric_state(BASIS_CAP + 1, 0.0)
+    sqrt_binom_sum_scaled(SERIES_FROM + 1)
+    assert seen[BASIS_CAP + 1] == 2 and numerics._window.cache_info().currsize == kept
+    assert SERIES_FROM + 1 not in seen
     # The public function stays a plain function, so tracers can wrap it.
     assert inspect.isfunction(numerics.sqrt_binom_sum_scaled)
     for _ in range(3):
         with pytest.raises(ValueError):
             sqrt_binom_sum_scaled(0)
     sqrt_binom_sum_scaled(2)
-    with pytest.raises(TypeError):
-        sqrt_binom_sum_scaled(2.0)
+    for call in (lambda: sqrt_binom_sum_scaled(2.0), lambda: sqrt_binom_sum_scaled(SERIES_FROM + 1.0),
+                 lambda: symmetric_state(2.0, 0.0), lambda: mixed_coefficients(2.0, 1.0)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_sqrt_binom_deficit_series_is_exact():
+    # The five float constants are the rational coefficients derived from
+    # the central moments of Bin(n, 1/2).
+    assert list(map(Fraction, DEFICIT_SERIES)) == deficit_series(5)
+
+
+def walked(n):
+    """S_n / 2^n by the window walk, computed here from its parts."""
+    _, logs, total = binomial_log_ratios(n)
+    return numerics._exact_sum(np.exp(0.5 * (logs[:-1] + logs[1:]))) / total
+
+
+def series(n):
+    """1 - d_n from DEFICIT_SERIES, one Horner step per coefficient."""
+    x, d = 1 / n, 0.0
+    for a in reversed(DEFICIT_SERIES):
+        d = d * x + a
+    return 1.0 - d * x
+
+
+def test_sqrt_binom_series_meets_walk_at_threshold():
+    for n in range(SERIES_FROM - 2, SERIES_FROM + 3):
+        walk, value = walked(n), series(n)
+        assert abs(walk - value) <= math.ulp(walk), n
+        assert sqrt_binom_sum_scaled(n) == (walk if n <= SERIES_FROM else value), n
 
 
 def test_phase_normalization():

@@ -10,11 +10,12 @@ import math
 
 import pytest
 
+from eqfid import numerics
 from eqfid.cloning import shrinking_factor
 from eqfid.montecarlo import FULL_MIXED, UNIFIED_COLLECTIVE, TrialConfig, simulate
-from eqfid.numerics import sqrt_binom_sum_scaled
+from eqfid.numerics import DEFICIT_SERIES, sqrt_binom_sum_scaled
 from eqfid.povm import mean_fidelity_closed, mixed_coefficients, outcome_distribution, outcome_rows
-from eqfid.strategies import curve_table, p_unified_collective
+from eqfid.strategies import curve_table, p_unified_collective, p_unified_collective_unequal
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -86,13 +87,32 @@ def eta(n, m):
 
 
 def test_sqrt_binom_sum_scaled_matches_oracle():
-    # S_n / 2^n is one rounding of a quotient whose two sums share the walk's
-    # rounding; hold it to 2e-16, never looser. At 6281617 and 78881935 a
-    # centre term rounded to one float puts S past 1e-15.
+    # Up to SERIES_FROM, S_n / 2^n is one rounding of a quotient whose two
+    # sums share the walk's rounding; above, it is 1 - d_n from the deficit
+    # series. Hold both to 2e-16, never looser. At 6281617 and 78881935 a
+    # centre term rounded to one float once put S past 1e-15.
     grid = [round(10 ** (k / 2)) for k in range(7, 17)]
     ns = [*range(1, 71), 1000, 1023, 1100, 999736, 3 * 10**6, 6281617, 78881935, *grid]
     worst = max((rel_err(sqrt_binom_sum_scaled(n), oracle_scaled_sum(n)), n) for n in ns)
     assert worst[0] <= 2e-16, worst
+
+
+def test_sqrt_binom_series_needs_no_walk(monkeypatch):
+    # Above SERIES_FROM, S_n / 2^n is O(1): at n = 10^12 a walk would need
+    # gigabytes. The value is the series' 50-digit value to 1 ulp.
+    s_1 = sqrt_binom_sum_scaled(1)
+
+    def refuse(n):
+        raise AssertionError(f"walked n = {n}")
+
+    monkeypatch.setattr(numerics, "binomial_log_ratios", refuse)
+    n = 10**12
+    value = sqrt_binom_sum_scaled(n)
+    with mpmath.workdps(50):
+        series = 1 - sum(mpmath.mpf(a) / mpmath.mpf(n) ** k for k, a in enumerate(DEFICIT_SERIES, 1))
+        assert abs(mpmath.mpf(value) - series) <= math.ulp(value)
+    p = p_unified_collective_unequal(1, n)
+    assert math.isfinite(p) and p == (0.5 + s_1 / 2.0) * (1.0 + s_1 / sqrt_binom_sum_scaled(n + 1)) / 2.0
 
 
 def test_curve_table_matches_oracle():

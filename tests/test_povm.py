@@ -2,15 +2,15 @@ import hashlib
 import inspect
 import math
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqfid import povm, symmetric
+from eqfid import povm
 from eqfid.cloning import shrinking_factor
+from eqfid.numerics import binomial_window
 from eqfid.povm import (
     BASIS_CAP,
     estimate_phase,
@@ -24,9 +24,7 @@ from eqfid.povm import (
     phase_estimates,
     povm_basis,
 )
-from eqfid.strategies import curve_table
 from eqfid.symmetric import symmetric_state
-from eqfid.verify import run_checks
 from reference import dicke_recursion_coefficients
 
 
@@ -201,39 +199,9 @@ def test_estimator_offset_never_improves():
         assert all(value <= base + 1e-12 for value in offset)
 
 
-def test_dicke_weights_are_computed_once_per_n(monkeypatch):
-    symmetric._weights.cache_clear()
-    seen = Counter()
-    weights = symmetric._dicke_weights
-
-    def counting(n):
-        seen[n] += 1
-        return weights(n)
-
-    monkeypatch.setattr(symmetric, "_dicke_weights", counting)
-    curve_table(1, 60)
-    run_checks(60)
-    outcome_distribution(60, 2.5)
-    # Integer-like N share the entry of the int, and both laws the weights.
-    mixed_coefficients(np.int64(60), 1.0)
-    mixed_coefficients(np.int64(60), 0.5)
-    symmetric_state(np.int64(60), 0.0)
-    assert set(seen) == set(range(1, 61))
-    assert max(seen.values()) == 1
-    # Past BASIS_CAP the weights are computed on every call and not kept.
-    cached = symmetric._weights.cache_info().currsize
-    symmetric_state(BASIS_CAP + 1, 0.0)
-    symmetric_state(BASIS_CAP + 1, 0.0)
-    assert seen[BASIS_CAP + 1] == 2 and symmetric._weights.cache_info().currsize == cached
-    with pytest.raises(TypeError):
-        symmetric_state(2.0, 0.0)
-    with pytest.raises(TypeError):
-        mixed_coefficients(2.0, 1.0)
-
-
-def test_cached_weights_are_read_only():
+def test_cached_windows_are_read_only():
     with pytest.raises(ValueError):
-        symmetric._weights(5)[0] = 0.0
+        binomial_window(5)[1][0] = 0.0
     # What callers get to keep is fresh and writable.
     state, rows = symmetric_state(5, 0.3), outcome_rows(5, [0.3])
     state[:] = 0.0
