@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 
 from eqfid import numerics
 from eqfid.numerics import (
-    BASIS_CAP,
     DEFICIT_SERIES,
     SERIES_FROM,
     SUM_DENOMINATOR,
@@ -21,9 +20,7 @@ from eqfid.numerics import (
     sqrt_binom_sum,
     sqrt_binom_sum_scaled,
 )
-from eqfid.povm import mixed_coefficients, outcome_distribution
 from eqfid.strategies import curve_table
-from eqfid.symmetric import symmetric_state
 from eqfid.verify import run_checks
 from reference import deficit_series
 
@@ -157,47 +154,41 @@ def test_exact_sum_rejects_non_finite(bad, length):
                 numerics._exact_sum(values)
 
 
-def test_binomial_windows_are_walked_once_per_n(monkeypatch):
+def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):
     numerics._window.cache_clear()
     numerics._sqrt_binom_sum_scaled.cache_clear()
-    seen = Counter()
-    walk = numerics.binomial_log_ratios
+    reads, walks = Counter(), Counter()
+    window, walk = numerics.binomial_window, numerics.binomial_log_ratios
 
-    def counting(n):
-        seen[n] += 1
+    def reading(n):
+        reads[n] += 1
+        return window(n)
+
+    def walking(n):
+        walks[n] += 1
         return walk(n)
 
-    monkeypatch.setattr(numerics, "binomial_log_ratios", counting)
+    monkeypatch.setattr(numerics, "binomial_window", reading)
+    monkeypatch.setattr(numerics, "binomial_log_ratios", walking)
     curve_table(1, 60)
     run_checks(60)
-    outcome_distribution(60, 2.5)
-    # Integer-like n share the entries of the int, and S_n and both laws
-    # share the window.
+    # Integer-like n share the memo entry of the int.
     sqrt_binom_sum_scaled(np.int64(60))
-    mixed_coefficients(np.int64(60), 1.0)
-    mixed_coefficients(np.int64(60), 0.5)
-    symmetric_state(np.int64(60), 0.0)
     # The gate factor reads S_2N too.
-    assert set(seen) == {*range(1, 61), *range(62, 121, 2)}
-    assert max(seen.values()) == 1
-    # Past BASIS_CAP the weights walk on every call and keep nothing; above
-    # SERIES_FROM S_n never walks.
-    kept = numerics._window.cache_info().currsize
-    symmetric_state(BASIS_CAP + 1, 0.0)
-    symmetric_state(BASIS_CAP + 1, 0.0)
+    assert set(reads) == {*range(1, 61), *range(62, 121, 2)}
+    assert max(reads.values()) == 1 and max(walks.values()) == 1
+    # Above SERIES_FROM S_n never reads a window.
     sqrt_binom_sum_scaled(SERIES_FROM + 1)
-    assert seen[BASIS_CAP + 1] == 2 and numerics._window.cache_info().currsize == kept
-    assert SERIES_FROM + 1 not in seen
+    assert SERIES_FROM + 1 not in reads and SERIES_FROM + 1 not in walks
     # The public function stays a plain function, so tracers can wrap it.
     assert inspect.isfunction(numerics.sqrt_binom_sum_scaled)
     for _ in range(3):
         with pytest.raises(ValueError):
             sqrt_binom_sum_scaled(0)
     sqrt_binom_sum_scaled(2)
-    for call in (lambda: sqrt_binom_sum_scaled(2.0), lambda: sqrt_binom_sum_scaled(SERIES_FROM + 1.0),
-                 lambda: symmetric_state(2.0, 0.0), lambda: mixed_coefficients(2.0, 1.0)):
+    for bad in (2.0, SERIES_FROM + 1.0):
         with pytest.raises(TypeError):
-            call()
+            sqrt_binom_sum_scaled(bad)
 
 
 def test_sqrt_binom_deficit_series_is_exact():

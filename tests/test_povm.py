@@ -2,13 +2,14 @@ import hashlib
 import inspect
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqfid import povm
+from eqfid import numerics, povm
 from eqfid.cloning import shrinking_factor
 from eqfid.numerics import binomial_window
 from eqfid.povm import (
@@ -24,7 +25,9 @@ from eqfid.povm import (
     phase_estimates,
     povm_basis,
 )
+from eqfid.strategies import curve_table
 from eqfid.symmetric import symmetric_state
+from eqfid.verify import run_checks
 from reference import dicke_recursion_coefficients
 
 
@@ -197,6 +200,36 @@ def test_estimator_offset_never_improves():
     for n in range(1, 5):
         base, *offset = _numeric_with_estimator_offsets(n, 64, deltas)
         assert all(value <= base + 1e-12 for value in offset)
+
+
+def test_dicke_weights_are_computed_once_per_n(monkeypatch):
+    numerics._window.cache_clear()
+    seen = Counter()
+    walk = numerics.binomial_log_ratios
+
+    def counting(n):
+        seen[n] += 1
+        return walk(n)
+
+    monkeypatch.setattr(numerics, "binomial_log_ratios", counting)
+    curve_table(1, 60)
+    run_checks(60)
+    outcome_distribution(60, 2.5)
+    # Integer-like N share the window of the int, and both laws the weights.
+    mixed_coefficients(np.int64(60), 1.0)
+    mixed_coefficients(np.int64(60), 0.5)
+    symmetric_state(np.int64(60), 0.0)
+    assert set(range(1, 61)) <= set(seen)
+    assert max(seen.values()) == 1
+    # Past BASIS_CAP the weights walk on every call and keep nothing.
+    kept = numerics._window.cache_info().currsize
+    symmetric_state(BASIS_CAP + 1, 0.0)
+    symmetric_state(BASIS_CAP + 1, 0.0)
+    assert seen[BASIS_CAP + 1] == 2 and numerics._window.cache_info().currsize == kept
+    with pytest.raises(TypeError):
+        symmetric_state(2.0, 0.0)
+    with pytest.raises(TypeError):
+        mixed_coefficients(2.0, 1.0)
 
 
 def test_cached_windows_are_read_only():
