@@ -1,9 +1,16 @@
 """Closed-form success probabilities of the three fidelity-estimation
-strategies and their comparison curves."""
+strategies and their comparison curves.
+
+Every closed form reads S_n / 2^n through numerics, which keeps it per n.
+curve_table first has numerics walk, in one batch, each S_n its rows read
+(S_N and S_2N) that is not kept yet, so a table of 60 rows costs one walk
+of 90 n rather than 90 walks of one; each row then reads kept values.
+"""
 
 from dataclasses import dataclass
 
 from .cloning import eqcm_fidelity, gcnot_fidelity, shrinking_factor
+from .numerics import _keep_scaled
 from .povm import mean_fidelity_closed
 
 # Curve tables and verify stop at the N range the comparison curves cover;
@@ -83,4 +90,7 @@ def curve_table(n_min: int, n_max: int) -> list[StrategyCurvePoint]:
         raise ValueError(
             f"need 1 <= n_min <= n_max <= {CURVE_N_CAP}, got ({n_min}, {n_max})"
         )
-    return [curve_point(n) for n in range(n_min, n_max + 1)]
+    ns = range(n_min, n_max + 1)
+    # Every S_n the rows read, S_N and S_2N, in one batched walk.
+    _keep_scaled([*ns, *(2 * n for n in ns)])
+    return [curve_point(n) for n in ns]

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from eqfid import montecarlo, povm, strategies
+from eqfid import montecarlo, povm, strategies, verify
 from eqfid.cli import main
 from eqfid.povm import BASIS_CAP, mean_fidelity_closed, outcome_distribution
 from eqfid.strategies import p_measurement, p_unified_pair
@@ -443,8 +443,11 @@ def test_verify_passes(capsys):
         # Every outcome row off by 1e-11: past the basis check's 1e-12, while
         # the numeric mean fidelity moves by under its 1e-10 tolerance.
         (povm, "covariant_rows", 1e-11, "povm-orthonormality-completeness"),
+        # Every entry of the basis verify reads off by 1e-11, which moves its
+        # Gram products by 1e-11 sqrt(N + 1): past the same 1e-12.
+        (verify, "povm_basis", 1e-11, "povm-orthonormality-completeness"),
     ],
-    ids=["equivalence", "range", "outcome-law"],
+    ids=["equivalence", "range", "outcome-law", "povm-basis"],
 )
 def test_verify_fails_only_the_broken_claim(module, name, offset, failing, capsys, monkeypatch):
     original = getattr(module, name)

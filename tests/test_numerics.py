@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import warnings
@@ -16,7 +17,7 @@ from eqfid.numerics import (
     SERIES_FROM,
     SUM_DENOMINATOR,
     as_phase,
-    binomial_log_ratios,
+    binomial_window,
     sqrt_binom_sum,
     sqrt_binom_sum_scaled,
 )
@@ -38,7 +39,7 @@ def test_sqrt_binom_sum_domain_error():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 60, 1500, 1501, 1600, 10**5, 2 * 10**6 + 1])
 def test_binomial_log_pmf_window(n):
-    lo, logs, total = binomial_log_ratios(n)
+    lo, logs, total = binomial_window(n)
     hi = lo + len(logs) - 1
     ratios = np.exp(logs)
     assert logs[n // 2 - lo] == 0.0
@@ -54,7 +55,7 @@ def test_binomial_log_pmf_window(n):
 
 def test_binomial_log_pmf_small_rows_exact():
     for n in range(0, 61):
-        lo, logs, total = binomial_log_ratios(n)
+        lo, logs, total = binomial_window(n)
         assert (lo, len(logs)) == (0, n + 1)
         centre = math.comb(n, n // 2)
         for i, value in enumerate(logs):
@@ -65,7 +66,7 @@ def test_binomial_log_pmf_small_rows_exact():
 
 def test_binomial_log_pmf_domain_error():
     with pytest.raises(ValueError):
-        binomial_log_ratios(-1)
+        binomial_window(-1)
 
 
 def exact(values):
@@ -155,28 +156,35 @@ def test_exact_sum_rejects_non_finite(bad, length):
 
 
 def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):
-    numerics._window.cache_clear()
-    numerics._sqrt_binom_sum_scaled.cache_clear()
-    reads, walks = Counter(), Counter()
-    window, walk = numerics.binomial_window, numerics.binomial_log_ratios
+    numerics._windows.clear()
+    numerics._scaled.clear()
+    reads, walks, batches = Counter(), Counter(), []
+    walk = numerics._walk
 
-    def reading(n):
-        reads[n] += 1
-        return window(n)
+    class Kept(dict):
+        """The S_n / 2^n cache, counting each value stored."""
 
-    def walking(n):
-        walks[n] += 1
-        return walk(n)
+        def __setitem__(self, n, value):
+            reads[n] += 1
+            super().__setitem__(n, value)
 
-    monkeypatch.setattr(numerics, "binomial_window", reading)
-    monkeypatch.setattr(numerics, "binomial_log_ratios", walking)
+    def walking(ns):
+        walks.update(ns)
+        batches.append(len(ns))
+        return walk(ns)
+
+    monkeypatch.setattr(numerics, "_scaled", Kept())
+    monkeypatch.setattr(numerics, "_walk", walking)
     curve_table(1, 60)
+    # One batch walks every n the table reads.
+    assert batches == [90]
     run_checks(60)
     # Integer-like n share the memo entry of the int.
     sqrt_binom_sum_scaled(np.int64(60))
     # The gate factor reads S_2N too.
     assert set(reads) == {*range(1, 61), *range(62, 121, 2)}
     assert max(reads.values()) == 1 and max(walks.values()) == 1
+    assert set(walks) == set(reads)
     # Above SERIES_FROM S_n never reads a window.
     sqrt_binom_sum_scaled(SERIES_FROM + 1)
     assert SERIES_FROM + 1 not in reads and SERIES_FROM + 1 not in walks
@@ -191,6 +199,34 @@ def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):
             sqrt_binom_sum_scaled(bad)
 
 
+def test_sqrt_binom_batched_walk_matches_one_n_walk():
+    # A batch pads every n to its widest window; each n's window and S_n / 2^n
+    # must still be the bits of a batch of one, on either SIMD target.
+    ns = [*range(1, 2059), SERIES_FROM - 2, SERIES_FROM - 1, SERIES_FROM]
+    batches = [ns[i:i + 97] for i in range(0, len(ns), 97)] + [[1, 2058, 60, SERIES_FROM - 1]]
+    for batch in batches:
+        numerics._scaled.clear()
+        windows = numerics._walk(batch)
+        scaled = [numerics._scaled[n] for n in batch]
+        for n, (lo, logs, total), s in zip(batch, windows, scaled):
+            numerics._scaled.clear()
+            one_lo, one_logs, one_total = numerics._walk([n])[0]
+            assert (lo, total) == (one_lo, one_total), n
+            assert logs.tobytes() == one_logs.tobytes(), n
+            assert s.hex() == numerics._scaled[n].hex(), n
+    numerics._windows.clear()
+    numerics._scaled.clear()
+    curve_table(1, 60)
+    # S_n / 2^n for n = 1..8192 as each n's own walk gave it before batches,
+    # with numpy's AVX-512 and with its AVX2 loops: batching changes no bit.
+    lines = "".join(sqrt_binom_sum_scaled(n).hex() + "\n" for n in range(1, SERIES_FROM + 1))
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest in {
+        "c1775cededec97a60d2e14eb6840f913f788fc2fd363691ebcd6cb09d53ec937",
+        "b724575adbd36414f7c3abe725cb1575d3cf007d4ca4bba374fcbbc61cd3a5fe",
+    }
+
+
 def test_sqrt_binom_deficit_series_is_exact():
     # The five float constants are the rational coefficients derived from
     # the central moments of Bin(n, 1/2).
@@ -199,7 +235,7 @@ def test_sqrt_binom_deficit_series_is_exact():
 
 def walked(n):
     """S_n / 2^n by the window walk, computed here from its parts."""
-    _, logs, total = binomial_log_ratios(n)
+    _, logs, total = binomial_window(n)
     return numerics._exact_sum(np.exp(0.5 * (logs[:-1] + logs[1:]))) / total
 
 

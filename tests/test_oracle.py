@@ -102,10 +102,10 @@ def test_sqrt_binom_series_needs_no_walk(monkeypatch):
     # gigabytes. The value is the series' 50-digit value to 1 ulp.
     s_1 = sqrt_binom_sum_scaled(1)
 
-    def refuse(n):
-        raise AssertionError(f"walked n = {n}")
+    def refuse(ns):
+        raise AssertionError(f"walked n = {ns}")
 
-    monkeypatch.setattr(numerics, "binomial_log_ratios", refuse)
+    monkeypatch.setattr(numerics, "_walk", refuse)
     n = 10**12
     value = sqrt_binom_sum_scaled(n)
     with mpmath.workdps(50):

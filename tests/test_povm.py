@@ -203,15 +203,15 @@ def test_estimator_offset_never_improves():
 
 
 def test_dicke_weights_are_computed_once_per_n(monkeypatch):
-    numerics._window.cache_clear()
+    numerics._windows.clear()
     seen = Counter()
-    walk = numerics.binomial_log_ratios
+    walk = numerics._walk
 
-    def counting(n):
-        seen[n] += 1
-        return walk(n)
+    def counting(ns):
+        seen.update(ns)
+        return walk(ns)
 
-    monkeypatch.setattr(numerics, "binomial_log_ratios", counting)
+    monkeypatch.setattr(numerics, "_walk", counting)
     curve_table(1, 60)
     run_checks(60)
     outcome_distribution(60, 2.5)
@@ -222,10 +222,10 @@ def test_dicke_weights_are_computed_once_per_n(monkeypatch):
     assert set(range(1, 61)) <= set(seen)
     assert max(seen.values()) == 1
     # Past BASIS_CAP the weights walk on every call and keep nothing.
-    kept = numerics._window.cache_info().currsize
+    kept = len(numerics._windows)
     symmetric_state(BASIS_CAP + 1, 0.0)
     symmetric_state(BASIS_CAP + 1, 0.0)
-    assert seen[BASIS_CAP + 1] == 2 and numerics._window.cache_info().currsize == kept
+    assert seen[BASIS_CAP + 1] == 2 and len(numerics._windows) == kept
     with pytest.raises(TypeError):
         symmetric_state(2.0, 0.0)
     with pytest.raises(TypeError):
