@@ -9,6 +9,7 @@ relative --out paths; all science parameters are flags.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -163,6 +164,8 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+# argparse keeps no state between parses, so one parser serves every main call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqfid",

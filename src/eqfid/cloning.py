@@ -1,5 +1,6 @@
 """Shrinking factors and fidelities of the equatorial cloner and difference gates."""
 
+import operator
 from dataclasses import dataclass
 
 from .numerics import sqrt_binom_sum_scaled
@@ -18,8 +19,10 @@ def shrinking_factor(n_in: int, m_out: int) -> ShrinkingFactor:
     """eta(N, M) = 2^{M-N} S_N / S_M with S_n = sum_i sqrt(C(n,i) C(n,i+1)).
 
     Evaluated as the ratio (S_N / 2^N) / (S_M / 2^M) of scaled sums, which is
-    finite for every N and M, with relative error below 1.5e-15.
+    finite for every N and M, with relative error below 1.5e-15; N and M are
+    integers.
     """
+    n_in, m_out = operator.index(n_in), operator.index(m_out)
     if n_in < 1:
         raise ValueError("n_in must be >= 1")
     if m_out < n_in:

@@ -189,6 +189,7 @@ def mixed_ensemble_distribution(n_copies: int, delta, eta_value: float) -> np.nd
     subspace, where the phase measurement is undefined. Entries are clamped
     at zero and sum to one.
     """
+    n_copies = operator.index(n_copies)
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
     if n_copies > EMBEDDING_CAP:

@@ -2,13 +2,13 @@
 
 Every binomial quantity the package uses, S_n / 2^n and the Dicke weights,
 comes from the O(sqrt(n)) window of _walk, with no centre term: S_n / 2^n
-up to n = SERIES_FROM and the Dicke weights at every n are quotients of
-exact sums over it. _walk takes a list of n and walks them as one padded
-batch, so the numpy calls of a curve table's 90 n cost what one n's do;
-one n is a batch of one. It keeps each window up to BASIS_CAP and S_n / 2^n
-up to SERIES_FROM for the process, so that S_n and the weights share one
-walk per n. Above SERIES_FROM, S_n / 2^n is 1 - d_n from the first five
-terms of d_n's 1/n series, in O(1) and IEEE operations only.
+up to n = BASIS_CAP and the Dicke weights at every n are quotients of exact
+sums over it. _walk takes a list of n and walks them as one padded batch,
+so the numpy calls of a curve table's 90 n cost what one n's do; one n is a
+batch of one. It keeps each window up to BASIS_CAP for the process, with
+S_n / 2^n in it, so that S_n and the weights share one walk per n. Above
+BASIS_CAP, S_n / 2^n is 1 - d_n from the first eight terms of d_n's 1/n
+series, in O(1) and IEEE operations only.
 Every exactly rounded sum in the package, here and in montecarlo, is an
 _exact_sum numerator over SUM_DENOMINATOR, or one of the per-row numerators
 of _sum_apart that _walk takes. Both read each float's exponent and
@@ -44,18 +44,17 @@ _LOW_HALF = (1 << 26) - 1
 # all of them, plus the padding of the batch each came in.
 BASIS_CAP = 1029
 
-# Above this n, S_n / 2^n = 1 - d_n with
-# d_n = 1/(2n) - 1/(8n^2) + 7/(16n^3) + 101/(128n^4) + 1191/(256n^5),
-# each coefficient exact in binary. The next term, 29163/(1024 n^6), is below
-# 1e-22 past the threshold, and d_n is below 2^-14, so the float evaluation
-# rounds S to within 0.501 ulp.
-SERIES_FROM = 8192
-DEFICIT_SERIES = (1 / 2, -1 / 8, 7 / 16, 101 / 128, 1191 / 256)
+# Above BASIS_CAP, S_n / 2^n = 1 - d_n with d_n = sum_k a_k / n^k over
+# the first eight terms of its 1/n series, each coefficient exact in binary.
+# The next term, 1387688395/(65536 n^9), is below 1e-22 relative past the
+# cap, and d_n is below 2^-11, so the float evaluation rounds S to within
+# 0.501 ulp.
+DEFICIT_SERIES = (1 / 2, -1 / 8, 7 / 16, 101 / 128, 1191 / 256, 29163 / 1024, 450951 / 2048,
+                  65785709 / 32768)
 
-# What _walk keeps for the process: the window of each n up to BASIS_CAP and
-# S_n / 2^n of each n up to SERIES_FROM.
-_windows: dict[int, tuple[int, np.ndarray, int]] = {}
-_scaled: dict[int, float] = {}
+# What _walk keeps for the process: the window of each n up to BASIS_CAP,
+# with S_n / 2^n.
+_windows: dict[int, tuple[int, np.ndarray, int, float]] = {}
 
 
 def as_phase(phi) -> float:
@@ -192,31 +191,32 @@ def _sum_apart(m: np.ndarray, e: np.ndarray, t: np.ndarray, low: int,
     return totals
 
 
-def binomial_window(n: int) -> tuple[int, np.ndarray, int]:
-    """The window (lo, l, D) of n from _walk: kept for the process when
+def binomial_window(n: int) -> tuple[int, np.ndarray, int, float]:
+    """The window (lo, l, D, S) of n from _walk: kept for the process when
     n <= BASIS_CAP, its logs read-only, and walked afresh, as a batch of
     one, on every call above."""
-    window = _windows.get(n)
-    return window if window is not None else _walk([n])[0]
+    return _windows.get(n) or _walk([n])[0]
 
 
 def _keep_scaled(ns) -> None:
-    """Walk, in one batch, each n of ns up to SERIES_FROM whose S_n / 2^n
-    is not kept yet."""
-    missing = sorted({n for n in ns if n <= SERIES_FROM and n not in _scaled})
+    """Walk, in one batch, each n of ns up to BASIS_CAP whose window, and
+    with it S_n / 2^n, is not kept yet."""
+    missing = sorted({n for n in ns if n <= BASIS_CAP and n not in _windows})
     if missing:
         _walk(missing)
 
 
-def _walk(ns: list[int]) -> list[tuple[int, np.ndarray, int]]:
-    """The binomial window (lo, l, D) of each n in ns, walked in one batch;
-    keeps each window up to BASIS_CAP and S_n / 2^n up to SERIES_FROM.
+def _walk(ns: list[int]) -> list[tuple[int, np.ndarray, int, float]]:
+    """The binomial window (lo, l, D, S) of each n in ns, walked in one
+    batch; keeps each window up to BASIS_CAP.
 
     For c = n // 2 the window holds l_i = log(C(n, i) / C(n, c)) from
-    i = lo, and D is the _exact_sum numerator of sum_i e^(l_i) =
-    2^n / C(n, c). The walk out of l_c = 0 adds the exact ratios
-    log1p((n - 2i - 1) / (i + 1)) to the right and
-    log1p((2i - n - 1) / (n - i + 1)) to the left. By Hoeffding,
+    i = lo, D is the _exact_sum numerator of sum_i e^(l_i) =
+    2^n / C(n, c), and S = S_n / 2^n is the exact window sum of
+    exp((l_i + l_{i+1}) / 2) over D: one correctly rounded int / int
+    quotient whose two sums share the walk's rounding. The walk out of
+    l_c = 0 adds the exact ratios log1p((n - 2i - 1) / (i + 1)) to the
+    right and log1p((2i - n - 1) / (n - i + 1)) to the left. By Hoeffding,
     C(n, i) / C(n, c) <= (n + 1) exp(-2 (i - n/2)^2 / n), so every index
     isqrt(n (373 + bits(n))) + 2 or more from c lies below 2^-1075 and
     rounds to zero: window sums equal whole-row sums, in O(sqrt(n)) time
@@ -225,11 +225,11 @@ def _walk(ns: list[int]) -> list[tuple[int, np.ndarray, int]]:
     The number of numpy calls does not grow with len(ns): both half walks
     of every n are rows of one padded array, and take one row-wise cumsum;
     the logs and the midpoints (l_i + l_{i+1}) / 2 take one exp; and D and
-    the numerator of S_n, the window sum of exp((l_i + l_{i+1}) / 2), come
-    from one _decode and one _sum_apart keyed by (n, sum). Every value is
-    a batch of one's to the bit, as each entry passes through the same
-    operations in the same order and the sums are exact. A row of
-    _sum_apart holds one window, below _SLICE terms for every n < 10^12.
+    the numerator of S come from one _decode and one _sum_apart keyed by
+    (n, sum). Every value is a batch of one's to the bit, as each entry
+    passes through the same operations in the same order and the sums are
+    exact. A row of _sum_apart holds one window, below _SLICE terms for
+    every n < 10^12.
     """
     if min(ns) < 0:
         raise ValueError(f"n must be >= 0, got {min(ns)}")
@@ -271,11 +271,10 @@ def _walk(ns: list[int]) -> list[tuple[int, np.ndarray, int]]:
     windows = []
     for i, n in enumerate(ns):
         left = lefts[i]
-        window = n // 2 - left, logs[i, width - left:width - left + sizes[2 * i]], sums[2 * i]
+        window = (n // 2 - left, logs[i, width - left:width - left + sizes[2 * i]], sums[2 * i],
+                  sums[2 * i + 1] / sums[2 * i])
         if n <= BASIS_CAP:
             _windows[n] = window
-        if 1 <= n <= SERIES_FROM:
-            _scaled[n] = sums[2 * i + 1] / sums[2 * i]
         windows.append(window)
     return windows
 
@@ -283,21 +282,18 @@ def _walk(ns: list[int]) -> list[tuple[int, np.ndarray, int]]:
 def sqrt_binom_sum_scaled(n: int) -> float:
     """S_n / 2^n with S_n = sum_i sqrt(C(n,i) C(n,i+1)), i = 0 .. n-1.
 
-    Up to SERIES_FROM: the exact window sum of exp((l_i + l_{i+1}) / 2) over
-    D, both from _walk: one correctly rounded int / int quotient, whose two
-    sums share the walk's rounding, kept per n for the process.
-    Within 1.4e-16 relative of an mpmath oracle (n = 1..2058 and 1e3..8192)
-    with numpy's AVX-512 or AVX2 loops. Above: 1 - d_n, d_n = sum_k a_k / n^k
-    over DEFICIT_SERIES by Horner's rule in x = 1 / n, a correctly rounded
-    int division; O(1), host-independent, and within 0.501 ulp at every n.
+    Up to BASIS_CAP: the S of n's window from _walk, kept with it for the
+    process; within 1.4e-16 relative of an mpmath oracle with numpy's
+    AVX-512 or AVX2 loops. Above: 1 - d_n, d_n = sum_k a_k / n^k over
+    DEFICIT_SERIES by Horner's rule in x = 1 / n, a correctly rounded int
+    division; O(1), host-independent, and within 0.501 ulp at every n.
+    n is an integer: a float is a TypeError, whatever its value.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    n = operator.index(n)
-    if n <= SERIES_FROM:
-        if n not in _scaled:
-            _walk([n])
-        return _scaled[n]
+    if n <= BASIS_CAP:
+        return binomial_window(n)[3]
     x, d = 1 / n, 0.0
     for a in reversed(DEFICIT_SERIES):
         d = d * x + a

@@ -21,8 +21,6 @@ from .numerics import TWO_PI, as_phase, sqrt_binom_sum_scaled
 # BASIS_CAP and check_cap bound every outcome law; callers read them here.
 from .symmetric import BASIS_CAP, _dicke_weights, check_cap
 
-DEFAULT_PHASE_GRID = 64
-
 # offset_sampler interpolates the offset CDF on a theta grid of 2^k cells,
 # at least OFFSET_CELLS_PER_ROOT_N sqrt(N) of them: the quintic Hermite error
 # bound, h^6 max|F^(6)| / 46080, grows as N^3 and stays near 2e-16.
@@ -318,23 +316,17 @@ def mean_fidelity_closed(n_copies: int) -> float:
     return 0.5 + sqrt_binom_sum_scaled(n_copies) / 2.0
 
 
-def mean_fidelity_numeric(n_copies: int, phase_grid: int = DEFAULT_PHASE_GRID) -> float:
-    """Phase-averaged estimation fidelity by direct quadrature.
+def mean_fidelity_numeric(n_copies: int) -> float:
+    """Phase-averaged estimation fidelity by direct quadrature at one phase.
 
-    For each grid phase phi the integrand sum_k p_k(phi) cos^2((est_k - phi)/2)
-    is evaluated from the outcome law and the estimator; the outcome laws of
-    all grid phases come from one outcome_rows call. Measurement and
-    estimator are covariant under phase shifts by 2 pi / (N+1), so the
-    integrand is a trigonometric polynomial whose only non-constant harmonic
-    is cos((N+1) phi). Offsetting the uniform grid by pi / (2(N+1)) makes the
-    grid average of that harmonic vanish for every grid size, hence any
-    integer phase_grid >= 1 returns the exact phase average.
+    The integrand sum_k p_k(phi) cos^2((est_k - phi)/2) is evaluated from the
+    outcome law and the estimator. Measurement and estimator are covariant
+    under phase shifts by 2 pi / (N+1), so the integrand is a trigonometric
+    polynomial whose only non-constant harmonic is cos((N+1) phi), with a
+    real coefficient: at phi = pi / (2(N+1)) it vanishes, and the integrand
+    there is the exact phase average.
     """
-    phase_grid = operator.index(phase_grid)
-    if phase_grid < 1:
-        raise ValueError("phase_grid must be >= 1")
-    offset = math.pi / (2.0 * (n_copies + 1))
-    phis = TWO_PI * np.arange(phase_grid) / phase_grid + offset
-    p = outcome_rows(n_copies, phis)
-    fidelity = np.cos((phase_estimates(n_copies) - phis[:, None]) / 2.0) ** 2
-    return float(np.sum(p * fidelity)) / phase_grid
+    phi = math.pi / (2.0 * (n_copies + 1))
+    p = outcome_rows(n_copies, [phi])[0]
+    fidelity = np.cos((phase_estimates(n_copies) - phi) / 2.0) ** 2
+    return float(np.sum(p * fidelity))

@@ -1,12 +1,14 @@
 """Closed-form success probabilities of the three fidelity-estimation
 strategies and their comparison curves.
 
-Every closed form reads S_n / 2^n through numerics, which keeps it per n.
-curve_table first has numerics walk, in one batch, each S_n its rows read
-(S_N and S_2N) that is not kept yet, so a table of 60 rows costs one walk
-of 90 n rather than 90 walks of one; each row then reads kept values.
+Every closed form reads S_n / 2^n through numerics, which keeps it in each
+n's window up to BASIS_CAP. curve_table first has numerics walk, in one
+batch, each window its rows read (S_N and S_2N) that is not kept yet, so a
+table of 60 rows costs one walk of 90 n rather than 90 walks of one; each
+row then reads kept values.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .cloning import eqcm_fidelity, gcnot_fidelity, shrinking_factor
@@ -47,6 +49,7 @@ def p_unified_collective_unequal(n_a: int, n_b: int) -> float:
     factor is fbar(min) and the gate factor uses eta(min, N_a + N_b). The
     symmetric case reduces exactly to p_unified_collective.
     """
+    n_a, n_b = operator.index(n_a), operator.index(n_b)
     if n_a < 1 or n_b < 1:
         raise ValueError("ensemble sizes must be >= 1")
     n = min(n_a, n_b)

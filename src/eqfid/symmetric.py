@@ -5,8 +5,8 @@ subspace, so an N-copy equatorial state is held as an (N+1)-vector of Dicke
 amplitudes instead of a 2^N-vector. The Dicke weights, which both outcome
 laws are built from, are taken afresh on each call from the binomial window
 of numerics.binomial_window, which keeps each N's window up to BASIS_CAP for
-the process and shares it with S_N / 2^N: 8 (N+1) bytes, about 15 KB for N
-up to 60 and at most about 4.3 MB for every N up to BASIS_CAP.
+the process, with S_N / 2^N in it: 8 (N+1) bytes, about 15 KB for N up to
+60 and at most about 4.3 MB for every N up to BASIS_CAP.
 """
 
 import itertools
@@ -24,9 +24,9 @@ EMBEDDING_CAP = 12
 
 
 def check_cap(n_copies: int) -> None:
-    """Refuse an N outside 1..BASIS_CAP; every outcome law and simulate share
-    this bound and its message."""
-    if not 1 <= n_copies <= BASIS_CAP:
+    """Refuse an N outside 1..BASIS_CAP, and a float N by TypeError; every
+    outcome law and simulate share this bound and its message."""
+    if not 1 <= operator.index(n_copies) <= BASIS_CAP:
         raise ValueError(f"n_copies must lie in 1..{BASIS_CAP}, got {n_copies}")
 
 
@@ -37,17 +37,17 @@ def symmetric_state(n_copies: int, phase) -> np.ndarray:
     the binomial weight of strings with n excitations and the phase winds
     linearly, which is what makes covariant phase measurements tractable.
     The weights are sqrt(e^(l_i) / D) over the window of binomial_window
-    and exactly zero outside it.
+    and exactly zero outside it. N is an integer: a float is a TypeError.
     """
-    if n_copies < 1:
-        raise ValueError("n_copies must be >= 1")
     n = operator.index(n_copies)
+    if n < 1:
+        raise ValueError("n_copies must be >= 1")
     return _dicke_weights(n) * np.exp(1j * as_phase(phase) * np.arange(n + 1))
 
 
 def _dicke_weights(n: int) -> np.ndarray:
     """Fresh Dicke weights of an int N >= 0."""
-    lo, logs, total = binomial_window(n)
+    lo, logs, total, _ = binomial_window(n)
     w = np.zeros(n + 1)
     w[lo : lo + len(logs)] = np.sqrt(np.exp(logs) / (total / SUM_DENOMINATOR))
     return w
@@ -61,6 +61,7 @@ def dicke_embedding(n_copies: int) -> np.ndarray:
     the row index is the state of qubit j. Columns are orthonormal, so the
     matrix maps symmetric amplitudes to full-space amplitudes exactly.
     """
+    n_copies = operator.index(n_copies)
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
     if n_copies > EMBEDDING_CAP:

@@ -31,6 +31,10 @@ def test_shrinking_factor_domain_errors():
         shrinking_factor(0, 2)
     with pytest.raises(ValueError):
         eqcm_fidelity(0)
+    # A float N or M is a TypeError whatever its value.
+    for args in ((0.5, 2), (1.5, 3), (1, 2.0)):
+        with pytest.raises(TypeError):
+            shrinking_factor(*args)
 
 
 def test_limit_values():

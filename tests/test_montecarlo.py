@@ -508,6 +508,8 @@ def test_mixed_distribution_domain_errors():
         mixed_ensemble_distribution(2, 0.0, 1.5)
     with pytest.raises(ValueError):
         mixed_ensemble_distribution(0, 0.0, 0.5)
+    with pytest.raises(TypeError):
+        mixed_ensemble_distribution(0.5, 0.0, 0.5)
 
 
 def test_harmonic_expansion_matches_direct_evaluation():

@@ -13,8 +13,8 @@ from hypothesis.extra import numpy as hnp
 
 from eqfid import numerics
 from eqfid.numerics import (
+    BASIS_CAP,
     DEFICIT_SERIES,
-    SERIES_FROM,
     SUM_DENOMINATOR,
     as_phase,
     binomial_window,
@@ -39,7 +39,7 @@ def test_sqrt_binom_sum_domain_error():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 60, 1500, 1501, 1600, 10**5, 2 * 10**6 + 1])
 def test_binomial_log_pmf_window(n):
-    lo, logs, total = binomial_window(n)
+    lo, logs, total, _ = binomial_window(n)
     hi = lo + len(logs) - 1
     ratios = np.exp(logs)
     assert logs[n // 2 - lo] == 0.0
@@ -55,7 +55,7 @@ def test_binomial_log_pmf_window(n):
 
 def test_binomial_log_pmf_small_rows_exact():
     for n in range(0, 61):
-        lo, logs, total = binomial_window(n)
+        lo, logs, total, _ = binomial_window(n)
         assert (lo, len(logs)) == (0, n + 1)
         centre = math.comb(n, n // 2)
         for i, value in enumerate(logs):
@@ -157,12 +157,11 @@ def test_exact_sum_rejects_non_finite(bad, length):
 
 def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):
     numerics._windows.clear()
-    numerics._scaled.clear()
     reads, walks, batches = Counter(), Counter(), []
     walk = numerics._walk
 
     class Kept(dict):
-        """The S_n / 2^n cache, counting each value stored."""
+        """The window cache, which holds S_n / 2^n, counting each value stored."""
 
         def __setitem__(self, n, value):
             reads[n] += 1
@@ -173,7 +172,7 @@ def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):
         batches.append(len(ns))
         return walk(ns)
 
-    monkeypatch.setattr(numerics, "_scaled", Kept())
+    monkeypatch.setattr(numerics, "_windows", Kept())
     monkeypatch.setattr(numerics, "_walk", walking)
     curve_table(1, 60)
     # One batch walks every n the table reads.
@@ -185,16 +184,17 @@ def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):
     assert set(reads) == {*range(1, 61), *range(62, 121, 2)}
     assert max(reads.values()) == 1 and max(walks.values()) == 1
     assert set(walks) == set(reads)
-    # Above SERIES_FROM S_n never reads a window.
-    sqrt_binom_sum_scaled(SERIES_FROM + 1)
-    assert SERIES_FROM + 1 not in reads and SERIES_FROM + 1 not in walks
+    # Above BASIS_CAP S_n never reads a window.
+    sqrt_binom_sum_scaled(BASIS_CAP + 1)
+    assert BASIS_CAP + 1 not in reads and BASIS_CAP + 1 not in walks
     # The public function stays a plain function, so tracers can wrap it.
     assert inspect.isfunction(numerics.sqrt_binom_sum_scaled)
     for _ in range(3):
         with pytest.raises(ValueError):
             sqrt_binom_sum_scaled(0)
     sqrt_binom_sum_scaled(2)
-    for bad in (2.0, SERIES_FROM + 1.0):
+    # A float n is a TypeError whatever its value, below 1 too.
+    for bad in (0.5, 1.5, 2.0, BASIS_CAP + 1.0):
         with pytest.raises(TypeError):
             sqrt_binom_sum_scaled(bad)
 
@@ -202,40 +202,50 @@ def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):
 def test_sqrt_binom_batched_walk_matches_one_n_walk():
     # A batch pads every n to its widest window; each n's window and S_n / 2^n
     # must still be the bits of a batch of one, on either SIMD target.
-    ns = [*range(1, 2059), SERIES_FROM - 2, SERIES_FROM - 1, SERIES_FROM]
-    batches = [ns[i:i + 97] for i in range(0, len(ns), 97)] + [[1, 2058, 60, SERIES_FROM - 1]]
+    ns = [*range(1, 2059)]
+    batches = [ns[i:i + 97] for i in range(0, len(ns), 97)] + [[1, 2058, 60, BASIS_CAP + 1]]
     for batch in batches:
-        numerics._scaled.clear()
         windows = numerics._walk(batch)
-        scaled = [numerics._scaled[n] for n in batch]
-        for n, (lo, logs, total), s in zip(batch, windows, scaled):
-            numerics._scaled.clear()
-            one_lo, one_logs, one_total = numerics._walk([n])[0]
+        for n, (lo, logs, total, s) in zip(batch, windows):
+            one_lo, one_logs, one_total, one_s = numerics._walk([n])[0]
             assert (lo, total) == (one_lo, one_total), n
             assert logs.tobytes() == one_logs.tobytes(), n
-            assert s.hex() == numerics._scaled[n].hex(), n
+            assert s.hex() == one_s.hex(), n
     numerics._windows.clear()
-    numerics._scaled.clear()
     curve_table(1, 60)
-    # S_n / 2^n for n = 1..8192 as each n's own walk gave it before batches,
-    # with numpy's AVX-512 and with its AVX2 loops: batching changes no bit.
-    lines = "".join(sqrt_binom_sum_scaled(n).hex() + "\n" for n in range(1, SERIES_FROM + 1))
+    # S_n / 2^n for n = 1..BASIS_CAP as each n's own walk gave it before
+    # batches, with numpy's AVX-512 and with its AVX2 loops: batching changes
+    # no bit.
+    lines = "".join(sqrt_binom_sum_scaled(n).hex() + "\n" for n in range(1, BASIS_CAP + 1))
     digest = hashlib.sha256(lines.encode()).hexdigest()
     assert digest in {
-        "c1775cededec97a60d2e14eb6840f913f788fc2fd363691ebcd6cb09d53ec937",
-        "b724575adbd36414f7c3abe725cb1575d3cf007d4ca4bba374fcbbc61cd3a5fe",
+        "802b7070afba7a2f3f946919842a0b514773d2f9635c838ec96fc0c5e4b8738c",
+        "18d75fd2bed36151a508560c711e10da919fefcc8e07e035fca96c575c0dd992",
     }
 
 
 def test_sqrt_binom_deficit_series_is_exact():
-    # The five float constants are the rational coefficients derived from
+    # The eight float constants are the rational coefficients derived from
     # the central moments of Bin(n, 1/2).
-    assert list(map(Fraction, DEFICIT_SERIES)) == deficit_series(5)
+    assert list(map(Fraction, DEFICIT_SERIES)) == deficit_series(8)
+
+
+def test_sqrt_binom_series_is_correctly_rounded_above_cap():
+    # Above BASIS_CAP, S_n / 2^n is 1 - d_n from DEFICIT_SERIES: held at every
+    # n up to 8192 to 12 terms of the series in rational arithmetic, whose
+    # first omitted term is below 1e-30 there.
+    coefficients = deficit_series(12)
+    worst = 0.0, 0
+    for n in range(BASIS_CAP + 1, 8193):
+        exact_value = 1 - sum(a / Fraction(n) ** k for k, a in enumerate(coefficients, 1))
+        value = sqrt_binom_sum_scaled(n)
+        worst = max(worst, (float(abs(Fraction(value) - exact_value) / Fraction(math.ulp(value))), n))
+    assert worst[0] <= 0.501, worst
 
 
 def walked(n):
     """S_n / 2^n by the window walk, computed here from its parts."""
-    _, logs, total = binomial_window(n)
+    _, logs, total, _ = binomial_window(n)
     return numerics._exact_sum(np.exp(0.5 * (logs[:-1] + logs[1:]))) / total
 
 
@@ -248,10 +258,10 @@ def series(n):
 
 
 def test_sqrt_binom_series_meets_walk_at_threshold():
-    for n in range(SERIES_FROM - 2, SERIES_FROM + 3):
+    for n in range(BASIS_CAP - 2, BASIS_CAP + 3):
         walk, value = walked(n), series(n)
         assert abs(walk - value) <= math.ulp(walk), n
-        assert sqrt_binom_sum_scaled(n) == (walk if n <= SERIES_FROM else value), n
+        assert sqrt_binom_sum_scaled(n) == (walk if n <= BASIS_CAP else value), n
 
 
 def test_phase_normalization():

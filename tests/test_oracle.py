@@ -87,7 +87,7 @@ def eta(n, m):
 
 
 def test_sqrt_binom_sum_scaled_matches_oracle():
-    # Up to SERIES_FROM, S_n / 2^n is one rounding of a quotient whose two
+    # Up to BASIS_CAP, S_n / 2^n is one rounding of a quotient whose two
     # sums share the walk's rounding; above, it is 1 - d_n from the deficit
     # series. Hold both to 2e-16, never looser. At 6281617 and 78881935 a
     # centre term rounded to one float once put S past 1e-15.
@@ -98,7 +98,7 @@ def test_sqrt_binom_sum_scaled_matches_oracle():
 
 
 def test_sqrt_binom_series_needs_no_walk(monkeypatch):
-    # Above SERIES_FROM, S_n / 2^n is O(1): at n = 10^12 a walk would need
+    # Above BASIS_CAP, S_n / 2^n is O(1): at n = 10^12 a walk would need
     # gigabytes. The value is the series' 50-digit value to 1 ulp.
     s_1 = sqrt_binom_sum_scaled(1)
 

@@ -136,10 +136,19 @@ def test_mean_fidelity_closed_increasing_and_bounded():
 
 
 def test_numeric_matches_closed_any_grid():
-    for n in range(1, 31):
-        closed = mean_fidelity_closed(n)
+    # The integrand's only non-constant harmonic, cos((N+1) phi), averages
+    # to zero over a uniform grid offset by pi / (2(N+1)) of any size, so
+    # every such grid average is the phase average that the one-phase
+    # quadrature returns.
+    for n in (*range(1, 31), 100, 1029):
+        closed, numeric = mean_fidelity_closed(n), mean_fidelity_numeric(n)
+        assert abs(numeric - closed) <= 1e-10, n
+        est = phase_estimates(n)
         for grid in (1, 7, 64):
-            assert abs(mean_fidelity_numeric(n, grid) - closed) <= 1e-10
+            phis = 2.0 * math.pi * np.arange(grid) / grid + math.pi / (2.0 * (n + 1))
+            p = outcome_rows(n, phis)
+            average = float(np.sum(p * np.cos((est - phis[:, None]) / 2.0) ** 2)) / grid
+            assert abs(numeric - average) <= 1e-10, (n, grid)
 
 
 def test_numeric_examples():
@@ -150,12 +159,10 @@ def test_numeric_examples():
 
 
 def test_numeric_domain_errors():
-    with pytest.raises(ValueError):
-        mean_fidelity_numeric(1, 0)
-    # A grid of 2.5 points does not exist; integer-like grid sizes do.
-    with pytest.raises(TypeError):
-        mean_fidelity_numeric(2, 2.5)
-    assert mean_fidelity_numeric(2, np.int64(8)) == mean_fidelity_numeric(2, 8)
+    # An ensemble of 2.5 copies does not exist, nor one of 0.5.
+    for bad in (0.5, 2.5):
+        with pytest.raises(TypeError):
+            mean_fidelity_numeric(bad)
     with pytest.raises(ValueError):
         mean_fidelity_closed(0)
 

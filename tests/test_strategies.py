@@ -77,6 +77,9 @@ def test_unequal_domain_errors():
         p_unified_collective_unequal(0, 3)
     with pytest.raises(ValueError):
         p_unified_collective_unequal(3, 0)
+    for args in ((0.5, 3), (3, 0.5), (2.0, 3)):
+        with pytest.raises(TypeError):
+            p_unified_collective_unequal(*args)
 
 
 def test_unequal_comparison_table_is_exploratory():

@@ -61,10 +61,17 @@ def test_modulus_independent_of_phase():
 def test_domain_errors():
     with pytest.raises(ValueError):
         symmetric_state(0, 0.0)
+    # A float N is a TypeError whatever its value, below 1 too.
+    for bad in (0.5, 1.5, 2.0):
+        with pytest.raises(TypeError):
+            symmetric_state(bad, 0.0)
+    assert np.array_equal(symmetric_state(np.int64(60), 0.3), symmetric_state(60, 0.3))
     with pytest.raises(ValueError):
         dicke_embedding(0)
     with pytest.raises(ValueError):
         dicke_embedding(EMBEDDING_CAP + 1)
+    with pytest.raises(TypeError):
+        dicke_embedding(0.5)
 
 
 def test_embedding_single_qubit_is_identity():
