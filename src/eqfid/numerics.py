@@ -1,25 +1,22 @@
-"""Binomial weights, their exact sums and the phase normalization.
+"""S_n / 2^n, exact sums and the phase normalization.
 
-Every binomial quantity the package uses, S_n / 2^n and the Dicke weights,
-comes from the O(sqrt(n)) window of _walk, with no centre term: S_n / 2^n
-up to n = BASIS_CAP and the Dicke weights at every n are quotients of exact
-sums over it. _walk takes a list of n and walks them as one padded batch,
-so the numpy calls of a curve table's 90 n cost what one n's do; one n is a
-batch of one. It keeps each window up to BASIS_CAP for the process, with
-S_n / 2^n in it, so that S_n and the weights share one walk per n. Above
-BASIS_CAP, S_n / 2^n is 1 - d_n from the first eight terms of d_n's 1/n
-series, in O(1) and IEEE operations only.
-Every exactly rounded sum in the package, here and in montecarlo, is an
-_exact_sum numerator over SUM_DENOMINATOR, or one of the per-row numerators
-of _sum_apart that _walk takes. Both read each float's exponent and
-mantissa from its bits (_decode) and add them as integers: _exact_sum adds a
-short input in Python ints and a longer one in two int64 sums over the band
-of exponents next to the largest, which holds all or most of a Monte Carlo
-block's values; what lies below the band, as across the wide span of a
-binomial window, goes to bins by exponent. Every phase the package takes
-passes through as_phase.
+S_n / 2^n is computed from Python ints and math alone, so it is the same on
+every host. Up to n = BASIS_CAP it is correctly rounded: one integer sum
+over the O(sqrt(n)) binomial window that Hoeffding's bound leaves, with a
+proven slack, rounded by Ziv's test (_exact_scaled, kept per n for the
+process). Above BASIS_CAP it is 1 - d_n from the first eight terms of d_n's
+1/n series, in O(1) and IEEE operations only. The Dicke weights come from
+Python ints too, in symmetric.
+Every exactly rounded sum in the Monte Carlo is an _exact_sum numerator over
+SUM_DENOMINATOR. It reads each float's exponent and mantissa from its bits
+(_decode) and adds them as integers: a short input in Python ints and a
+longer one in two int64 sums over the band of exponents next to the
+largest, which holds all or most of a Monte Carlo block's values; what lies
+below the band goes to bins by exponent (_sum_apart). Every phase the
+package takes passes through as_phase.
 """
 
+import functools
 import math
 import operator
 
@@ -37,11 +34,11 @@ _SLICE = 1 << 26
 _SMALL = 200
 _LOW_HALF = (1 << 26) - 1
 
-# Largest N with an outcome law: every N that ever ran. It bounds one cost,
-# the O(N^2) correlations behind either law (1 pure, up to 24 full-mixed,
-# 4 ms at the cap); an outcome row is one FFT at any N. _walk keeps the
-# windows up to the cap, each the whole row of N+1 floats: about 4.3 MB for
-# all of them, plus the padding of the batch each came in.
+# Largest N with an outcome law or a symmetric state: every N that ever ran.
+# It bounds the O(N^2) correlations behind either law (1 pure, up to 24
+# full-mixed, 4 ms at the cap) and the exact integer binomials: C(N, N // 2)
+# stays in float range up to it, S_n / 2^n is exact up to it, and each N's
+# Dicke weights are kept, about 4.3 MB if every N is asked for.
 BASIS_CAP = 1029
 
 # Above BASIS_CAP, S_n / 2^n = 1 - d_n with d_n = sum_k a_k / n^k over
@@ -51,10 +48,6 @@ BASIS_CAP = 1029
 # 0.501 ulp.
 DEFICIT_SERIES = (1 / 2, -1 / 8, 7 / 16, 101 / 128, 1191 / 256, 29163 / 1024, 450951 / 2048,
                   65785709 / 32768)
-
-# What _walk keeps for the process: the window of each n up to BASIS_CAP,
-# with S_n / 2^n.
-_windows: dict[int, tuple[int, np.ndarray, int, float]] = {}
 
 
 def as_phase(phi) -> float:
@@ -95,15 +88,15 @@ def _exact_sum(values: np.ndarray, scratch: np.ndarray | None = None) -> int:
     e, m, t = scratch[:3, :n]
     low, top = _decode(values, e, m, t)
     if n <= _SMALL:
-        return _sum_apart(m, e, t, low)[0]
+        return _sum_apart(m, e, t, low)
     base = max(low, top + n.bit_length() - 35)
     total = 0
     if low < base:
         below = np.less(e, base, out=t.view(bool)[:n])
         if 2 * np.count_nonzero(below) > n:
-            return _sum_apart(m, e, t, low)[0]
+            return _sum_apart(m, e, t, low)
         below = np.flatnonzero(below)
-        total = _sum_apart(m[below], e[below], t[:len(below)], low)[0]
+        total = _sum_apart(m[below], e[below], t[:len(below)], low)
         # A zero mantissa and shift, never a negative shift count.
         m[below] = 0
         e[below] = base
@@ -149,151 +142,103 @@ def _decode(values: np.ndarray, e: np.ndarray, m: np.ndarray, t: np.ndarray) -> 
     return low, top
 
 
-def _sum_apart(m: np.ndarray, e: np.ndarray, t: np.ndarray, low: int,
-               rows: np.ndarray | None = None, count: int = 1) -> list[int]:
-    """The _exact_sum numerators of sum m 2^(e - 1075) over each of count
-    rows, for mantissas m and exponents e >= low >= 1: term i belongs to
-    row rows[i], or every term to row 0 when rows is None. A row holds at
-    most _SLICE terms. e and the scratch row t are overwritten.
+def _sum_apart(m: np.ndarray, e: np.ndarray, t: np.ndarray, low: int) -> int:
+    """The _exact_sum numerator of sum m 2^(e - 1075), for at most _SLICE
+    mantissas m and exponents e >= low >= 1. e and the scratch row t are
+    overwritten.
 
-    Up to _SMALL terms of one row are added in Python ints. Otherwise the
-    terms are binned by (row, e): the bins of the mantissas' halves are
-    exact, as every bin sum stays within 2^27 _SLICE = 2^53. They fold into
-    int64 sums per row from bin low up, in which a high half lands 26 bins
-    above its low half, and then runs of w adjacent sums fold into one, each
-    shifted by its place in the run; w leaves every run's sum below 2^62.
-    Each row's runs fold into one Python int.
+    Up to _SMALL terms are added in Python ints. Otherwise the terms are
+    binned by e: the bins of the mantissas' halves are exact, as every bin
+    sum stays within 2^27 _SLICE = 2^53. They fold into int64 sums from bin
+    low up, in which a high half lands 26 bins above its low half, and then
+    runs of w adjacent sums fold into one, each shifted by its place in the
+    run; w leaves every run's sum below 2^62. The runs fold into one Python
+    int.
     """
     e -= low
-    if rows is None and len(m) <= _SMALL:
-        return [sum(map(operator.lshift, m.tolist(), e.tolist())) << (low + 51)]
-    # A row's bins run from low up, with room for the high halves 26 bins
-    # up and to pad the row to a whole number of runs of any length w <= 62.
+    if len(m) <= _SMALL:
+        return sum(map(operator.lshift, m.tolist(), e.tolist())) << (low + 51)
+    # The bins run from low up, with room for the high halves 26 bins up and
+    # to pad to a whole number of runs of any length w <= 62.
     top = int(e.max())
-    stride = top + 27 + 62
-    if rows is not None:
-        e += rows * stride
+    bins = top + 27 + 62
     weights = t.view(np.float64)
-    bins = count * stride
     sums = np.bincount(e, weights=np.bitwise_and(m, _LOW_HALF, out=weights), minlength=bins)
-    sums = sums.astype(np.int64).reshape(count, stride)
+    sums = sums.astype(np.int64)
     high_sums = np.bincount(e, weights=np.right_shift(m, 26, out=weights), minlength=bins)
-    sums[:, 26:top + 27] += high_sums.reshape(count, stride)[:, :top + 1].astype(np.int64)
+    sums[26:top + 27] += high_sums[:top + 1].astype(np.int64)
     w = 62 - max(int(sums.max()), -int(sums.min())).bit_length()
     runs = -(-(top + 27) // w)
-    runs = (sums[:, :runs * w].reshape(count, runs, w) << np.arange(w)).sum(axis=2)
-    totals = []
-    for row in runs.tolist():
-        total = 0
-        for run in reversed(row):
-            total = (total << w) + run
-        totals.append(total << (low + 51))
-    return totals
+    runs = (sums[:runs * w].reshape(runs, w) << np.arange(w)).sum(axis=1)
+    total = 0
+    for run in reversed(runs.tolist()):
+        total = (total << w) + run
+    return total << (low + 51)
 
 
-def binomial_window(n: int) -> tuple[int, np.ndarray, int, float]:
-    """The window (lo, l, D, S) of n from _walk: kept for the process when
-    n <= BASIS_CAP, its logs read-only, and walked afresh, as a batch of
-    one, on every call above."""
-    return _windows.get(n) or _walk([n])[0]
+@functools.cache
+def _exact_scaled(n: int) -> float:
+    """S_n / 2^n correctly rounded, from Python ints alone; kept for the
+    process, and asked for only up to BASIS_CAP.
 
-
-def _keep_scaled(ns) -> None:
-    """Walk, in one batch, each n of ns up to BASIS_CAP whose window, and
-    with it S_n / 2^n, is not kept yet."""
-    missing = sorted({n for n in ns if n <= BASIS_CAP and n not in _windows})
-    if missing:
-        _walk(missing)
-
-
-def _walk(ns: list[int]) -> list[tuple[int, np.ndarray, int, float]]:
-    """The binomial window (lo, l, D, S) of each n in ns, walked in one
-    batch; keeps each window up to BASIS_CAP.
-
-    For c = n // 2 the window holds l_i = log(C(n, i) / C(n, c)) from
-    i = lo, D is the _exact_sum numerator of sum_i e^(l_i) =
-    2^n / C(n, c), and S = S_n / 2^n is the exact window sum of
-    exp((l_i + l_{i+1}) / 2) over D: one correctly rounded int / int
-    quotient whose two sums share the walk's rounding. The walk out of
-    l_c = 0 adds the exact ratios log1p((n - 2i - 1) / (i + 1)) to the
-    right and log1p((2i - n - 1) / (n - i + 1)) to the left. By Hoeffding,
-    C(n, i) / C(n, c) <= (n + 1) exp(-2 (i - n/2)^2 / n), so every index
-    isqrt(n (373 + bits(n))) + 2 or more from c lies below 2^-1075 and
-    rounds to zero: window sums equal whole-row sums, in O(sqrt(n)) time
-    and memory.
-
-    The number of numpy calls does not grow with len(ns): both half walks
-    of every n are rows of one padded array, and take one row-wise cumsum;
-    the logs and the midpoints (l_i + l_{i+1}) / 2 take one exp; and D and
-    the numerator of S come from one _decode and one _sum_apart keyed by
-    (n, sum). Every value is a batch of one's to the bit, as each entry
-    passes through the same operations in the same order and the sums are
-    exact. A row of _sum_apart holds one window, below _SLICE terms for
-    every n < 10^12.
+    _window_sum gives an integer T with 2^k S_n in [T, T + slack). When
+    T / 2^(n+k) and (T + slack) / 2^(n+k), each one correctly rounded int /
+    int quotient, are the same float, that float is S_n / 2^n correctly
+    rounded; otherwise k doubles (Ziv's rounding test: Ziv, ACM TOMS 17,
+    1991). k = 64 leaves a slack of 2^-63, absolute, and settles every n up
+    to the cap but 788, which takes k = 128.
     """
-    if min(ns) < 0:
-        raise ValueError(f"n must be >= 0, got {min(ns)}")
-    # Row 2b walks left of the centre c of ns[b], row 2b + 1 right: step j
-    # adds log1p((a - 2j) / (b + j)) for the row's (a, b), and a padding
-    # step past its length log1p(0).
-    params, lefts, sizes = [], [], []
-    for n in ns:
-        c = n // 2
-        reach = math.isqrt(n * (373 + n.bit_length())) + 2
-        left, right = min(c, reach), min(n - c, reach)
-        params += (2 * c - n - 1, n - c + 1, left), (n - 2 * c - 1, c + 1, right)
-        lefts.append(left)
-        # The window's terms, and the midpoints between them.
-        sizes += left + right + 1, left + right
-    a, b, length = np.array(params).T[:, :, None]
-    width = int(length.max())
-    steps = np.arange(width)
-    walks = np.zeros((len(a), width + 1))
-    np.cumsum(np.log1p(np.where(steps < length, a - 2 * steps, 0) / (b + steps)),
-              axis=1, out=walks[:, 1:])
-    # Row b: the left walk reversed, l_c = 0 in column width, the right
-    # walk; the window of ns[b] runs from column width - left to
-    # width + right. Its midpoints follow in the columns after 2 width.
-    logs = np.concatenate([walks[0::2, :0:-1], walks[1::2]], axis=1)
-    logs.flags.writeable = False
-    values = np.empty((len(ns), 4 * width + 1))
-    values[:, :2 * width + 1] = logs
-    mids = values[:, 2 * width + 1:]
-    np.add(logs[:, :-1], logs[:, 1:], out=mids)
-    mids *= 0.5
-    np.exp(values, out=values)
-    column = np.arange(2 * width + 1)
-    inside = (column >= width - length[0::2]) & (column <= width + length[1::2])
-    values = values[np.concatenate([inside, inside[:, :-1] & inside[:, 1:]], axis=1)]
-    rows = np.repeat(np.arange(len(sizes)), sizes)
-    e, m, t = np.empty((3, len(values)), dtype=np.int64)
-    sums = _sum_apart(m, e, t, _decode(values, e, m, t)[0], rows, len(sizes))
-    windows = []
-    for i, n in enumerate(ns):
-        left = lefts[i]
-        window = (n // 2 - left, logs[i, width - left:width - left + sizes[2 * i]], sums[2 * i],
-                  sums[2 * i + 1] / sums[2 * i])
-        if n <= BASIS_CAP:
-            _windows[n] = window
-        windows.append(window)
-    return windows
+    k = 64
+    while True:
+        total, slack = _window_sum(n, k)
+        scale = 1 << n + k
+        value = total / scale
+        if value == (total + slack) / scale:
+            return value
+        k *= 2
+
+
+def _window_sum(n: int, k: int) -> tuple[int, int]:
+    """An integer T and a slack with 2^k S_n in [T, T + slack).
+
+    sqrt(C_i C_{i+1}) = C_i sqrt((n - i) / (i + 1)), C_i = C(n, i), is the
+    same at i and n - 1 - i, so T is twice the sum over i < n // 2 of
+    C_i isqrt(((n - i) << 2k) // (i + 1)), plus the middle term
+    C(n, (n - 1) / 2) 2^k, exact, when n is odd. Each floor drops less than
+    C_i, less than 2^n over the row. The sum starts at lo, at least t from
+    n / 2 with t^2 > 7 n (k + 1) / 20 > n (k + 1) ln(2) / 2: the terms below
+    lo are at most C_{i+1} each, so by Hoeffding's bound they weigh less
+    than 2^n exp(-2 t^2 / n) < 2^(n - k - 1), and, doubled and scaled by
+    2^k, less than 2^n. The slack is 2^(n + 1), and the window has
+    O(sqrt(n k)) terms.
+    """
+    c = n // 2
+    lo = max(0, c - math.isqrt(7 * n * (k + 1) // 20) - 1)
+    comb, total = math.comb(n, lo), 0
+    for i in range(lo, c):
+        total += comb * math.isqrt(((n - i) << 2 * k) // (i + 1))
+        comb = comb * (n - i) // (i + 1)
+    total *= 2
+    if n % 2:
+        total += comb << k
+    return total, 1 << n + 1
 
 
 def sqrt_binom_sum_scaled(n: int) -> float:
     """S_n / 2^n with S_n = sum_i sqrt(C(n,i) C(n,i+1)), i = 0 .. n-1.
 
-    Up to BASIS_CAP: the S of n's window from _walk, kept with it for the
-    process; within 1.4e-16 relative of an mpmath oracle with numpy's
-    AVX-512 or AVX2 loops. Above: 1 - d_n, d_n = sum_k a_k / n^k over
+    Up to BASIS_CAP: _exact_scaled, from Python ints, correctly rounded and
+    kept for the process. Above: 1 - d_n, d_n = sum_k a_k / n^k over
     DEFICIT_SERIES by Horner's rule in x = 1 / n, a correctly rounded int
-    division; O(1), host-independent, and within 0.501 ulp at every n.
-    n is an integer: a float is a TypeError, whatever its value.
+    division; O(1) and within 0.501 ulp at every n. Both routes are the same
+    on every host. n is an integer: a float is a TypeError, whatever its
+    value.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n <= BASIS_CAP:
-        return binomial_window(n)[3]
+        return _exact_scaled(n)
     x, d = 1 / n, 0.0
     for a in reversed(DEFICIT_SERIES):
         d = d * x + a

@@ -2,20 +2,22 @@
 
 N identical qubits never leave the (N+1)-dimensional permutation-symmetric
 subspace, so an N-copy equatorial state is held as an (N+1)-vector of Dicke
-amplitudes instead of a 2^N-vector. The Dicke weights, which both outcome
-laws are built from, are taken afresh on each call from the binomial window
-of numerics.binomial_window, which keeps each N's window up to BASIS_CAP for
-the process, with S_N / 2^N in it: 8 (N+1) bytes, about 15 KB for N up to
-60 and at most about 4.3 MB for every N up to BASIS_CAP.
+amplitudes instead of a 2^N-vector. The Dicke weights sqrt(C(N, i) / 2^N),
+which both outcome laws are built from, come from Python ints, each
+correctly rounded, so they are the same on every host; each N's weights are
+kept for the process, read-only: 8 (N+1) bytes, about 15 KB for N up to 60
+and at most about 4.3 MB for every N up to BASIS_CAP, which bounds every
+N-indexed state and law.
 """
 
+import functools
 import itertools
 import math
 import operator
 
 import numpy as np
 
-from .numerics import BASIS_CAP, SUM_DENOMINATOR, as_phase, binomial_window
+from .numerics import BASIS_CAP, as_phase
 
 # Largest N for which the 2^N-dimensional embedding is materialized (4096-dim
 # at the cap); only the full-space reference mixed_ensemble_distribution needs
@@ -25,7 +27,8 @@ EMBEDDING_CAP = 12
 
 def check_cap(n_copies: int) -> None:
     """Refuse an N outside 1..BASIS_CAP, and a float N by TypeError; every
-    outcome law and simulate share this bound and its message."""
+    symmetric state, outcome law and simulate share this bound and its
+    message."""
     if not 1 <= operator.index(n_copies) <= BASIS_CAP:
         raise ValueError(f"n_copies must lie in 1..{BASIS_CAP}, got {n_copies}")
 
@@ -36,20 +39,38 @@ def symmetric_state(n_copies: int, phase) -> np.ndarray:
     Component n is sqrt(C(N, n)) e^{i n phi} / 2^{N/2}: the modulus carries
     the binomial weight of strings with n excitations and the phase winds
     linearly, which is what makes covariant phase measurements tractable.
-    The weights are sqrt(e^(l_i) / D) over the window of binomial_window
-    and exactly zero outside it. N is an integer: a float is a TypeError.
+    The weights are _dicke_weights(N). N is an integer in 1..BASIS_CAP: a
+    float is a TypeError.
     """
+    check_cap(n_copies)
     n = operator.index(n_copies)
-    if n < 1:
-        raise ValueError("n_copies must be >= 1")
     return _dicke_weights(n) * np.exp(1j * as_phase(phase) * np.arange(n + 1))
 
 
+@functools.cache
 def _dicke_weights(n: int) -> np.ndarray:
-    """Fresh Dicke weights of an int N >= 0."""
-    lo, logs, total, _ = binomial_window(n)
-    w = np.zeros(n + 1)
-    w[lo : lo + len(logs)] = np.sqrt(np.exp(logs) / (total / SUM_DENOMINATOR))
+    """The Dicke weights sqrt(C(N, i) / 2^N), i = 0 .. N, of an int N in
+    1..BASIS_CAP, each correctly rounded; kept for the process, read-only.
+
+    With x = C(N, i) 2^(N mod 2) and s >= 0 the least shift that gives
+    x 4^s at least 112 bits, r = isqrt(x 4^s) has at least 56, and the
+    weight is sqrt(x 4^s) / 2^(s + ceil(N/2)). r is made odd when the root
+    is inexact (round to odd), so the one rounding of the int / int
+    quotient r / 2^(s + ceil(N/2)) is that of the exact root (Boldo and
+    Melquiond, IEEE Trans. Comput. 57, 2008). Every weight is a normal
+    float up to BASIS_CAP. The row is symmetric, so half of it is computed
+    and mirrored.
+    """
+    w = np.empty(n + 1)
+    comb = 1
+    for i in range(n // 2 + 1):
+        x = comb << n % 2
+        s = max(0, (113 - x.bit_length()) // 2)
+        x <<= 2 * s
+        r = math.isqrt(x)
+        w[i] = w[n - i] = (r | (r * r != x)) / (1 << s + (n + 1) // 2)
+        comb = comb * (n - i) // (i + 1)
+    w.flags.writeable = False
     return w
 
 

@@ -1,6 +1,7 @@
 """Cross-module invariant suite backing the `verify` CLI command; the one
 owner of the paper's claims, read off one curve_table."""
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,9 @@ class CheckResult:
 
 
 def run_checks(n_max: int) -> list[CheckResult]:
-    """Run all named invariant checks up to ensemble size n_max."""
+    """Run all named invariant checks up to ensemble size n_max, an
+    integer: a float is a TypeError, whatever its value."""
+    n_max = operator.index(n_max)
     if not 1 <= n_max <= CURVE_N_CAP:
         raise ValueError(f"n_max must lie in 1..{CURVE_N_CAP}, got {n_max}")
     table = curve_table(1, n_max)

@@ -86,3 +86,43 @@ def deficit_series(terms: int) -> list[Fraction]:
                     coefficients[j + k - t] += c * mu * 2 ** (j + k)
     assert coefficients[0] == 1
     return [-a for a in coefficients[1:]]
+
+
+def _rounded(ints, n, spread):
+    """The float nearest X / 2^(n + k) for an exact X in [x, x + spread),
+    where ints(k) gives x and whether X = x: k runs 64, 128, ... until x is
+    exact or both ends round to one float (Ziv's test)."""
+    k = 64
+    while True:
+        x, exact = ints(k)
+        low = x / (1 << n + k)
+        if exact or low == (x + spread) / (1 << n + k):
+            return low
+        k *= 2
+
+
+def sqrt_binom_sum_scaled(n: int) -> float:
+    """S_n / 2^n, S_n = sum_i sqrt(C(n, i) C(n, i + 1)), correctly rounded,
+    from the full row: T = sum_i isqrt(C(n, i) C(n, i + 1) 4^k) has 2^k S_n
+    in [T, T + n), as each of the n floors drops less than 1."""
+    row = [math.comb(n, i) for i in range(n + 1)]
+
+    def ints(k):
+        return sum(math.isqrt(a * b << 2 * k) for a, b in zip(row, row[1:])), False
+
+    return _rounded(ints, n, n)
+
+
+def dicke_weights(n: int) -> list[float]:
+    """sqrt(C(n, i) / 2^n), i = 0 .. n, each correctly rounded:
+    r = isqrt(C(n, i) 2^n 4^k) has 2^(n + k) times the weight in [r, r + 1),
+    exactly r when r^2 is the radicand."""
+    def weight(c):
+        def ints(k):
+            x = c << n + 2 * k
+            r = math.isqrt(x)
+            return r, r * r == x
+
+        return _rounded(ints, n, 1)
+
+    return [weight(math.comb(n, i)) for i in range(n + 1)]

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import math
@@ -17,12 +18,12 @@ from eqfid.numerics import (
     DEFICIT_SERIES,
     SUM_DENOMINATOR,
     as_phase,
-    binomial_window,
     sqrt_binom_sum,
     sqrt_binom_sum_scaled,
 )
 from eqfid.strategies import curve_table
 from eqfid.verify import run_checks
+import reference
 from reference import deficit_series
 
 
@@ -35,38 +36,6 @@ def test_sqrt_binom_sum_values():
 def test_sqrt_binom_sum_domain_error():
     with pytest.raises(ValueError):
         sqrt_binom_sum(0)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 60, 1500, 1501, 1600, 10**5, 2 * 10**6 + 1])
-def test_binomial_log_pmf_window(n):
-    lo, logs, total, _ = binomial_window(n)
-    hi = lo + len(logs) - 1
-    ratios = np.exp(logs)
-    assert logs[n // 2 - lo] == 0.0
-    # D = 2^n / C(n, n // 2); math.comb is too slow to check it past 10^5.
-    if n <= 10**5:
-        pmf_centre = math.comb(n, n // 2) / 2**n
-        assert abs(total / SUM_DENOMINATOR * pmf_centre - 1.0) <= 4e-16
-    # The row decreases away from its centre, so once the cut-off ends round
-    # to zero every dropped index would add exactly zero.
-    assert lo == 0 or ratios[0] == 0.0
-    assert hi == n or ratios[-1] == 0.0
-
-
-def test_binomial_log_pmf_small_rows_exact():
-    for n in range(0, 61):
-        lo, logs, total, _ = binomial_window(n)
-        assert (lo, len(logs)) == (0, n + 1)
-        centre = math.comb(n, n // 2)
-        for i, value in enumerate(logs):
-            exact = math.log(math.comb(n, i) / centre)
-            assert abs(value - exact) <= 4e-15 * max(1.0, abs(exact))
-        assert abs(total / SUM_DENOMINATOR * centre / 2**n - 1.0) <= 4e-16
-
-
-def test_binomial_log_pmf_domain_error():
-    with pytest.raises(ValueError):
-        binomial_window(-1)
 
 
 def exact(values):
@@ -156,35 +125,31 @@ def test_exact_sum_rejects_non_finite(bad, length):
 
 
 def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):
-    numerics._windows.clear()
-    reads, walks, batches = Counter(), Counter(), []
-    walk = numerics._walk
+    # Count each S_n / 2^n computed, through a fresh cache in place of the
+    # kept one, and each integer window sum taken.
+    reads, walks = Counter(), Counter()
+    exact_scaled, window_sum = numerics._exact_scaled.__wrapped__, numerics._window_sum
 
-    class Kept(dict):
-        """The window cache, which holds S_n / 2^n, counting each value stored."""
+    def computing(n):
+        reads[n] += 1
+        return exact_scaled(n)
 
-        def __setitem__(self, n, value):
-            reads[n] += 1
-            super().__setitem__(n, value)
+    def walking(n, k):
+        walks[n] += 1
+        return window_sum(n, k)
 
-    def walking(ns):
-        walks.update(ns)
-        batches.append(len(ns))
-        return walk(ns)
-
-    monkeypatch.setattr(numerics, "_windows", Kept())
-    monkeypatch.setattr(numerics, "_walk", walking)
+    monkeypatch.setattr(numerics, "_exact_scaled", functools.cache(computing))
+    monkeypatch.setattr(numerics, "_window_sum", walking)
     curve_table(1, 60)
-    # One batch walks every n the table reads.
-    assert batches == [90]
     run_checks(60)
     # Integer-like n share the memo entry of the int.
     sqrt_binom_sum_scaled(np.int64(60))
     # The gate factor reads S_2N too.
     assert set(reads) == {*range(1, 61), *range(62, 121, 2)}
+    # One window sum each: k = 64 passes Ziv's test at every n read here.
     assert max(reads.values()) == 1 and max(walks.values()) == 1
     assert set(walks) == set(reads)
-    # Above BASIS_CAP S_n never reads a window.
+    # Above BASIS_CAP S_n never takes the integer route.
     sqrt_binom_sum_scaled(BASIS_CAP + 1)
     assert BASIS_CAP + 1 not in reads and BASIS_CAP + 1 not in walks
     # The public function stays a plain function, so tracers can wrap it.
@@ -199,29 +164,21 @@ def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):
             sqrt_binom_sum_scaled(bad)
 
 
-def test_sqrt_binom_batched_walk_matches_one_n_walk():
-    # A batch pads every n to its widest window; each n's window and S_n / 2^n
-    # must still be the bits of a batch of one, on either SIMD target.
-    ns = [*range(1, 2059)]
-    batches = [ns[i:i + 97] for i in range(0, len(ns), 97)] + [[1, 2058, 60, BASIS_CAP + 1]]
-    for batch in batches:
-        windows = numerics._walk(batch)
-        for n, (lo, logs, total, s) in zip(batch, windows):
-            one_lo, one_logs, one_total, one_s = numerics._walk([n])[0]
-            assert (lo, total) == (one_lo, one_total), n
-            assert logs.tobytes() == one_logs.tobytes(), n
-            assert s.hex() == one_s.hex(), n
-    numerics._windows.clear()
-    curve_table(1, 60)
-    # S_n / 2^n for n = 1..BASIS_CAP as each n's own walk gave it before
-    # batches, with numpy's AVX-512 and with its AVX2 loops: batching changes
-    # no bit.
+def test_sqrt_binom_sum_scaled_is_correctly_rounded():
+    # Up to BASIS_CAP, S_n / 2^n is the correctly rounded value that
+    # tests/reference.py takes from the full row, an independent exact
+    # integer sum: every n to 200, every 7th n to the cap, and the last ten.
+    ns = [*range(1, 201), *range(207, BASIS_CAP - 9, 7), *range(BASIS_CAP - 9, BASIS_CAP + 1)]
+    wrong = [n for n in ns if sqrt_binom_sum_scaled(n) != reference.sqrt_binom_sum_scaled(n)]
+    assert not wrong, wrong
+
+
+def test_sqrt_binom_sum_scaled_digest():
+    # S_n / 2^n for n = 1..BASIS_CAP comes from Python ints alone, so it has
+    # one SHA-256 on every host, with numpy's AVX-512 and its AVX2 loops.
     lines = "".join(sqrt_binom_sum_scaled(n).hex() + "\n" for n in range(1, BASIS_CAP + 1))
     digest = hashlib.sha256(lines.encode()).hexdigest()
-    assert digest in {
-        "802b7070afba7a2f3f946919842a0b514773d2f9635c838ec96fc0c5e4b8738c",
-        "18d75fd2bed36151a508560c711e10da919fefcc8e07e035fca96c575c0dd992",
-    }
+    assert digest == "371e5005eaef4a22c57e4e9ce91319623d1a72d98c6af27d303c7a0f6e9a02e8"
 
 
 def test_sqrt_binom_deficit_series_is_exact():
@@ -243,12 +200,6 @@ def test_sqrt_binom_series_is_correctly_rounded_above_cap():
     assert worst[0] <= 0.501, worst
 
 
-def walked(n):
-    """S_n / 2^n by the window walk, computed here from its parts."""
-    _, logs, total, _ = binomial_window(n)
-    return numerics._exact_sum(np.exp(0.5 * (logs[:-1] + logs[1:]))) / total
-
-
 def series(n):
     """1 - d_n from DEFICIT_SERIES, one Horner step per coefficient."""
     x, d = 1 / n, 0.0
@@ -258,10 +209,12 @@ def series(n):
 
 
 def test_sqrt_binom_series_meets_walk_at_threshold():
+    # The integer route, taken uncached here past the cap too, against the
+    # series on either side of BASIS_CAP.
     for n in range(BASIS_CAP - 2, BASIS_CAP + 3):
-        walk, value = walked(n), series(n)
-        assert abs(walk - value) <= math.ulp(walk), n
-        assert sqrt_binom_sum_scaled(n) == (walk if n <= BASIS_CAP else value), n
+        exact_value, value = numerics._exact_scaled.__wrapped__(n), series(n)
+        assert abs(exact_value - value) <= math.ulp(exact_value), n
+        assert sqrt_binom_sum_scaled(n) == (exact_value if n <= BASIS_CAP else value), n
 
 
 def test_phase_normalization():

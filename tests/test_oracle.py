@@ -87,10 +87,10 @@ def eta(n, m):
 
 
 def test_sqrt_binom_sum_scaled_matches_oracle():
-    # Up to BASIS_CAP, S_n / 2^n is one rounding of a quotient whose two
-    # sums share the walk's rounding; above, it is 1 - d_n from the deficit
-    # series. Hold both to 2e-16, never looser. At 6281617 and 78881935 a
-    # centre term rounded to one float once put S past 1e-15.
+    # Up to BASIS_CAP, S_n / 2^n is correctly rounded from an exact integer
+    # sum; above, it is 1 - d_n from the deficit series. Hold both to 2e-16,
+    # never looser. At 6281617 and 78881935 a centre term rounded to one
+    # float once put S past 1e-15.
     grid = [round(10 ** (k / 2)) for k in range(7, 17)]
     ns = [*range(1, 71), 1000, 1023, 1100, 999736, 3 * 10**6, 6281617, 78881935, *grid]
     worst = max((rel_err(sqrt_binom_sum_scaled(n), oracle_scaled_sum(n)), n) for n in ns)
@@ -98,14 +98,15 @@ def test_sqrt_binom_sum_scaled_matches_oracle():
 
 
 def test_sqrt_binom_series_needs_no_walk(monkeypatch):
-    # Above BASIS_CAP, S_n / 2^n is O(1): at n = 10^12 a walk would need
-    # gigabytes. The value is the series' 50-digit value to 1 ulp.
+    # Above BASIS_CAP, S_n / 2^n is O(1): at n = 10^12 the integer route
+    # would need C(n, i) of 10^12 bits. The value is the series' 50-digit
+    # value to 1 ulp.
     s_1 = sqrt_binom_sum_scaled(1)
 
-    def refuse(ns):
-        raise AssertionError(f"walked n = {ns}")
+    def refuse(n, k):
+        raise AssertionError(f"integer route at n = {n}")
 
-    monkeypatch.setattr(numerics, "_walk", refuse)
+    monkeypatch.setattr(numerics, "_window_sum", refuse)
     n = 10**12
     value = sqrt_binom_sum_scaled(n)
     with mpmath.workdps(50):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import math
@@ -9,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqfid import numerics, povm
+from eqfid import povm, symmetric
 from eqfid.cloning import shrinking_factor
-from eqfid.numerics import binomial_window
 from eqfid.povm import (
     BASIS_CAP,
     estimate_phase,
@@ -210,29 +210,34 @@ def test_estimator_offset_never_improves():
 
 
 def test_dicke_weights_are_computed_once_per_n(monkeypatch):
-    numerics._windows.clear()
+    # Count each N's weights computed, through a fresh cache in place of the
+    # kept one, which symmetric_state and both laws read.
     seen = Counter()
-    walk = numerics._walk
+    weights = symmetric._dicke_weights.__wrapped__
 
-    def counting(ns):
-        seen.update(ns)
-        return walk(ns)
+    def counting(n):
+        seen[n] += 1
+        return weights(n)
 
-    monkeypatch.setattr(numerics, "_walk", counting)
+    kept = functools.cache(counting)
+    monkeypatch.setattr(symmetric, "_dicke_weights", kept)
+    monkeypatch.setattr(povm, "_dicke_weights", kept)
     curve_table(1, 60)
     run_checks(60)
     outcome_distribution(60, 2.5)
-    # Integer-like N share the window of the int, and both laws the weights.
+    # Integer-like N share the weights of the int, and both laws the weights.
     mixed_coefficients(np.int64(60), 1.0)
     mixed_coefficients(np.int64(60), 0.5)
     symmetric_state(np.int64(60), 0.0)
     assert set(range(1, 61)) <= set(seen)
     assert max(seen.values()) == 1
-    # Past BASIS_CAP the weights walk on every call and keep nothing.
-    kept = len(numerics._windows)
-    symmetric_state(BASIS_CAP + 1, 0.0)
-    symmetric_state(BASIS_CAP + 1, 0.0)
-    assert seen[BASIS_CAP + 1] == 2 and len(numerics._windows) == kept
+    # Past BASIS_CAP a symmetric state is refused, and nothing is computed
+    # or kept.
+    size = kept.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"1..{BASIS_CAP}"):
+            symmetric_state(BASIS_CAP + 1, 0.0)
+    assert seen[BASIS_CAP + 1] == 0 and kept.cache_info().currsize == size
     with pytest.raises(TypeError):
         symmetric_state(2.0, 0.0)
     with pytest.raises(TypeError):
@@ -240,8 +245,9 @@ def test_dicke_weights_are_computed_once_per_n(monkeypatch):
 
 
 def test_cached_windows_are_read_only():
+    # Each N's weights are kept read-only.
     with pytest.raises(ValueError):
-        binomial_window(5)[1][0] = 0.0
+        symmetric._dicke_weights(5)[0] = 0.0
     # What callers get to keep is fresh and writable.
     state, rows = symmetric_state(5, 0.3), outcome_rows(5, [0.3])
     state[:] = 0.0
@@ -359,21 +365,22 @@ def test_offset_sampler_ignores_batching():
 # SHA-256 of the output bytes of offset_sampler(coeffs)(u) for the uniforms of
 # test_offset_sampler_output_is_pinned, recorded with numpy 2.4.6, and
 # re-recorded where the coefficients moved by an ulp when both laws became
-# one rank-one sum: a rewrite of the sampler must keep every bit.
+# one rank-one sum and again when the Dicke weights became correctly rounded
+# integer roots: a rewrite of the sampler must keep every bit.
 SAMPLER_PINS = {
     ("pure", 1): "decd8fa83f16b35076b9dcd81aa012c9059cf168892826382255ae6eb4fa79fc",
     ("full-mixed", 1): "e58346d0e6a2ec851e1ec76dfd0ab847742965c281a6b04c4da39a688455c4b8",
     ("pure", 2): "77cd93fdfdb3652a54204f1a924c20c1478f53ab1905d9a48477b15d461b6ce0",
     ("full-mixed", 2): "2c696607016a1a605f7ca30cf06794b8299cf424e3fda050d1d633915d7aaea3",
     ("pure", 3): "eee7d541d671d0fa0e3028553d0566dd4e847d33e7cc1f6a1df9593bd18a5037",
-    ("full-mixed", 3): "d28d0c060099f398037a61aa15543e138289b168386b3187a30c9d6bf5c86942",
-    ("pure", 12): "47c3a7d588e5127edc5de5d985ec6c7d09c078f7b852a438770e77b31c38d433",
-    ("full-mixed", 12): "d5a06d688f68763b57e3f5f58540ba611d3bfb1277688345c088ddbf5080686f",
-    ("pure", 60): "1a23082aabb6c40d51df40a330081d30a1bd76157d7a18d30b77641e22628eeb",
-    ("full-mixed", 60): "5ee90ec5a4f71f0337674815cb46af7807fc182c288a5f3fdd71cdd25bd5f34b",
-    ("full-mixed", 200): "6463115eac50779be98d4cb57ef973e7fe70bec1bd90b5996cf8c593b9ebdeab",
-    ("pure", 1029): "49dd997493788138fedacd25b262df1f8dd57022f2eac66d85c682be280d70d4",
-    ("full-mixed", 1029): "807c0b2e86df55526d5c9a0520f40ef2813e24bd2bba6e0fc27142de42b9b7d7",
+    ("full-mixed", 3): "36af9f8804f0c5ae6a52cbf3c4cae0ec925b37d42ca53528b2b770a38249dd3f",
+    ("pure", 12): "36b8d22cd9434ad54df27113251cb6a62cc531d3fb7ef65d5d6afba917d15d61",
+    ("full-mixed", 12): "d71ee83456f6155827cac72f44fc300b6b2961744df4ae72e0dcd57cb4634d04",
+    ("pure", 60): "47bcc66b0f9be2529283b759217c586d8e87fe762ca5d0ceaaf371702baa5aee",
+    ("full-mixed", 60): "e8e081bed97df37b7f196cccbffb24ac66eb1ed3a61b2e7bde41cc4ed55eb9e3",
+    ("full-mixed", 200): "4d317a0c93a2c7575d496d8b7fb78489da82187e2ea78ebeefdba4813eb67a4d",
+    ("pure", 1029): "752cfd6187a72d2c1b8ddbba87fb96fca1c4aa83665391e2eee4309c8471f5cf",
+    ("full-mixed", 1029): "88f167260c814f0480c0f272d6b63486f21dd6403a0a8fc1db89861d4a3f3d26",
 }
 
 

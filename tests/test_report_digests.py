@@ -2,9 +2,11 @@
 
 A refactor of the simulator or of the report writers must leave every byte
 of these outputs unchanged. The digests were recorded with numpy 2.4.6 on
-x86-64; a numpy build that rounds the outcome rows' FFTs or the offset
-sampler's inverse FFT differently changes them without any change to this
-package.
+x86-64, and are the same with numpy's AVX-512 and its AVX2 loops: S_n / 2^n
+and the Dicke weights come from Python ints, correctly rounded, so the
+host's SIMD no longer moves them. A numpy build that rounds the outcome
+rows' FFTs or the offset sampler's inverse FFT differently still changes
+them without any change to this package.
 """
 
 import hashlib
@@ -80,55 +82,55 @@ CASES = {
 }
 
 DIGESTS = {
-    "curves-csv": "3e4e22cbe599c517b82b33fb9ef9e921581f94df03d6cb439baf5694d058bfd8",
-    "curves-json": "28e6adf4b2f7574ae01a84768719e9ee41829f7ccb58572446a62e7a02159dde",
-    "measurement-analytic-a-fixed-block-plus-7": "f68de5bfb0790628a94a1d45eb8bdff72e68b3909778ab6399241f1e7a1552ea",
-    "measurement-analytic-b-fixed-block-plus-7": "ab176fa1fedb8114a894da38c85102211cd48a572d286cba129060f83a66a373",
-    "measurement-analytic-fixed-csv": "4401501abfc10d291964e38437e1b8bc3277164dc7b8a6264758515440fb2eab",
-    "measurement-analytic-fixed-json": "a54560372a0519dfb104cb016c83fd71b3b8d82cfc382abc00db91c6e45e8901",
+    "curves-csv": "7518a54569eea19158863d5171bf9322096a76959f98574ad60c812f449161f9",
+    "curves-json": "d6f59b51ce6ad48361462682df183afd585d331a98817e0b42110a1e6f721b80",
+    "measurement-analytic-a-fixed-block-plus-7": "ad75141efb461fe0cfcaa3814240127f3c6c78710da77e794e1989f4f1e2ade2",
+    "measurement-analytic-b-fixed-block-plus-7": "907a0cb7800e2754ed898132ad0242ed2a363bf4b75f3833ba1eed3a4f17a90c",
+    "measurement-analytic-fixed-csv": "4214919e33088b44ebbc0b0d989268a42c52575d2ff3a8fbf5ccad0e44a5fe5b",
+    "measurement-analytic-fixed-json": "005b95fc612f1d59e8f1135dc68c100865194fde280049cd20051365108d7fab",
     "measurement-analytic-fixed-n180": "71271b4b21c0962386ef601fc6a334ded19fa34043a82e074ce7a28e3cd8226a",
     "measurement-analytic-fixed-n181": "27e23dca578705498655aebb76268a4054470bc52526b9ac7402146337b35c9f",
     "measurement-analytic-fixed-n30": "3e4274e03949019221be49ccf3d818d9a780ba7416f6b40ab213bbde95b892d4",
-    "measurement-analytic-uniform-csv": "c2575b50e277b7468edbe605aed4bdffdc43a00949bca9cbbad7ca24439ff14b",
-    "measurement-analytic-uniform-json": "5ffb2c0573543ffbac29149e86b4b286b39d735e4e2c157dafd406fe23e092ec",
-    "measurement-analytic-uniform-n60-csv": "8b02727c5e595e47e2773cae66bbe52e14924df8bcce0e47f1adb1aed5fd6930",
-    "measurement-analytic-uniform-n60-json": "fb394ad9be9a5e98ea0cdb8c44daa634d0699cfe3322e33c3207efec8b29c1a6",
+    "measurement-analytic-uniform-csv": "5142ea6dc41303c2506a3d44610f6bc5ea8df51b3dc280b4eb9c4fd600267fee",
+    "measurement-analytic-uniform-json": "a5d438ec780d2a96f1a6ce9440bd8c0f659ab69bf81656ba94ab4811444f6659",
+    "measurement-analytic-uniform-n60-csv": "58e61b37f0279c8ade355b6d0ed3cdfd977cadc93e014f42097bca9801f4f776",
+    "measurement-analytic-uniform-n60-json": "47f9de4990e852f78136606aca4446b35f9e7b4e4904d1242aa0d0047b432c6c",
     "measurement-block-plus-7-csv": "7114065416ea1e8c0c2de47f4b34903e5d3e0aa373f707250c63194b67551687",
     "measurement-block-plus-7-json": "e5453c8a8de704e3017edfccb8acd6748840368806f7196504b3d36ee0235a20",
-    "measurement-full-a-fixed-block-plus-7": "8ca19b1539b61b9ca2916a8271eca3f534c3ecef1d12e7a638d3c090a91c3cf5",
-    "measurement-full-b-fixed-block-plus-7": "bbdd7ac9063d9b6dc9604eafa2fcd00ccf27913dcf5ce2f1279ee41ef4fbbc74",
-    "measurement-full-fixed-csv": "6f16908540663f2f9846dbf1e442d685e7f211f3eb2fa3f4d74dd80fa1f6a624",
-    "measurement-full-fixed-json": "3da0c61e98f71bed5e86ef9ccda5c46ff7b0a0fe65e48d46cf625c7095a9b3f9",
-    "measurement-full-uniform-csv": "55c64f7da278152d331c4a78f380bb583f6a49ead834297e2b39e1d49ae2aaa0",
-    "measurement-full-uniform-json": "7b57171d54a85d367b7cfe61d7a8c49151e09878488c95f40985d1fdde373863",
-    "povm-csv": "76fdf7c5c61bff4b881ff9a381dd54af5d83866bdfc604dbdb25e698079c72e9",
-    "povm-json": "9ca310b5cadea70e2861d3dceff040080444500ac688ef113e0029e0a1dc6dbc",
-    "unified-collective-analytic-a-fixed-block-plus-7": "831cd25daa39ba0f23bd0fd71b29f53f087387b1974e8499c30261eed182d1cb",
-    "unified-collective-analytic-b-fixed-block-plus-7": "515ca61543c2f23148b523bdd8ff0c82741a0d24e9e6b4ca2ecdcd0eca193014",
-    "unified-collective-analytic-fixed-csv": "62cc59b2254f506730762924d606b9f7cd64b249cabcae6f78e932f5b6bef55d",
-    "unified-collective-analytic-fixed-json": "7ccd54ddac10d05ad97a341a24b5c3494baa15b930b4cbd81297a2cf79abcf92",
-    "unified-collective-analytic-uniform-csv": "a8ad446b57b03a30e8b2ed67839673fbec2f87c1222d80ce10585dd6e6568309",
-    "unified-collective-analytic-uniform-json": "428b24961a4a16a2cb2a274dcb511750412e9bee3c5ee44337cf6d3cc2de6530",
-    "unified-collective-full-a-fixed-block-plus-7": "f16a3dda77484ea0cdeb37000a5e2a60fee465888cef89d9886bfe2379dd7f60",
-    "unified-collective-full-b-fixed-block-plus-7": "3ef37650d13a0dab995b0b1d196b6b2b25dda086a9d96a9b67c29eb19104bb77",
-    "unified-collective-full-fixed-csv": "e84c31812c1fce0551a39ea235d695f903edb331149e57285d396af1a2b2a6cd",
-    "unified-collective-full-fixed-json": "f80b4f395daf48a32c4698f63decf28874fabd153f55295d9ba2fa0e3230e6cc",
+    "measurement-full-a-fixed-block-plus-7": "f0c6f3d2dd0d602024ff9669d781a3c6f49f3cdb0eea711a8146c8ce618ccf36",
+    "measurement-full-b-fixed-block-plus-7": "e5d9e881e5e8c90076812efe9f89dfee86bb0ef273ec6ccc7116179dc494a03e",
+    "measurement-full-fixed-csv": "245fb8c718889dfcc5e0461424b688cde9d84bb612b535c6b0cdfb7e0981eea1",
+    "measurement-full-fixed-json": "452a7a83328a409db210950e6ca3a4b680917093543c53ffc91904e8e8e7d44a",
+    "measurement-full-uniform-csv": "379bc1098807ac436cfe241b841da1d69aa13e6dc3d5a6483e7ec0a19c9fe986",
+    "measurement-full-uniform-json": "5e382f14bf96eec956a00a36956328d6f33e66a834fb1d8dab12009ebf46fcf5",
+    "povm-csv": "f9236296bb3fcad67b67cb575e55de3ec36cd0160a015e76e4b0d8d7637f55f5",
+    "povm-json": "59405668f32d42f4248ee847192c14d981bea840e65a38cf6477779c1660fe92",
+    "unified-collective-analytic-a-fixed-block-plus-7": "0b5da82d5dcfddb2620f1b1d221342810798e154518a47b8fc29fb073aceb229",
+    "unified-collective-analytic-b-fixed-block-plus-7": "0ad0300b50c74d1a59b9ea0208a4f3f1ea51ed45e8c5b85c03bb9b57a9752bde",
+    "unified-collective-analytic-fixed-csv": "71ece45a4bfb27cff53c6ed183690d687acb06c8b3601a6b00249f396d09e592",
+    "unified-collective-analytic-fixed-json": "4b35bff6cc3f227967fb4a8366a751132999afbf827440cd923f31557d7c5b5a",
+    "unified-collective-analytic-uniform-csv": "fdfbd214589e0b56cfaa8e1e9b72bceab6ee7ef5ac64df146a5675459a2a56ae",
+    "unified-collective-analytic-uniform-json": "72bfe099e70f4294a4fc09493840e6ae553c21d39e52e872e7a3473396fc7f4d",
+    "unified-collective-full-a-fixed-block-plus-7": "326c57bde5ba48043c4394fd6f5f045ebb5b2018634b707a5522f0da71fc440c",
+    "unified-collective-full-b-fixed-block-plus-7": "f3f978754b2ead62c3c34bc3dc814f88ddcf6223ba0dc5511628b4ce1ec29c01",
+    "unified-collective-full-fixed-csv": "4fb290f3590522f3ac8d5a3af5724520ef82817818b8c90e2d2ae7f13667b2ff",
+    "unified-collective-full-fixed-json": "fac69d582a57cd852e6999f4c6dcea2001d6c4de9ccaf09da96372b1219c0fab",
     "unified-collective-full-fixed-n12": "de44eb75b9432f6c4137d68f0712ccf8c83059505f8ffb240a87eeebd6a63eb4",
-    "unified-collective-full-uniform-csv": "e1d39ab39e3b8fcdc1f6f230224afa305de469803d20f09067a3f88f9d937b0a",
-    "unified-collective-full-uniform-json": "7cbece193750ecca4e1996875cdfd4c5357d8e5a0a0870a700819080ad18dc45",
-    "unified-pair-analytic-a-fixed-block-plus-7": "eaeb5308c229d740ea83594f75d5dacc127c915dc9e2132399d0838f015124c5",
-    "unified-pair-analytic-b-fixed-block-plus-7": "348cce40a0169231f38c5eec3527134e2bb0b0d6c102bdbe4b084865ee564b8f",
-    "unified-pair-analytic-fixed-csv": "3f8445a017447b4962e82ea619142aa020ece36f88a044940064e08f8d98ca7d",
-    "unified-pair-analytic-fixed-json": "2d4d6cfe9e6d3d8999ed27f8008c6f7642530c316f08c5066f2a99aeda13fccc",
-    "unified-pair-analytic-uniform-csv": "8afa5f98a5db568e74eadaab29d33eb76e3dce10b0c120d763d3ebe19b233650",
-    "unified-pair-analytic-uniform-json": "5293f6f57ab3d3e4e242cbe2739578b46351c400998a477d8a438074da9fb68e",
-    "unified-pair-full-a-fixed-block-plus-7": "bef2f5259689b281f5ffcb169f51a67fe30b97d1bbb99364f6c7da685a387f4c",
-    "unified-pair-full-b-fixed-block-plus-7": "cb5042754fbcb1f489e5f6f772d92c396e3c1d39eda8ab296c962b419a1e2ebd",
-    "unified-pair-full-fixed-csv": "bd1788c23331a7783432b2d0d47e874dfb3e6ef9c49a7e249911c2e0c3ddc9b5",
-    "unified-pair-full-fixed-json": "7a7b97a873a16b2bcffc983317476c5a931a6e0d7a4d0db40491bd6d7e48bcb4",
-    "unified-pair-full-fixed-block-plus-7": "bf225dc917ec180622cbf8faa8bdd6642d17b7e79f176a3127f2e6bfc91d1696",
-    "unified-pair-full-uniform-csv": "b7ef28b85bc66547efe79b07ce2c3852288e830e474d1f3be16c2faf126eace4",
-    "unified-pair-full-uniform-json": "7f2c43b7c04c037a09ae68cdff67081603a7041e262703705bd9dd62e61a12ea",
+    "unified-collective-full-uniform-csv": "00cd3f8b17dd612ab833794af47e6d0a1bedcb62371943091ebb249c0dc53b56",
+    "unified-collective-full-uniform-json": "2950bf6153dab8be1afde560485227a24989e9e89cb70b77b35524fea003eeaa",
+    "unified-pair-analytic-a-fixed-block-plus-7": "9dd81975c5d8f497dae9df235b46dc3b7f4d388becc44ef47334471324be0d8e",
+    "unified-pair-analytic-b-fixed-block-plus-7": "67118dca8564942365a77bf64b0f3d05b9c918029bdca0ae16edac8f405b794d",
+    "unified-pair-analytic-fixed-csv": "68fdf59f93bb4cf3d7137ca94c84646abf72051d22fe31415b837b7c54fc2f23",
+    "unified-pair-analytic-fixed-json": "3ba63608a3e14b3a96d0d17892200fd3e2535e2bf4e3084333bbf4fc67e5c2df",
+    "unified-pair-analytic-uniform-csv": "8b5631ce69101ddc15d0c50fd9648433bde45cfb01dd610b0dc61aa6155f6a0c",
+    "unified-pair-analytic-uniform-json": "f08fba5ac64ecb8dc8aa9e8ba6b1c4081bc0d6d9516fed8b6785cf9d7b282fde",
+    "unified-pair-full-a-fixed-block-plus-7": "58825131171030d0e1604e400897233840167b148a31024b83ef3f89706d315d",
+    "unified-pair-full-b-fixed-block-plus-7": "345f8afc4f4d24864e38e51e2aa8cc18edf9c70421e220fe5ff77b90209588f0",
+    "unified-pair-full-fixed-csv": "a32f7e4796d396bd1a522abe700e28b1264e358a9a0440ea72506b0903d9ded7",
+    "unified-pair-full-fixed-json": "c01a1d4cb20681fda80efa37f4d71ceb708034243bb2ae7d09d0c8604e94d9db",
+    "unified-pair-full-fixed-block-plus-7": "6fd4761cf6f4ade6dc2e20b35472c8865e5b4a15ff0ee6651fe907bb2c4403b8",
+    "unified-pair-full-uniform-csv": "99f2f80e4c071394066adc85348dc912664e5e8bed50a7a3e6f4ab0deb7822d4",
+    "unified-pair-full-uniform-json": "9217386c346dd1514de9988c8be392e615f4bfaac85339fe7aa6a535d3a4ae79",
 }
 
 

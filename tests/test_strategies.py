@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from eqfid.strategies import (
@@ -10,6 +11,7 @@ from eqfid.strategies import (
     p_unified_collective_unequal,
     p_unified_pair,
 )
+from eqfid.verify import run_checks
 
 
 def test_p_measurement_values():
@@ -109,6 +111,20 @@ def test_curve_table_range_errors():
     for bad in ((0, 5), (5, 2), (1, 61)):
         with pytest.raises(ValueError):
             curve_table(*bad)
+
+
+def test_float_bounds_are_type_errors():
+    # The bounds are coerced before they are compared, so a float is a
+    # TypeError whatever its value, below 1 too, as in every one-N function.
+    for bad in (0.5, 1.5, 2.0):
+        with pytest.raises(TypeError):
+            curve_table(bad, 3)
+        with pytest.raises(TypeError):
+            curve_table(1, bad)
+        with pytest.raises(TypeError):
+            run_checks(bad)
+    assert curve_table(np.int64(1), np.int64(60)) == curve_table(1, 60)
+    assert run_checks(np.int64(60)) == run_checks(60)
 
 
 def test_curve_table_full_range():

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from eqfid.symmetric import EMBEDDING_CAP, dicke_embedding, symmetric_state
+from eqfid import symmetric
+from eqfid.symmetric import BASIS_CAP, EMBEDDING_CAP, dicke_embedding, symmetric_state
+from reference import dicke_weights
 
 
 def equatorial_state(phi):
@@ -43,12 +45,24 @@ def test_unit_norm_any_n():
 
 
 def test_weights_past_float_range():
-    # C(N, n) leaves float range from N = 1030; the weights must not.
-    c = symmetric_state(5000, 1.1)
-    assert np.all(np.isfinite(c))
+    # C(N, N // 2) leaves float range from N = 1030: C(1029, 514) is about
+    # 2^1023.7, so BASIS_CAP is the last N whose binomials fit in a float.
+    # Its weights are finite and their squares sum to one.
+    c = symmetric_state(BASIS_CAP, 1.1)
+    assert np.all(np.isfinite(c)) and np.all(c != 0)
     assert abs(np.vdot(c, c).real - 1.0) < 1e-12
-    # Outside the binomial window the weights are exactly zero.
-    assert c[0] == 0 and c[-1] == 0 and np.count_nonzero(c) < 5001
+    # Past it every N is refused, as by every outcome law.
+    for n in (BASIS_CAP + 1, 5000):
+        with pytest.raises(ValueError, match=f"1..{BASIS_CAP}"):
+            symmetric_state(n, 1.1)
+
+
+@pytest.mark.parametrize("n", [*range(1, 130), 200, 511, 1000, BASIS_CAP])
+def test_dicke_weights_are_correctly_rounded(n):
+    # Each weight sqrt(C(N, i) / 2^N) is the float nearest the exact root,
+    # so within 0.5 ulp of it: tests/reference.py rounds it by Ziv's test
+    # from a wider integer root, the package by round to odd.
+    assert symmetric._dicke_weights(n).tolist() == dicke_weights(n)
 
 
 def test_modulus_independent_of_phase():
