@@ -45,8 +45,8 @@ Blocks and workers
 Trials run in blocks of BLOCK. Each block seeks its own place in the random
 stream, samples its trials and returns its partial results: a tally row per
 register, or the cell histogram, and the exact integer numerators
-(numerics._exact_sum) of the sums of the score, its square, the fidelity
-error and its square. The blocks
+(_exact_sum, by error-free extraction in float adds) of the sums of the
+score, its square, the fidelity error and its square. The blocks
 split into contiguous ranges, one per CPU the process may run on
 (os.sched_getaffinity, which taskset limits), at most one per block. The
 first range runs on the calling thread, each other one on a thread of its
@@ -92,7 +92,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cloning import shrinking_factor
-from .numerics import SUM_DENOMINATOR, TWO_PI, _exact_sum, as_phase
+from .numerics import TWO_PI, as_phase
 from .povm import (
     check_cap,
     covariant_rows,
@@ -118,6 +118,9 @@ DRAWS_PER_TRIAL = 4
 BLOCK = 1 << 15
 # About four days of trials at 3M trials per second.
 TRIALS_CAP = 10**12
+# _exact_sum numerators count units of 2^-1126, a 2^-52 part of the smallest
+# subnormal, so that every float is a whole number of them.
+SUM_DENOMINATOR = 1 << 1126
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -385,9 +388,10 @@ def _workspace(rows: int) -> _Workspace:
     """A workspace for blocks of up to rows trials. Float rows 0-4 hold the
     score and each register's est and phi, rows 5-14 and int rows 1-2 the
     offset sampler's scratch, float row 5 and int row 1 also the guide
-    search's and the scorer's, int row 0 the outcomes; block reuses a row
-    once it is free. np.empty touches no page, so rows that a run never writes
-    take no memory."""
+    search's and the scorer's, float rows 5-7 also the moment sums' (the
+    squares and _exact_sum's two scratch rows), int row 0 the outcomes;
+    block reuses a row once it is free. np.empty touches no page, so rows
+    that a run never writes take no memory."""
     return _Workspace(np.empty((rows, DRAWS_PER_TRIAL)), np.empty((15, rows)),
                       np.empty((3, rows), dtype=np.intp))
 
@@ -494,14 +498,70 @@ def _draws(seed: int, start: int, stop: int, ws: _Workspace) -> tuple:
 
 def _moment_sums(value: np.ndarray, error: np.ndarray, floats: np.ndarray) -> list[int]:
     """The exact numerators of the sums of value, value^2, error and error^2;
-    floats rows 5-8 are scratch, rows 6-8 for _exact_sum as int64."""
+    floats row 5 holds each square, rows 6-7 are _exact_sum's scratch."""
     sums = []
     for x in (value, error):
         m = len(x)
-        scratch = floats[6:9, :m].view(np.int64)
+        scratch = floats[6:8, :m]
         sums.append(_exact_sum(x, scratch))
         sums.append(_exact_sum(np.multiply(x, x, out=floats[5, :m]), scratch))
     return sums
+
+
+def _exact_sum(values: np.ndarray, scratch: np.ndarray | None = None) -> int:
+    """The integer S with S / SUM_DENOMINATOR the exact sum of the float64
+    values, so that S / SUM_DENOMINATOR rounds to math.fsum(values); a
+    ValueError for an infinite or NaN value.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008). For m values p with max |p| < 2^e, take the unit 2^j with
+    j = e + bits(m) - 52, or -1074 if that is more (where q = p), and
+    sigma = 3 2^(j + 51): then q = (p + sigma) - sigma is p rounded to a
+    multiple of 2^j, and p - q is exact. Every partial sum of the q is a
+    multiple of 2^j below 2^(j + 52), so np.sum adds them exactly in any
+    order and under any SIMD loop. Each pass adds the numerator of that sum
+    and goes on with the remainders p - q, each at most 2^(j - 1): at least
+    52 - bits(m) binades a pass. The first two passes run on the whole row,
+    the later ones on the nonzero remainders alone. A maximum of at least
+    2^(1022 - bits(n)) over n values, where p + sigma could overflow, is
+    first scaled down by a power of two; the bits that the scaling drops
+    from the values it makes subnormal are exact differences (Sterbenz) and
+    summed apart. The passes assume IEEE gradual underflow (no flush to
+    zero), which numpy's defaults give. scratch is a float matrix of at
+    least 2 rows and len(values) columns, allocated when not given; values
+    is not written.
+    """
+    n = len(values)
+    top = max(values.max(initial=0.0), -values.min(initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError("an exact sum takes finite values only")
+    scale = math.frexp(top)[1] + n.bit_length() - 1022
+    if scale > 0:
+        scaled = values * 2.0**-scale
+        lost = values - scaled * 2.0**scale
+        return (_exact_sum(scaled, scratch) << scale) + _exact_sum(lost[lost != 0.0])
+    if scratch is None:
+        scratch = np.empty((2, n))
+    total, p, passes = 0, values, 0
+    while top:
+        m = len(p)
+        unit = max(math.frexp(top)[1] + m.bit_length() - 52, -1074)
+        sigma = math.ldexp(3.0, unit + 51)
+        q = np.add(p, sigma, out=scratch[0, :m])
+        q -= sigma
+        total += _numerator(float(q.sum()))
+        p = np.subtract(p, q, out=scratch[1, :m])
+        passes += 1
+        if passes >= 2:  # the mask takes q's row, which is free now
+            p = np.compress(np.not_equal(p, 0.0, out=scratch[0, :m].view(bool)[:m]), p)
+        top = max(p.max(initial=0.0), -p.min(initial=0.0))
+    return total
+
+
+def _numerator(x: float) -> int:
+    """The integer x SUM_DENOMINATOR, for a float x."""
+    a, b = x.as_integer_ratio()
+    return a << SUM_DENOMINATOR.bit_length() - b.bit_length()
 
 
 def _cell_sums(counts: np.ndarray, phases: list[float], estimates: np.ndarray) -> list[int]:
@@ -522,10 +582,4 @@ def _cell_sums(counts: np.ndarray, phases: list[float], estimates: np.ndarray) -
 
 def _counted_sum(values: np.ndarray, counts: list[int]) -> int:
     """The _exact_sum numerator of the sum of counts[i] copies of values[i]."""
-    shift = SUM_DENOMINATOR.bit_length()
-    total = 0
-    for v, c in zip(values.tolist(), counts):
-        a, b = v.as_integer_ratio()
-        total += c * a << (shift - b.bit_length())
-    return total
-
+    return sum(c * _numerator(v) for v, c in zip(values.tolist(), counts))

@@ -1,4 +1,4 @@
-"""S_n / 2^n, exact sums and the phase normalization.
+"""S_n / 2^n and the phase normalization.
 
 S_n / 2^n is computed from Python ints and math alone, so it is the same on
 every host. Up to n = BASIS_CAP it is correctly rounded: one integer sum
@@ -6,33 +6,15 @@ over the O(sqrt(n)) binomial window that Hoeffding's bound leaves, with a
 proven slack, rounded by Ziv's test (_exact_scaled, kept per n for the
 process). Above BASIS_CAP it is 1 - d_n from the first eight terms of d_n's
 1/n series, in O(1) and IEEE operations only. The Dicke weights come from
-Python ints too, in symmetric.
-Every exactly rounded sum in the Monte Carlo is an _exact_sum numerator over
-SUM_DENOMINATOR. It reads each float's exponent and mantissa from its bits
-(_decode) and adds them as integers: a short input in Python ints and a
-longer one in two int64 sums over the band of exponents next to the
-largest, which holds all or most of a Monte Carlo block's values; what lies
-below the band goes to bins by exponent (_sum_apart). Every phase the
-package takes passes through as_phase.
+Python ints too, in symmetric. Every phase the package takes passes through
+as_phase. The module imports no numpy.
 """
 
 import functools
 import math
 import operator
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
-
-# _exact_sum numerators count units of 2^-1126, 2^-52 of the smallest
-# subnormal: the value m 2^(e - 1075) is m << (e + 51).
-SUM_DENOMINATOR = 1 << (1073 + 53)
-# _exact_sum sums at most this many values at a time, so that no bin sum
-# passes 2^53 in magnitude and the band keeps at least 9 binades.
-_SLICE = 1 << 26
-# Up to this many terms are added in Python ints.
-_SMALL = 200
-_LOW_HALF = (1 << 26) - 1
 
 # Largest N with an outcome law or a symmetric state: every N that ever ran.
 # It bounds the O(N^2) correlations behind either law (1 pure, up to 24
@@ -59,121 +41,6 @@ def as_phase(phi) -> float:
     v %= TWO_PI
     # The modulo of a tiny negative input can round up to 2*pi.
     return 0.0 if v >= TWO_PI else v
-
-
-def _exact_sum(values: np.ndarray, scratch: np.ndarray | None = None) -> int:
-    """The integer S with S / SUM_DENOMINATOR the exact sum of the float64
-    values, so that S / SUM_DENOMINATOR rounds to math.fsum(values); a
-    ValueError for an infinite or NaN value.
-
-    _decode reads each value as a 53-bit mantissa m and exponent e, so that
-    S = sum m << (e + 51). Up to _SMALL values are added in Python ints. A
-    longer input splits m into its 27- and 26-bit halves and adds those of
-    the band of exponents within 36 - bits(n) binades of the largest,
-    shifted by e less the band's base, in two int64 sums: no shifted half
-    passes 2^(26 + band) in magnitude, so neither sum reaches 2^62. The
-    values below the band are summed apart (_sum_apart: in Python ints, or
-    binned by exponent), and when they are the majority, all values are. An
-    input longer than _SLICE is summed a slice at a time. scratch is an
-    int64 matrix of at least 3 rows and min(len(values), _SLICE) columns,
-    allocated when not given.
-    """
-    n = len(values)
-    if scratch is None:
-        scratch = np.empty((3, min(n, _SLICE)), dtype=np.int64)
-    if n > _SLICE:
-        return sum(_exact_sum(values[i:i + _SLICE], scratch) for i in range(0, n, _SLICE))
-    if not n:
-        return 0
-    e, m, t = scratch[:3, :n]
-    low, top = _decode(values, e, m, t)
-    if n <= _SMALL:
-        return _sum_apart(m, e, t, low)
-    base = max(low, top + n.bit_length() - 35)
-    total = 0
-    if low < base:
-        below = np.less(e, base, out=t.view(bool)[:n])
-        if 2 * np.count_nonzero(below) > n:
-            return _sum_apart(m, e, t, low)
-        below = np.flatnonzero(below)
-        total = _sum_apart(m[below], e[below], t[:len(below)], low)
-        # A zero mantissa and shift, never a negative shift count.
-        m[below] = 0
-        e[below] = base
-    np.right_shift(m, 26, out=t)
-    m &= _LOW_HALF
-    if top > base:
-        e -= base
-        t <<= e
-        m <<= e
-    return total + (((int(t.sum()) << 26) + int(m.sum())) << (base + 51))
-
-
-def _decode(values: np.ndarray, e: np.ndarray, m: np.ndarray, t: np.ndarray) -> tuple[int, int]:
-    """Write each float64 value's biased exponent e and signed 53-bit
-    mantissa m into the int64 rows e and m, so that the value is
-    m 2^(e - 1075); return the least and the greatest e. t is a scratch
-    row; an infinite or NaN value is a ValueError.
-
-    e = bits >> 52 and m is the low 52 bits plus the implicit bit;
-    subnormals and zeros take e = 1 and no implicit bit.
-    """
-    n = len(values)
-    bits = values.view(np.int64)
-    np.right_shift(bits, 52, out=e)
-    np.bitwise_and(bits, (1 << 52) - 1, out=m)
-    m |= 1 << 52
-    low, top = int(e.min()), int(e.max())
-    signed = low < 0
-    if signed:
-        e &= 0x7FF
-        low, top = int(e.min()), int(e.max())
-    if top == 0x7FF:
-        raise ValueError("an exact sum takes finite values only")
-    if low == 0:  # zeros and subnormals: exponent 1 and no implicit bit
-        tiny = np.flatnonzero(np.equal(e, 0, out=t.view(bool)[:n]))
-        m[tiny] ^= 1 << 52
-        e[tiny] = 1
-        low = 1
-    if signed:
-        np.right_shift(bits, 63, out=t)  # -1 where negative, else 0
-        m ^= t
-        m -= t
-    return low, top
-
-
-def _sum_apart(m: np.ndarray, e: np.ndarray, t: np.ndarray, low: int) -> int:
-    """The _exact_sum numerator of sum m 2^(e - 1075), for at most _SLICE
-    mantissas m and exponents e >= low >= 1. e and the scratch row t are
-    overwritten.
-
-    Up to _SMALL terms are added in Python ints. Otherwise the terms are
-    binned by e: the bins of the mantissas' halves are exact, as every bin
-    sum stays within 2^27 _SLICE = 2^53. They fold into int64 sums from bin
-    low up, in which a high half lands 26 bins above its low half, and then
-    runs of w adjacent sums fold into one, each shifted by its place in the
-    run; w leaves every run's sum below 2^62. The runs fold into one Python
-    int.
-    """
-    e -= low
-    if len(m) <= _SMALL:
-        return sum(map(operator.lshift, m.tolist(), e.tolist())) << (low + 51)
-    # The bins run from low up, with room for the high halves 26 bins up and
-    # to pad to a whole number of runs of any length w <= 62.
-    top = int(e.max())
-    bins = top + 27 + 62
-    weights = t.view(np.float64)
-    sums = np.bincount(e, weights=np.bitwise_and(m, _LOW_HALF, out=weights), minlength=bins)
-    sums = sums.astype(np.int64)
-    high_sums = np.bincount(e, weights=np.right_shift(m, 26, out=weights), minlength=bins)
-    sums[26:top + 27] += high_sums[:top + 1].astype(np.int64)
-    w = 62 - max(int(sums.max()), -int(sums.min())).bit_length()
-    runs = -(-(top + 27) // w)
-    runs = (sums[:runs * w].reshape(runs, w) << np.arange(w)).sum(axis=1)
-    total = 0
-    for run in reversed(runs.tolist()):
-        total = (total << w) + run
-    return total << (low + 51)
 
 
 @functools.cache

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eqfid import montecarlo, numerics, povm
+from eqfid import montecarlo, povm
 from eqfid.cli import main
 from eqfid.cloning import shrinking_factor
 from eqfid.montecarlo import (
@@ -417,8 +417,6 @@ def test_blocks_fault_in_no_memory_again(monkeypatch):
 
 
 def test_exact_sum_equals_fsum():
-    # One summation kernel serves the blocks and the binomial sums.
-    assert montecarlo._exact_sum is numerics._exact_sum
     rng = np.random.default_rng(31)
     n = 200_003
     tiny, huge = 5e-324, 2.0**1023
@@ -450,14 +448,14 @@ def test_exact_sum_equals_fsum():
 
 
 def test_exact_sum_in_moment_sums_scratch_rows():
-    # A block hands _exact_sum float workspace rows viewed as int64, beside
-    # the rows that hold its values: the sums are exact and the values stay.
+    # A block hands _exact_sum two float workspace rows as scratch, beside the
+    # rows that hold its values: the sums are exact and the values stay.
     rng = np.random.default_rng(17)
     n = 5000
     floats = montecarlo._workspace(n).floats
     value, error = floats[0], floats[1]
     value[:] = 0.5 + rng.random(n) / 2  # one exponent
-    error[:] = rng.random(n) ** 8  # some below the band, more once squared
+    error[:] = rng.random(n) ** 8  # remainders past the second pass, more once squared
     error[::50] = 0.0
     kept = value.copy(), error.copy()
     expected = [SUM_DENOMINATOR * sum(map(Fraction, x.tolist()))

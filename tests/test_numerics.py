@@ -1,7 +1,9 @@
 import functools
 import hashlib
+import importlib.util
 import inspect
 import math
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -12,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eqfid import numerics
+from eqfid import montecarlo, numerics
+from eqfid.montecarlo import SUM_DENOMINATOR
 from eqfid.numerics import (
     BASIS_CAP,
     DEFICIT_SERIES,
-    SUM_DENOMINATOR,
     as_phase,
     sqrt_binom_sum,
     sqrt_binom_sum_scaled,
@@ -39,8 +41,22 @@ def test_sqrt_binom_sum_domain_error():
 
 
 def exact(values):
-    """The _exact_sum numerator of values, from Fractions."""
-    return SUM_DENOMINATOR * sum(map(Fraction, values.tolist()))
+    """The _exact_sum numerator of values: every float is a / b with b a
+    power of two dividing SUM_DENOMINATOR."""
+    shift = SUM_DENOMINATOR.bit_length()
+    return sum(a << shift - b.bit_length() for a, b in map(float.as_integer_ratio, values.tolist()))
+
+
+def test_numerics_loads_without_numpy(monkeypatch):
+    # numerics needs math and Python ints alone: loaded as a module of its
+    # own with numpy unimportable, it gives the package's S_n / 2^n on both
+    # sides of BASIS_CAP.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    spec = importlib.util.spec_from_file_location("standalone_numerics", numerics.__file__)
+    standalone = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(standalone)
+    for n in (60, 2000):
+        assert standalone.sqrt_binom_sum_scaled(n) == sqrt_binom_sum_scaled(n)
 
 
 @settings(deadline=None)
@@ -48,31 +64,12 @@ def exact(values):
                   elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_exact_sum_is_the_exact_sum(values):
     # hypothesis draws both signs, subnormals and the whole exponent range.
-    assert numerics._exact_sum(values) == exact(values)
-
-
-def test_exact_sum_slices_long_inputs(monkeypatch):
-    # Inputs longer than _SLICE are summed a slice at a time; a short slice
-    # length makes every case below take several, ragged ones included, by
-    # the small route (1, 7, 64) and by the band and its binned remainder
-    # (1000, 1001).
-    rng = np.random.default_rng(7)
-    values = rng.standard_normal(1001) * 10.0 ** rng.integers(-300, 300, 1001)
-    values[::5] = 2.0**1023
-    values[1::7] = 5e-324
-    expected = exact(values)
-    for length in (1, 7, 64, 1000, 1001):
-        monkeypatch.setattr(numerics, "_SLICE", length)
-        assert numerics._exact_sum(values) == expected, length
-        # Caller scratch of only the slice length is enough.
-        scratch = np.empty((3, length), dtype=np.int64)
-        assert numerics._exact_sum(values, scratch) == expected, length
+    assert montecarlo._exact_sum(values) == exact(values)
 
 
 def _band_edge():
-    # The band of a 4096-value input spans 36 - 13 = 23 binades: powers of
-    # two from 2^-30 to 2^0 straddle its edge, and a remainder of tiny values
-    # lies far below it.
+    # Powers of two from 2^-30 to 2^0, and a remainder of tiny values far
+    # below them.
     rng = np.random.default_rng(11)
     values = rng.random(4096) * 2.0 ** rng.integers(-30, 1, 4096)
     values[::97] = 3e-300
@@ -87,9 +84,7 @@ def _exact_sum_cases():
     subnormals[1::50] = tiny
     yield "hot bin", 0.5 + rng.random(32768) / 2
     yield "band edge", _band_edge()
-    # Every value but one at the top of its binade and shifted across the
-    # whole band: the int64 sums come within 2^62 (2^63 with a band two
-    # binades wider).
+    # Every value but one at the top of its binade.
     yield "full band", np.append(np.full(32767, np.nextafter(2.0, 0.0)), 2.0**-30)
     yield "subnormals", subnormals
     yield "zeros", np.zeros(1000)
@@ -97,31 +92,51 @@ def _exact_sum_cases():
     yield "mixed signs", rng.standard_normal(5000) * 2.0 ** rng.integers(-40, 40, 5000)
     yield "mostly below the band", np.exp(-rng.random(3000) * 700.0)
     yield "cancelling", np.array([1e300, 1.0, -1e300, 2.0**-1074] * 100)
-    for length in (numerics._SMALL - 1, numerics._SMALL, numerics._SMALL + 1):
+    for length in (199, 200, 201):
         scale = 2.0 ** rng.integers(-60, 60, length)
         yield f"length {length}", rng.standard_normal(length) * scale
+    # Every fifth value is 2^1023 and every seventh the smallest subnormal.
+    wide = rng.standard_normal(1001) * 10.0 ** rng.integers(-300, 300, 1001)
+    wide[::5] = 2.0**1023
+    wide[1::7] = tiny
+    yield "wide 1001", wide
+    # A maximum near overflow is scaled down first: the values that become
+    # subnormal there lose bits, which are summed apart, and true subnormals
+    # lose theirs outright.
+    near_overflow = rng.standard_normal(1000) * 2.0**1020
+    near_overflow[::4] = rng.standard_normal(250) * 2.0 ** rng.integers(-1030, -1000, 250)
+    near_overflow[1::8] = rng.integers(-(2**20), 2**20, 125) * tiny
+    yield "near overflow", near_overflow
+    # Below 2^-1065 the unit is clamped at 2^-1074 from the first pass.
+    yield "subnormal row", rng.integers(-(2**9), 2**9, 4096) * tiny
+    # Each pass takes 52 - 13 = 39 binades, so values down to 2^-400 leave
+    # remainders for a dozen passes.
+    yield "deep remainders", rng.random(5000) * 2.0 ** -rng.integers(0, 400, 5000)
+    # 2^20 values over 600 decades, in one call: no input is sliced.
+    mixed = rng.standard_normal(1 << 20) * 10.0 ** rng.integers(-300, 300, 1 << 20)
+    yield "2^20 mixed range", mixed
 
 
 @pytest.mark.parametrize("values", [pytest.param(v, id=name) for name, v in _exact_sum_cases()])
 def test_exact_sum_routes(values):
     expected = exact(values)
-    assert numerics._exact_sum(values) == expected
-    assert numerics._exact_sum(-values) == -expected
-    assert numerics._exact_sum(values[::-1]) == expected
+    assert montecarlo._exact_sum(values) == expected
+    assert montecarlo._exact_sum(-values) == -expected
+    assert montecarlo._exact_sum(values[::-1]) == expected
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -math.nan])
-@pytest.mark.parametrize("length", [1, numerics._SMALL, numerics._SMALL + 1, 40000])
+@pytest.mark.parametrize("length", [1, 200, 201, 40000])
 def test_exact_sum_rejects_non_finite(bad, length):
-    # Read as bits, an infinity or a NaN would sum as a huge finite value;
-    # it is a ValueError, with no warning on the way, wherever it sits.
+    # A sum with an infinity or a NaN in it is a ValueError, with no warning
+    # on the way, wherever it sits.
     for where in (0, length // 2, length - 1):
         values = np.full(length, 0.75)
         values[where] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
-                numerics._exact_sum(values)
+                montecarlo._exact_sum(values)
 
 
 def test_sqrt_binom_sum_scaled_is_computed_once_per_n(monkeypatch):
