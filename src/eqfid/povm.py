@@ -326,7 +326,14 @@ def mean_fidelity_numeric(n_copies: int) -> float:
     real coefficient: at phi = pi / (2(N+1)) it vanishes, and the integrand
     there is the exact phase average.
     """
-    phi = math.pi / (2.0 * (n_copies + 1))
-    p = outcome_rows(n_copies, [phi])[0]
-    fidelity = np.cos((phase_estimates(n_copies) - phi) / 2.0) ** 2
-    return float(np.sum(p * fidelity))
+    return _fidelity_quadrature(n_copies)[1]
+
+
+def _fidelity_quadrature(n_copies: int, phases=()) -> tuple[np.ndarray, float]:
+    """outcome_rows(N, phases) and mean_fidelity_numeric(N), the quadrature
+    over one more row of the same call, at pi / (2(N+1)); N is checked first."""
+    n = operator.index(n_copies)
+    check_cap(n)
+    phi = math.pi / (2.0 * (n + 1))
+    rows = outcome_rows(n, (*phases, phi))
+    return rows[:-1], float(np.sum(rows[-1] * np.cos((phase_estimates(n) - phi) / 2.0) ** 2))

@@ -8,9 +8,9 @@ import numpy as np
 
 from .cloning import shrinking_factor
 from .numerics import sqrt_binom_sum_scaled
-from .povm import mean_fidelity_closed, mean_fidelity_numeric, outcome_rows, povm_basis
+from .povm import _fidelity_quadrature, mean_fidelity_closed, povm_basis
 from .strategies import CURVE_N_CAP, StrategyCurvePoint, curve_table
-from .symmetric import symmetric_state
+from .symmetric import _dicke_weights
 
 EQUIVALENCE_TOL = 1e-12
 STRUCTURE_TOL = 1e-12
@@ -33,11 +33,9 @@ def run_checks(n_max: int) -> list[CheckResult]:
     if not 1 <= n_max <= CURVE_N_CAP:
         raise ValueError(f"n_max must lie in 1..{CURVE_N_CAP}, got {n_max}")
     table = curve_table(1, n_max)
-    # The outcome-law quadrature of the mean fidelity, once per N for the two
-    # checks that read it.
-    numeric = [mean_fidelity_numeric(n) for n in range(1, n_max + 1)]
+    structure, numeric = _check_povm_structure(n_max)
     return [
-        _check_povm_structure(n_max),
+        structure,
         _check_mean_fidelity_agreement(numeric),
         _check_strategy_equivalence(table, numeric),
         _check_shrinking_monotonicity(n_max),
@@ -48,36 +46,34 @@ def run_checks(n_max: int) -> list[CheckResult]:
     ]
 
 
-def _check_povm_structure(n_max: int) -> CheckResult:
+def _check_povm_structure(n_max: int) -> tuple[CheckResult, list[float]]:
     """The basis B is the unitary DFT matrix F, so orthonormal and complete,
     and outcome_rows, built from Fourier coefficients, equals
-    |B^dagger Phi(phi)|^2.
+    |B^dagger Phi(phi)|^2. Also returns mean_fidelity_numeric(N) for
+    N = 1..n_max, from the same outcome_rows call as the law at LAW_PHASES.
 
-    F^dagger B and F B^dagger are held to the identity. The FFTs of the
-    rows of B^T and of B, over sqrt(N + 1), are their transpose and their
-    conjugate transpose, which deviate from the identity by as much; when B
-    is symmetric, as F is, the two are one. An FFT takes no BLAS thread
+    F B^dagger and F^dagger B are held to the identity by one FFT: that of
+    the rows of B, over sqrt(N + 1), is B F^dagger, the conjugate transpose
+    of F B^dagger and, as povm_basis gathers roots at k n mod (N + 1) and so
+    is symmetric, the transpose of F^dagger B. An FFT takes no BLAS thread
     pool: the threaded products B^dagger B and B B^dagger stalled verify for
     up to 0.7 s after the host had been idle.
     """
-    worst = 0.0
+    worst, numeric = 0.0, []
+    phasors = np.exp(1j * np.outer(LAW_PHASES, np.arange(n_max + 1)))
     for n in range(1, n_max + 1):
         basis = povm_basis(n)
-        eye = np.eye(n + 1)
-        states = symmetric_state(n, 0.0) * np.exp(1j * np.outer(LAW_PHASES, np.arange(n + 1)))
-        law = np.abs(states @ basis.conj()) ** 2
-        grams = basis if np.array_equal(basis, basis.T) else np.stack([basis.T, basis])
-        grams = np.fft.fft(grams, norm="ortho") - eye
-        worst = max(
-            worst,
-            float(np.max(np.abs(grams))),
-            float(np.max(np.abs(outcome_rows(n, LAW_PHASES) - law))),
-        )
+        gram = np.fft.fft(basis, norm="ortho")
+        gram.flat[:: n + 2] -= 1.0  # the diagonal: minus the identity
+        rows, fidelity = _fidelity_quadrature(n, LAW_PHASES)
+        law = np.abs((_dicke_weights(n) * phasors[:, : n + 1]) @ basis.conj()) ** 2
+        worst = max(worst, float(np.max(np.abs(gram))), float(np.max(np.abs(rows - law))))
+        numeric.append(fidelity)
     return CheckResult(
         "povm-orthonormality-completeness",
         worst <= STRUCTURE_TOL,
         f"max deviation {worst:.3e} of basis and outcome law over N=1..{n_max}",
-    )
+    ), numeric
 
 
 def _check_mean_fidelity_agreement(numeric: list[float]) -> CheckResult:

@@ -54,6 +54,15 @@ def test_basis_matches_direct_exponentials():
         assert np.max(np.abs(povm_basis(n) - direct)) < 1e-13
 
 
+def test_basis_is_exactly_symmetric():
+    # verify holds both Gram products to the identity with one FFT of B,
+    # which needs B == B^T to the last bit: the roots are gathered at
+    # k n mod (N + 1), which is symmetric in k and n.
+    for n in (*range(1, 61), BASIS_CAP):
+        basis = povm_basis(n)
+        assert np.array_equal(basis, basis.T), n
+
+
 def test_basis_domain_error():
     with pytest.raises(ValueError):
         povm_basis(0)
@@ -162,6 +171,11 @@ def test_numeric_domain_errors():
     # An ensemble of 2.5 copies does not exist, nor one of 0.5.
     for bad in (0.5, 2.5):
         with pytest.raises(TypeError):
+            mean_fidelity_numeric(bad)
+    # N is checked before the quadrature phase pi / (2(N+1)) is formed, so -1
+    # is the same ValueError as 0, not a ZeroDivisionError.
+    for bad in (-1, 0, BASIS_CAP + 1):
+        with pytest.raises(ValueError, match=f"1..{BASIS_CAP}"):
             mean_fidelity_numeric(bad)
     with pytest.raises(ValueError):
         mean_fidelity_closed(0)

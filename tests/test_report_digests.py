@@ -1,4 +1,4 @@
-"""SHA-256 digests of `simulate`, `curves` and `povm` output, pinned.
+"""SHA-256 digests of `simulate`, `curves`, `povm` and `verify` output, pinned.
 
 A refactor of the simulator or of the report writers must leave every byte
 of these outputs unchanged. The digests were recorded with numpy 2.4.6 on
@@ -143,3 +143,18 @@ def test_report_bytes_pinned(name, tmp_path):
     out = tmp_path / "report"
     assert main(CASES[name] + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+# verify has no --out; its lines carry the worst deviation of each check to
+# four digits, so a change to how a check is computed shows here.
+VERIFY_DIGESTS = {
+    5: "95cdb5c61f157d3594cccd493641668027d7dce0824f6f9d64d25bfc3da9abf3",
+    60: "8ef748d3b9ed4551e60b64abe019c5288591a61cb1d69f7eb7088c73637b829a",
+}
+
+
+@pytest.mark.parametrize("n_max", sorted(VERIFY_DIGESTS))
+def test_verify_bytes_pinned(n_max, capsys):
+    assert main(["verify", "--n-max", str(n_max)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[n_max]
