@@ -22,13 +22,18 @@ def shrinking_factor(n_in: int, m_out: int) -> ShrinkingFactor:
     finite for every N and M, with relative error below 1.5e-15; N and M are
     integers.
     """
+    value = _eta(n_in, m_out)
+    return ShrinkingFactor(operator.index(n_in), operator.index(m_out), value)
+
+
+def _eta(n_in: int, m_out: int) -> float:
+    """shrinking_factor(n_in, m_out).value, with its checks, as a bare float."""
     n_in, m_out = operator.index(n_in), operator.index(m_out)
     if n_in < 1:
         raise ValueError("n_in must be >= 1")
     if m_out < n_in:
         raise ValueError(f"m_out must be >= n_in, got ({n_in}, {m_out})")
-    value = sqrt_binom_sum_scaled(n_in) / sqrt_binom_sum_scaled(m_out)
-    return ShrinkingFactor(n_in, m_out, value)
+    return sqrt_binom_sum_scaled(n_in) / sqrt_binom_sum_scaled(m_out)
 
 
 def eqcm_fidelity(n_in: int) -> float:
@@ -41,4 +46,4 @@ def eqcm_fidelity(n_in: int) -> float:
 def gcnot_fidelity(n_copies: int) -> float:
     """Reconstruction probability of the collective N -> 2N difference gate,
     (1 + eta(N, 2N)) / 2; at N = 1 it is the pairwise gate, 1/2 + 1/sqrt(8)."""
-    return (1.0 + shrinking_factor(n_copies, 2 * n_copies).value) / 2.0
+    return (1.0 + _eta(n_copies, 2 * n_copies)) / 2.0

@@ -91,7 +91,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cloning import shrinking_factor
+from .cloning import _eta
 from .numerics import TWO_PI, as_phase
 from .povm import (
     check_cap,
@@ -252,7 +252,7 @@ def simulate(config: TrialConfig) -> TrialReport:
         pair = config.strategy == UNIFIED_PAIR
         analytic = p_unified_pair(n) if pair else p_unified_collective(n)
         size = 1 if pair else n
-        eta = shrinking_factor(size, 2 * size).value
+        eta = _eta(size, 2 * size)
         full = config.mixed_mode == FULL_MIXED
     # One law per run: the shrunk one in full-mixed mode, else the pure one,
     # whose mean the gate factor (1 + eta) / 2 scales. Its coefficient vector

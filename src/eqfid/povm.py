@@ -266,16 +266,20 @@ def mixed_coefficients(n_copies: int, eta_value: float) -> np.ndarray:
         raise ValueError(f"shrinking factor must lie in [0, 1], got {eta_value}")
     n, eta = operator.index(n_copies), float(eta_value)
     w, p_plus, p_minus = _dicke_weights(n), (1.0 + eta) / 2.0, (1.0 - eta) / 2.0
-    slope = n - 2 * np.arange(n + 1)
-    h_prev, h, c = np.zeros(n + 1), np.ones(n + 1), np.zeros(n + 1)
-    for j in range(n + 1):
-        v = w * h
-        a = np.correlate(v, v, "full")[n:]
-        c += p_plus ** (n - j) * p_minus**j * (a / a[0])
-        if j == n or (p_minus / p_plus) ** (j + 1) < _RANK_ONE_CUTOFF:
-            break
-        # The three-term recurrence of K_j / sqrt(C(N, j)).
-        h_prev, h = h, (slope * h - math.sqrt(j * (n - j + 1)) * h_prev) / math.sqrt((j + 1) * (n - j))
+    a = np.correlate(w, w, "full")[n:]
+    c = p_plus**n * (a / a[0])  # h_0 = 1
+    # The later terms, none at eta = 1, from h_1 = (N - 2i) / sqrt(N) on.
+    if p_minus / p_plus >= _RANK_ONE_CUTOFF:
+        slope = n - 2 * np.arange(n + 1)
+        h_prev, h = np.ones(n + 1), slope / math.sqrt(n)
+        for j in range(1, n + 1):
+            v = w * h
+            a = np.correlate(v, v, "full")[n:]
+            c += p_plus ** (n - j) * p_minus**j * (a / a[0])
+            if j == n or (p_minus / p_plus) ** (j + 1) < _RANK_ONE_CUTOFF:
+                break
+            # The three-term recurrence of K_j / sqrt(C(N, j)).
+            h_prev, h = h, (slope * h - math.sqrt(j * (n - j + 1)) * h_prev) / math.sqrt((j + 1) * (n - j))
     c /= n + 1
     c[1:] *= 2.0
     return c

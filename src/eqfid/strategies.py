@@ -9,7 +9,7 @@ to BASIS_CAP: a curve table of 60 rows computes the 90 distinct S_n it reads
 import operator
 from dataclasses import dataclass
 
-from .cloning import eqcm_fidelity, gcnot_fidelity, shrinking_factor
+from .cloning import _eta, eqcm_fidelity, gcnot_fidelity
 from .povm import mean_fidelity_closed
 
 # Curve tables and verify stop at the N range the comparison curves cover;
@@ -50,7 +50,7 @@ def p_unified_collective_unequal(n_a: int, n_b: int) -> float:
     if n_a < 1 or n_b < 1:
         raise ValueError("ensemble sizes must be >= 1")
     n = min(n_a, n_b)
-    gate = (1.0 + shrinking_factor(n, n_a + n_b).value) / 2.0
+    gate = (1.0 + _eta(n, n_a + n_b)) / 2.0
     return mean_fidelity_closed(n) * gate
 
 

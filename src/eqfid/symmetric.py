@@ -52,24 +52,30 @@ def _dicke_weights(n: int) -> np.ndarray:
     """The Dicke weights sqrt(C(N, i) / 2^N), i = 0 .. N, of an int N in
     1..BASIS_CAP, each correctly rounded; kept for the process, read-only.
 
-    With x = C(N, i) 2^(N mod 2) and s >= 0 the least shift that gives
-    x 4^s at least 112 bits, r = isqrt(x 4^s) has at least 56, and the
-    weight is sqrt(x 4^s) / 2^(s + ceil(N/2)). r is made odd when the root
-    is inexact (round to odd), so the one rounding of the int / int
-    quotient r / 2^(s + ceil(N/2)) is that of the exact root (Boldo and
-    Melquiond, IEEE Trans. Comput. 57, 2008). Every weight is a normal
-    float up to BASIS_CAP. The row is symmetric, so half of it is computed
-    and mirrored.
+    The weight is sqrt(x) / 2^ceil(N/2) with x = C(N, i) 2^(N mod 2).
+    Below 2^53, x is an exact float, so IEEE sqrt rounds its root
+    correctly, and the power-of-two scale, exact while the weight is a
+    normal float, as every weight up to BASIS_CAP is, keeps it so. From
+    2^53, with s >= 0 the least shift that gives x 4^s at least 112 bits,
+    r = isqrt(x 4^s) has at least 56, and the weight is
+    sqrt(x 4^s) / 2^(s + ceil(N/2)). r is made odd when the root is inexact
+    (round to odd), so the one rounding of the int / int quotient
+    r / 2^(s + ceil(N/2)) is that of the exact root (Boldo and Melquiond,
+    IEEE Trans. Comput. 57, 2008). The row is symmetric, so half of it is
+    computed and mirrored.
     """
-    w = np.empty(n + 1)
-    comb = 1
+    scale, half, comb = 2.0 ** -((n + 1) // 2), [], 1
     for i in range(n // 2 + 1):
         x = comb << n % 2
-        s = max(0, (113 - x.bit_length()) // 2)
-        x <<= 2 * s
-        r = math.isqrt(x)
-        w[i] = w[n - i] = (r | (r * r != x)) / (1 << s + (n + 1) // 2)
+        if x < 1 << 53:
+            half.append(math.sqrt(x) * scale)
+        else:
+            s = max(0, (113 - x.bit_length()) // 2)
+            x <<= 2 * s
+            r = math.isqrt(x)
+            half.append((r | (r * r != x)) / (1 << s + (n + 1) // 2))
         comb = comb * (n - i) // (i + 1)
+    w = np.array(half + half[n % 2 - 2 :: -1])
     w.flags.writeable = False
     return w
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloning import shrinking_factor
+from .cloning import _eta
 from .numerics import sqrt_binom_sum_scaled
 from .povm import _fidelity_quadrature, mean_fidelity_closed, povm_basis
 from .strategies import CURVE_N_CAP, StrategyCurvePoint, curve_table
@@ -66,9 +66,10 @@ def _check_povm_structure(n_max: int) -> tuple[CheckResult, list[float]]:
         gram = np.fft.fft(basis, norm="ortho")
         gram.flat[:: n + 2] -= 1.0  # the diagonal: minus the identity
         rows, fidelity = _fidelity_quadrature(n, LAW_PHASES)
-        law = np.abs((_dicke_weights(n) * phasors[:, : n + 1]) @ basis.conj()) ** 2
-        worst = max(worst, float(np.max(np.abs(gram))), float(np.max(np.abs(rows - law))))
+        rows -= np.abs((_dicke_weights(n) * phasors[:, : n + 1]) @ basis.conj()) ** 2
+        worst = max(worst, np.abs(gram).max(), np.abs(rows).max())
         numeric.append(fidelity)
+    worst = float(worst)
     return CheckResult(
         "povm-orthonormality-completeness",
         worst <= STRUCTURE_TOL,
@@ -101,7 +102,7 @@ def _check_strategy_equivalence(table: list[StrategyCurvePoint],
 
 def _check_shrinking_monotonicity(n_max: int) -> CheckResult:
     ok = all(
-        shrinking_factor(n, m).value > shrinking_factor(n, m + 1).value
+        _eta(n, m) > _eta(n, m + 1)
         for n in range(1, min(n_max, 10) + 1)
         for m in range(n, 4 * n)
     )
@@ -140,7 +141,7 @@ def _check_pairwise_crossover(table: list[StrategyCurvePoint]) -> CheckResult:
 def _check_shrinking_bound(n_max: int) -> CheckResult:
     ok = all(
         # S_N / 2^N is eta(N, inf).
-        shrinking_factor(n, 2 * n).value > sqrt_binom_sum_scaled(n)
+        _eta(n, 2 * n) > sqrt_binom_sum_scaled(n)
         for n in range(1, n_max + 1)
     )
     return CheckResult(

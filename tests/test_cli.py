@@ -434,24 +434,53 @@ def test_verify_passes(capsys):
     assert all(l.startswith("PASS ") for l in lines)
 
 
+def shifted(offset):
+    """A fault: every value the function returns moved by offset."""
+    return lambda original: lambda *args: original(*args) + offset
+
+
+def basis_entry_at_3(original):
+    """A fault: one entry of the N = 3 basis moved by 1e-9."""
+    def basis(n):
+        b = original(n)
+        if n == 3:
+            b[1, 2] += 1e-9
+        return b
+    return basis
+
+
+def law_row_at_3(original):
+    """A fault: one outcome-law row of the N = 3 quadrature moved by 1e-9;
+    the mean fidelity it returns is left as it is."""
+    def quadrature(n, phases=()):
+        rows, fidelity = original(n, phases)
+        if n == 3:
+            rows[1] += 1e-9
+        return rows, fidelity
+    return quadrature
+
+
 @pytest.mark.parametrize(
-    "module, name, offset, failing",
+    "module, name, fault, failing",
     [
-        (strategies, "p_cloning", 1e-9, "measurement-cloning-equivalence"),
+        (strategies, "p_cloning", shifted(1e-9), "measurement-cloning-equivalence"),
         # Above 1 at every N, yet still increasing and above measurement.
-        (strategies, "p_unified_collective", 0.6, "strategy-probabilities-in-range"),
+        (strategies, "p_unified_collective", shifted(0.6), "strategy-probabilities-in-range"),
         # Every outcome row off by 1e-11: past the basis check's 1e-12, while
         # the numeric mean fidelity moves by under its 1e-10 tolerance.
-        (povm, "covariant_rows", 1e-11, "povm-orthonormality-completeness"),
+        (povm, "covariant_rows", shifted(1e-11), "povm-orthonormality-completeness"),
         # Every entry of the basis verify reads off by 1e-11, which moves its
         # Gram products by 1e-11 sqrt(N + 1): past the same 1e-12.
-        (verify, "povm_basis", 1e-11, "povm-orthonormality-completeness"),
+        (verify, "povm_basis", shifted(1e-11), "povm-orthonormality-completeness"),
+        # One entry, or one law row, at one N is enough to fail the check.
+        (verify, "povm_basis", basis_entry_at_3, "povm-orthonormality-completeness"),
+        (verify, "_fidelity_quadrature", law_row_at_3, "povm-orthonormality-completeness"),
     ],
-    ids=["equivalence", "range", "outcome-law", "povm-basis"],
+    ids=["equivalence", "range", "outcome-law", "povm-basis", "povm-basis-entry",
+         "outcome-law-row"],
 )
-def test_verify_fails_only_the_broken_claim(module, name, offset, failing, capsys, monkeypatch):
-    original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: original(*args) + offset)
+def test_verify_fails_only_the_broken_claim(module, name, fault, failing, capsys, monkeypatch):
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
     assert run(["verify", "--n-max", "5"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 8

@@ -95,6 +95,20 @@ def test_gcnot_fidelity_values():
         assert eqcm_fidelity(n) < gcnot_fidelity(n) < 1.0
 
 
+def test_gcnot_fidelity_domain_and_bits():
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            gcnot_fidelity(bad)
+    # A float N is a TypeError whatever its value.
+    for bad in (1.0, 0.5):
+        with pytest.raises(TypeError):
+            gcnot_fidelity(bad)
+    # The gate reads the same eta as shrinking_factor, to the last bit, on
+    # both routes of S: up to BASIS_CAP = 1029 and past it.
+    for n in [*range(1, 1030), 10**4, 10**9]:
+        assert gcnot_fidelity(n) == (1.0 + shrinking_factor(n, 2 * n).value) / 2.0, n
+
+
 def test_eqcm_fidelity_values():
     assert eqcm_fidelity(1) == 0.75
     assert abs(eqcm_fidelity(2) - 0.8535533905932737) < 1e-14

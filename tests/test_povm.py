@@ -281,6 +281,31 @@ def test_law_at_eta_one_has_exact_trace():
         assert mixed_coefficients(n, 1.0)[0] == 1 / (n + 1), n
 
 
+# SHA-256 of mixed_coefficients(N, eta): the pure law for N = 1..200 in one
+# digest, and the shrunk laws at the pair gate's eta(1, 2) and the collective
+# gate's eta(N, 2N); the same under numpy's AVX-512 and AVX2 loops.
+PURE_COEFFICIENTS_PIN = "c5c71752c09707da94e7b31bec28a8d062c9b39643f8443ceb6336bb6c140f51"
+GATE_COEFFICIENTS_PINS = {
+    (1, 1): "914af3952ee56d3da47d4ad1a61b04e369178da7f7565e78f34685ddc684f1a3",
+    (12, 1): "c3a60fbb0d59ee59f92f259f56fff28cf2859eeb79bb87f2b4bbce0274a2a180",
+    (12, 12): "b4ede7508087b437784e026d327bdc034d6f94d7f402c672ec6a07bc6ac2c851",
+    (60, 1): "bd2933cdd6b7f423fde585e03fbe3b5412f437589b8038b41f9577c1f594f9f7",
+    (60, 60): "b1572e0f6bd7e6b85f15ebecd201b109d7fabed0d6f26fc0207acbd42571950a",
+    (200, 1): "c06e244adb7f5ab42d6d9825a45f2ef3e37795970b34d22fcf36cf23dc19c5f5",
+    (200, 200): "963d670084618fdad338bf3f606b740537b7b35801bda334a5c56b8bfc27ba04",
+}
+
+
+def test_mixed_coefficients_bits_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 201):
+        digest.update(mixed_coefficients(n, 1.0).tobytes())
+    assert digest.hexdigest() == PURE_COEFFICIENTS_PIN
+    for (n, size), pin in GATE_COEFFICIENTS_PINS.items():
+        eta = shrinking_factor(size, 2 * size).value
+        assert hashlib.sha256(mixed_coefficients(n, eta).tobytes()).hexdigest() == pin, (n, size)
+
+
 @pytest.mark.parametrize("n", [*range(1, 61), 100, 200])
 def test_mixed_coefficients_match_dicke_recursion(n):
     for eta in (shrinking_factor(n, 2 * n).value, shrinking_factor(1, 2).value, 0.0, 0.37, 0.93):

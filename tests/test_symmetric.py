@@ -65,6 +65,28 @@ def test_dicke_weights_are_correctly_rounded(n):
     assert symmetric._dicke_weights(n).tolist() == dicke_weights(n)
 
 
+def test_dicke_weights_from_exact_radicands():
+    # Every radicand x = C(N, i) 2^(N mod 2) below 2^53 is an exact float, so
+    # IEEE sqrt rounds its root correctly and the power-of-two scale keeps
+    # it: the weight equals the round-to-odd integer root, at 60 or more
+    # bits, divided by 2^(60 + ceil(N/2)), one correctly rounded quotient.
+    checked = 0
+    for n in range(1, BASIS_CAP + 1):
+        weights, comb = symmetric._dicke_weights.__wrapped__(n), 1
+        for i in range(n // 2 + 1):
+            x = comb << n % 2
+            if x >= 1 << 53:
+                break
+            r = math.isqrt(x << 120)
+            odd = (r | (r * r != x << 120)) / (1 << 60 + (n + 1) // 2)
+            assert math.sqrt(x) * 2.0 ** -((n + 1) // 2) == odd, (n, i)
+            assert weights[i] == weights[n - i] == odd, (n, i)
+            comb = comb * (n - i) // (i + 1)
+            checked += 1
+    # Every entry of each row up to N = 56, the outer ones beyond.
+    assert checked == 9111
+
+
 def test_modulus_independent_of_phase():
     for n in (2, 5):
         ref = np.abs(symmetric_state(n, 0.0))
