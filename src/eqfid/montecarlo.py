@@ -118,9 +118,9 @@ DRAWS_PER_TRIAL = 4
 BLOCK = 1 << 15
 # About four days of trials at 3M trials per second.
 TRIALS_CAP = 10**12
-# _exact_sum numerators count units of 2^-1126, a 2^-52 part of the smallest
-# subnormal, so that every float is a whole number of them.
-SUM_DENOMINATOR = 1 << 1126
+# _exact_sum numerators count units of 2^-1074, the smallest subnormal, of
+# which every float is a whole number.
+SUM_DENOMINATOR = 1 << 1074
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -165,6 +165,9 @@ class TrialReport:
     exact outcome counts per measured register, each summing to trials.
     perp_probability is the observed frequency of trials outside the
     symmetric subspace and is only set in full-mixed mode.
+    analytic_probability is the strategy's closed form for uniform phases:
+    the run's expectation only with uniform phases in analytic mode, as
+    full-mixed and fixed-phase runs estimate other numbers.
     """
 
     strategy: str
@@ -449,10 +452,10 @@ def _sum_blocks(block: Callable[[int, int, _Workspace], list], trials: int) -> l
 
 def _mean_and_se(total: int, square_total: int, n: int) -> tuple[float, float]:
     """Mean and standard error of the mean of n values, from the _exact_sum
-    numerators of their sum and of their sum of squares. The mean is the
-    exactly rounded sum over n. The variance is taken in floats, as
-    (sum of squares - n mean^2) / (n - 1), which cancels as the values near
-    their mean, so the standard error is not exactly rounded."""
+    numerators of their sum and of their sum of squares. The mean rounds
+    twice, the exact sum to a float and that over n. The variance, taken in
+    floats as (sum of squares - n mean^2) / (n - 1), cancels as the values
+    near their mean, so the standard error is not exactly rounded."""
     mean = total / SUM_DENOMINATOR / n
     if n < 2:
         return mean, 0.0
@@ -509,37 +512,33 @@ def _moment_sums(value: np.ndarray, error: np.ndarray, floats: np.ndarray) -> li
 
 
 def _exact_sum(values: np.ndarray, scratch: np.ndarray | None = None) -> int:
-    """The integer S with S / SUM_DENOMINATOR the exact sum of the float64
-    values, so that S / SUM_DENOMINATOR rounds to math.fsum(values); a
-    ValueError for an infinite or NaN value.
+    """The integer S with S / SUM_DENOMINATOR the exact sum of the n float64
+    values, so that S / SUM_DENOMINATOR rounds to math.fsum(values). A value
+    of magnitude 2^(1022 - bits(n)) or more, an infinity or a NaN is a
+    ValueError; simulate sums scores, fidelity errors and their squares,
+    all in [0, 1].
 
     Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
     2008). For m values p with max |p| < 2^e, take the unit 2^j with
     j = e + bits(m) - 52, or -1074 if that is more (where q = p), and
     sigma = 3 2^(j + 51): then q = (p + sigma) - sigma is p rounded to a
-    multiple of 2^j, and p - q is exact. Every partial sum of the q is a
-    multiple of 2^j below 2^(j + 52), so np.sum adds them exactly in any
-    order and under any SIMD loop. Each pass adds the numerator of that sum
-    and goes on with the remainders p - q, each at most 2^(j - 1): at least
-    52 - bits(m) binades a pass. The first two passes run on the whole row,
-    the later ones on the nonzero remainders alone. A maximum of at least
-    2^(1022 - bits(n)) over n values, where p + sigma could overflow, is
-    first scaled down by a power of two; the bits that the scaling drops
-    from the values it makes subnormal are exact differences (Sterbenz) and
-    summed apart. The passes assume IEEE gradual underflow (no flush to
-    zero), which numpy's defaults give. scratch is a float matrix of at
-    least 2 rows and len(values) columns, allocated when not given; values
-    is not written.
+    multiple of 2^j, and p - q is exact. The bound keeps sigma and p + sigma
+    below 2^1023. Every partial sum of the q is a multiple of 2^j below
+    2^(j + 52), so np.sum adds them exactly in any order and under any SIMD
+    loop. Each pass adds the numerator of that sum and goes on with the
+    remainders p - q, each at most 2^(j - 1): at least 52 - bits(m) binades
+    a pass. The first two passes run on the whole row, the later ones on the
+    nonzero remainders alone. The passes assume IEEE gradual underflow (no
+    flush to zero), which numpy's defaults give. scratch is a float matrix
+    of at least 2 rows and len(values) columns, allocated when not given;
+    values is not written.
     """
     n = len(values)
     top = max(values.max(initial=0.0), -values.min(initial=0.0))
-    if not math.isfinite(top):
-        raise ValueError("an exact sum takes finite values only")
-    scale = math.frexp(top)[1] + n.bit_length() - 1022
-    if scale > 0:
-        scaled = values * 2.0**-scale
-        lost = values - scaled * 2.0**scale
-        return (_exact_sum(scaled, scratch) << scale) + _exact_sum(lost[lost != 0.0])
+    bound = 1022 - n.bit_length()
+    # A NaN fails the comparison too.
+    if not top < math.ldexp(1.0, bound):
+        raise ValueError(f"an exact sum takes finite values below 2^{bound} in magnitude only")
     if scratch is None:
         scratch = np.empty((2, n))
     total, p, passes = 0, values, 0

@@ -12,7 +12,6 @@ from .povm import _fidelity_quadrature, mean_fidelity_closed, povm_basis
 from .strategies import CURVE_N_CAP, StrategyCurvePoint, curve_table
 from .symmetric import _dicke_weights
 
-EQUIVALENCE_TOL = 1e-12
 STRUCTURE_TOL = 1e-12
 AGREEMENT_TOL = 1e-10
 # Phases at which the outcome law is held to the basis, up to 2 pi.
@@ -130,7 +129,8 @@ def _check_collective_ordering(table: list[StrategyCurvePoint]) -> CheckResult:
 def _check_pairwise_crossover(table: list[StrategyCurvePoint]) -> CheckResult:
     ok = table[0].p_unified_pair > table[0].p_measurement
     if len(table) >= 2:
-        ok = ok and abs(table[1].p_unified_pair - table[1].p_measurement) <= EQUIVALENCE_TOL
+        # fbar(2) and f_gcnot(1) are the same float, so the tie is exact.
+        ok = ok and table[1].p_unified_pair == table[1].p_measurement
     ok = ok and all(p.p_unified_pair < p.p_measurement for p in table[2:])
     n = len(table)
     # Name only the N the table reaches.

@@ -475,9 +475,12 @@ def law_row_at_3(original):
         # One entry, or one law row, at one N is enough to fail the check.
         (verify, "povm_basis", basis_entry_at_3, "povm-orthonormality-completeness"),
         (verify, "_fidelity_quadrature", law_row_at_3, "povm-orthonormality-completeness"),
+        # The N = 2 tie is exact: pair probabilities moved by 1e-13 break it,
+        # and only it.
+        (strategies, "p_unified_pair", shifted(1e-13), "pairwise-crossover"),
     ],
     ids=["equivalence", "range", "outcome-law", "povm-basis", "povm-basis-entry",
-         "outcome-law-row"],
+         "outcome-law-row", "pair-tie"],
 )
 def test_verify_fails_only_the_broken_claim(module, name, fault, failing, capsys, monkeypatch):
     monkeypatch.setattr(module, name, fault(getattr(module, name)))

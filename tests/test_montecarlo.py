@@ -419,7 +419,8 @@ def test_blocks_fault_in_no_memory_again(monkeypatch):
 def test_exact_sum_equals_fsum():
     rng = np.random.default_rng(31)
     n = 200_003
-    tiny, huge = 5e-324, 2.0**1023
+    # The last binade below 2^(1022 - bits(13)), the bound of the 13 edges.
+    tiny, huge = 5e-324, 2.0**1017
     arrays = {
         "uniform": rng.random(n),
         "cos2-product": np.cos(rng.random(n) * 6.0) ** 2 * np.cos(rng.random(n) * 6.0) ** 2,
@@ -429,8 +430,8 @@ def test_exact_sum_equals_fsum():
         "mixed-sign": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
         "cancelling": np.concatenate([[1e300, 1.0, -1e300], rng.standard_normal(1000)]),
         "one": np.array([0.1]),
-        # Signed zeros, the smallest subnormal, 1 and both ends of exponent
-        # 1023 (frexp's 1024) and of exponent -1023, the first subnormal one.
+        # Signed zeros, the smallest subnormal, 1 and both ends of the last
+        # binade below the bound and of exponent -1023, the first subnormal one.
         "edges": np.array([0.0, -0.0, tiny, -tiny, 1.0, huge, -huge, np.nextafter(2 * huge, 0),
                            -np.nextafter(2 * huge, 0), 2.0**-1023, -(2.0**-1023),
                            2.0**-1022 - tiny, -(2.0**-1022 - tiny)]),
@@ -445,6 +446,13 @@ def test_exact_sum_equals_fsum():
         assert numerator == sum(a << (shift - b.bit_length()) for a, b in ratios), name
     edges = arrays["edges"].tolist()
     assert montecarlo._exact_sum(arrays["edges"]) == SUM_DENOMINATOR * sum(map(Fraction, edges))
+    # Both ends of exponent 1023 (frexp's 1024) lie past the bound.
+    for top in (2.0**1023, np.nextafter(np.inf, 0)):
+        for sign in (1, -1):
+            edges = arrays["edges"].copy()
+            edges[5] = sign * top
+            with pytest.raises(ValueError, match="finite"):
+                montecarlo._exact_sum(edges)
 
 
 def test_exact_sum_in_moment_sums_scratch_rows():
@@ -462,6 +470,31 @@ def test_exact_sum_in_moment_sums_scratch_rows():
                 for x in (value, value * value, error, error * error)]
     assert montecarlo._moment_sums(value, error, floats) == expected
     assert np.array_equal(value, kept[0]) and np.array_equal(error, kept[1])
+
+
+@pytest.mark.parametrize("kw", [
+    dict(n_copies=1),
+    dict(n_copies=60),
+    dict(n_copies=3, phase_a=0.4),
+    dict(n_copies=181, phase_a=0.4, phase_b=1.9),  # past BLOCK cells: scored trial by trial
+    dict(strategy=UNIFIED_PAIR, n_copies=3, mixed_mode=FULL_MIXED),
+    dict(strategy=UNIFIED_COLLECTIVE, n_copies=12, mixed_mode=FULL_MIXED,
+         phase_a=0.4, phase_b=1.9),  # tallied per cell; perp trials scored
+], ids=["measurement n1", "measurement n60", "measurement half fixed",
+        "measurement fixed n181", "pair full uniform", "collective full fixed n12"])
+def test_exact_sum_receives_values_in_unit_interval(kw, monkeypatch):
+    # _exact_sum rejects magnitudes from 2^(1022 - bits(n)) on; every row
+    # simulate hands it is a score, a fidelity error or a square, in [0, 1].
+    exact_sum, rows = montecarlo._exact_sum, []
+
+    def recording(values, *scratch):
+        rows.append(values.copy())
+        return exact_sum(values, *scratch)
+
+    monkeypatch.setattr(montecarlo, "_exact_sum", recording)
+    simulate(config(trials=4000, **kw))
+    assert any(len(row) for row in rows)
+    assert all(((row >= 0.0) & (row <= 1.0)).all() for row in rows)
 
 
 # --- mixed ensemble distribution ------------------------------------------

@@ -59,12 +59,33 @@ def test_numerics_loads_without_numpy(monkeypatch):
         assert standalone.sqrt_binom_sum_scaled(n) == sqrt_binom_sum_scaled(n)
 
 
+# Below 2^(1022 - bits(5000)) = 2^1009, the exact sum's bound at every length
+# drawn.
+BELOW_BOUND = st.floats(-(2.0**1000), 2.0**1000, exclude_min=True, exclude_max=True)
+
+
 @settings(deadline=None)
-@given(hnp.arrays(np.float64, st.integers(0, 5000),
-                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+@given(hnp.arrays(np.float64, st.integers(0, 5000), elements=BELOW_BOUND))
 def test_exact_sum_is_the_exact_sum(values):
-    # hypothesis draws both signs, subnormals and the whole exponent range.
+    # hypothesis draws both signs, subnormals and every exponent up to 999.
     assert montecarlo._exact_sum(values) == exact(values)
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 5000), elements=BELOW_BOUND), st.data())
+def test_exact_sum_rejects_a_maximum_past_the_bound(values, data):
+    # A magnitude at or above 2^(1022 - bits(n)), anywhere among n values, is
+    # a ValueError.
+    bound = math.ldexp(1.0, 1022 - len(values).bit_length())
+    where = data.draw(st.integers(0, len(values) - 1))
+    values[where] = data.draw(st.floats(min_value=bound)) * data.draw(st.sampled_from([1, -1]))
+    with pytest.raises(ValueError, match="finite"):
+        montecarlo._exact_sum(values)
+
+
+def test_numerator_counts_smallest_subnormals():
+    assert montecarlo._numerator(5e-324) == 1
+    assert montecarlo._numerator(-1.0) == -(2**1074)
 
 
 def _band_edge():
@@ -100,9 +121,8 @@ def _exact_sum_cases():
     wide[::5] = 2.0**1023
     wide[1::7] = tiny
     yield "wide 1001", wide
-    # A maximum near overflow is scaled down first: the values that become
-    # subnormal there lose bits, which are summed apart, and true subnormals
-    # lose theirs outright.
+    # Magnitudes up to about 2^1022, beside values near the subnormal range
+    # and subnormals.
     near_overflow = rng.standard_normal(1000) * 2.0**1020
     near_overflow[::4] = rng.standard_normal(250) * 2.0 ** rng.integers(-1030, -1000, 250)
     near_overflow[1::8] = rng.integers(-(2**20), 2**20, 125) * tiny
@@ -117,12 +137,37 @@ def _exact_sum_cases():
     yield "2^20 mixed range", mixed
 
 
-@pytest.mark.parametrize("values", [pytest.param(v, id=name) for name, v in _exact_sum_cases()])
+def _split_at_the_bound():
+    """The cases below 2^(1022 - bits(n)), the bound, and those at or past it.
+    Each case past it is also an in-range case, scaled by a power of two into
+    the last binade below the bound."""
+    inside, past = [], []
+    for name, values in _exact_sum_cases():
+        bound = 1022 - len(values).bit_length()
+        exponent = math.frexp(np.abs(values).max(initial=0.0))[1]
+        if exponent > bound:
+            past.append(pytest.param(values, id=name))
+            values = values * 2.0 ** (bound - exponent)
+        inside.append(pytest.param(values, id=name))
+    return inside, past
+
+
+INSIDE_THE_BOUND, PAST_THE_BOUND = _split_at_the_bound()
+
+
+@pytest.mark.parametrize("values", INSIDE_THE_BOUND)
 def test_exact_sum_routes(values):
     expected = exact(values)
     assert montecarlo._exact_sum(values) == expected
     assert montecarlo._exact_sum(-values) == -expected
     assert montecarlo._exact_sum(values[::-1]) == expected
+
+
+@pytest.mark.parametrize("values", PAST_THE_BOUND)
+def test_exact_sum_rejects_rows_past_the_bound(values):
+    for row in (values, -values, values[::-1]):
+        with pytest.raises(ValueError, match="finite"):
+            montecarlo._exact_sum(row)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -math.nan])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from eqfid.cloning import gcnot_fidelity
+from eqfid.povm import mean_fidelity_closed
 from eqfid.strategies import (
     curve_table,
     p_cloning,
@@ -41,6 +43,13 @@ def test_pairwise_crossover():
     assert abs(p_unified_pair(2) - p_measurement(2)) <= 1e-12
     for n in range(3, 51):
         assert p_unified_pair(n) < p_measurement(n)
+
+
+def test_pair_ties_measurement_at_two_bit_for_bit():
+    # verify checks the N = 2 tie with ==: fbar(2) and f_gcnot(1) are the
+    # same float, so fbar(2) f_gcnot(1) and fbar(2)^2 are too.
+    assert mean_fidelity_closed(2) == gcnot_fidelity(1)
+    assert p_unified_pair(2) == p_measurement(2)
 
 
 def test_p_unified_collective_values():
