@@ -10,6 +10,7 @@ from .cloning import (
     ShrinkingFactor,
     eqcm_fidelity,
     gcnot_fidelity,
+    mean_fidelity_closed,
     shrinking_factor,
 )
 from .montecarlo import (
@@ -30,7 +31,6 @@ from .numerics import (
 )
 from .povm import (
     estimate_phase,
-    mean_fidelity_closed,
     mean_fidelity_numeric,
     outcome_distribution,
     povm_basis,

@@ -1,4 +1,5 @@
-"""Shrinking factors and fidelities of the equatorial cloner and difference gates."""
+"""Shrinking factors, fidelities of the equatorial cloner and difference gates,
+and fbar(N), which the asymptotic cloner attains. It imports no numpy."""
 
 import operator
 from dataclasses import dataclass
@@ -36,11 +37,17 @@ def _eta(n_in: int, m_out: int) -> float:
     return sqrt_binom_sum_scaled(n_in) / sqrt_binom_sum_scaled(m_out)
 
 
+def mean_fidelity_closed(n_copies: int) -> float:
+    """Phase-averaged fidelity between true and estimated state, closed form:
+    1/2 + 2^{-(N+1)} * sum_i sqrt(C(N,i) C(N,i+1)), finite at every N."""
+    return (1.0 + sqrt_binom_sum_scaled(n_copies)) / 2.0
+
+
 def eqcm_fidelity(n_in: int) -> float:
     """Per-copy reconstruction probability of the asymptotic equatorial
-    cloner: (1 + eta(N, inf)) / 2."""
-    # S_N / 2^N is eta(N, inf), the many-copy limit of eta(N, M).
-    return (1.0 + sqrt_binom_sum_scaled(n_in)) / 2.0
+    cloner, (1 + eta(N, inf)) / 2 with eta(N, inf) = S_N / 2^N: fbar(N),
+    since the asymptotic cloner is state estimation."""
+    return mean_fidelity_closed(n_in)
 
 
 def gcnot_fidelity(n_copies: int) -> float:

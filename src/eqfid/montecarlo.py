@@ -92,9 +92,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cloning import _eta
-from .numerics import TWO_PI, as_phase
+from .numerics import TWO_PI, as_phase, check_cap
 from .povm import (
-    check_cap,
     covariant_rows,
     guide_search,
     mixed_coefficients,
@@ -231,16 +230,17 @@ def simulate(config: TrialConfig) -> TrialReport:
     Each trial scores the product over registers of cos^2((est - phi)/2) and
     the fidelity error |cos^2(est_diff/2) - cos^2(d/2)|, where est_diff and d
     are the estimated and true phase differences (b - a over the two
-    measurement registers, the difference register itself otherwise). With
-    uniform phases the mean converges to the strategy's success probability.
+    measurement registers, the difference register itself otherwise).
 
-    Analytic mode samples the pure difference state and multiplies the mean
-    by the analytic gate factor. Full-mixed mode instead samples the exact
-    outcome law of the shrunk N-copy product state, built in the symmetric
-    subspace by povm.mixed_coefficients at every N up to povm.BASIS_CAP; trials
-    that land outside the symmetric subspace record a uniformly random phase
-    estimate and are counted in perp_probability, and no gate factor is
-    applied. The measurement strategy has no gate and ignores mixed_mode.
+    Analytic mode samples only the phase estimation of the pure difference
+    state and scales the mean and its se by the closed-form gate factor: the
+    unified strategies draw the same samples, and a uniform-phase run checks
+    fbar(N), not the gate. Full-mixed mode samples N independent shrunk
+    copies, a product state (its law from povm.mixed_coefficients), with no
+    gate factor; a trial outside the symmetric subspace takes a uniform phase
+    estimate (perp_probability). The uniform-phase mean, 1/2 + (N+1) c_1 / 4,
+    puts the collective strategy below measurement from N = 5. Measurement has
+    no gate; it ignores mixed_mode.
     """
     n = config.n_copies
     # The gate's shrinking factor; the measurement strategy has no gate.

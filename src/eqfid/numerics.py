@@ -6,8 +6,8 @@ over the O(sqrt(n)) binomial window that Hoeffding's bound leaves, with a
 proven slack, rounded by Ziv's test (_exact_scaled, kept per n for the
 process). Above BASIS_CAP it is 1 - d_n from the first eight terms of d_n's
 1/n series, in O(1) and IEEE operations only. The Dicke weights come from
-Python ints too, in symmetric. Every phase the package takes passes through
-as_phase. The module imports no numpy.
+Python ints too, in symmetric. as_phase takes every phase the package takes,
+check_cap every N of a state or law. The module imports no numpy.
 """
 
 import functools
@@ -30,6 +30,14 @@ BASIS_CAP = 1029
 # 0.501 ulp.
 DEFICIT_SERIES = (1 / 2, -1 / 8, 7 / 16, 101 / 128, 1191 / 256, 29163 / 1024, 450951 / 2048,
                   65785709 / 32768)
+
+
+def check_cap(n_copies: int) -> None:
+    """Refuse an N outside 1..BASIS_CAP, and a float N by TypeError; every
+    symmetric state, outcome law and simulate share this bound and its
+    message."""
+    if not 1 <= operator.index(n_copies) <= BASIS_CAP:
+        raise ValueError(f"n_copies must lie in 1..{BASIS_CAP}, got {n_copies}")
 
 
 def as_phase(phi) -> float:

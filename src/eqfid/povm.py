@@ -8,7 +8,7 @@ builder for shift-covariant outcome laws (one FFT of their Fourier
 coefficients per phase) and the inverse-CDF sampler of their offsets at a
 uniform phase, the Fourier coefficients of both outcome laws from one
 rank-one sum (the pure law is its eta = 1 case), the estimator and the mean
-estimation fidelity both in closed form and by direct quadrature.
+estimation fidelity by direct quadrature; its closed form is in cloning.
 """
 
 import math
@@ -17,9 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import TWO_PI, as_phase, sqrt_binom_sum_scaled
-# BASIS_CAP and check_cap bound every outcome law; callers read them here.
-from .symmetric import BASIS_CAP, _dicke_weights, check_cap
+from .numerics import TWO_PI, as_phase, check_cap
+from .symmetric import _dicke_weights
 
 # offset_sampler interpolates the offset CDF on a theta grid of 2^k cells,
 # at least OFFSET_CELLS_PER_ROOT_N sqrt(N) of them: the quintic Hermite error
@@ -312,12 +311,6 @@ def phase_estimates(n_copies: int) -> np.ndarray:
     n_copies = operator.index(n_copies)
     check_cap(n_copies)
     return TWO_PI * np.arange(n_copies + 1) / (n_copies + 1)
-
-
-def mean_fidelity_closed(n_copies: int) -> float:
-    """Phase-averaged fidelity between true and estimated state, closed form:
-    1/2 + 2^{-(N+1)} * sum_i sqrt(C(N,i) C(N,i+1)), finite at every N."""
-    return 0.5 + sqrt_binom_sum_scaled(n_copies) / 2.0
 
 
 def mean_fidelity_numeric(n_copies: int) -> float:

@@ -1,5 +1,5 @@
 """Closed-form success probabilities of the three fidelity-estimation
-strategies and their comparison curves.
+strategies and their comparison curves, from cloning alone: no numpy.
 
 Every closed form reads S_n / 2^n through numerics, which keeps it per n up
 to BASIS_CAP: a curve table of 60 rows computes the 90 distinct S_n it reads
@@ -9,8 +9,7 @@ to BASIS_CAP: a curve table of 60 rows computes the 90 distinct S_n it reads
 import operator
 from dataclasses import dataclass
 
-from .cloning import _eta, eqcm_fidelity, gcnot_fidelity
-from .povm import mean_fidelity_closed
+from .cloning import _eta, eqcm_fidelity, gcnot_fidelity, mean_fidelity_closed
 
 # Curve tables and verify stop at the N range the comparison curves cover;
 # the closed forms themselves are finite and accurate at every N.

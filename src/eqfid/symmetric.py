@@ -6,8 +6,8 @@ amplitudes instead of a 2^N-vector. The Dicke weights sqrt(C(N, i) / 2^N),
 which both outcome laws are built from, come from Python ints, each
 correctly rounded, so they are the same on every host; each N's weights are
 kept for the process, read-only: 8 (N+1) bytes, about 15 KB for N up to 60
-and at most about 4.3 MB for every N up to BASIS_CAP, which bounds every
-N-indexed state and law.
+and at most about 4.3 MB for every N up to numerics.BASIS_CAP, the bound
+numerics.check_cap puts on every N-indexed state and law.
 """
 
 import functools
@@ -17,20 +17,12 @@ import operator
 
 import numpy as np
 
-from .numerics import BASIS_CAP, as_phase
+from .numerics import as_phase, check_cap
 
 # Largest N for which the 2^N-dimensional embedding is materialized (4096-dim
 # at the cap); only the full-space reference mixed_ensemble_distribution needs
 # it, and simulate never does.
 EMBEDDING_CAP = 12
-
-
-def check_cap(n_copies: int) -> None:
-    """Refuse an N outside 1..BASIS_CAP, and a float N by TypeError; every
-    symmetric state, outcome law and simulate share this bound and its
-    message."""
-    if not 1 <= operator.index(n_copies) <= BASIS_CAP:
-        raise ValueError(f"n_copies must lie in 1..{BASIS_CAP}, got {n_copies}")
 
 
 def symmetric_state(n_copies: int, phase) -> np.ndarray:

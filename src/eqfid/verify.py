@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloning import _eta
+from .cloning import _eta, mean_fidelity_closed
 from .numerics import sqrt_binom_sum_scaled
-from .povm import _fidelity_quadrature, mean_fidelity_closed, povm_basis
+from .povm import _fidelity_quadrature, povm_basis
 from .strategies import CURVE_N_CAP, StrategyCurvePoint, curve_table
 from .symmetric import _dicke_weights
 

@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from eqfid.cloning import gcnot_fidelity, shrinking_factor
+from eqfid.cloning import gcnot_fidelity, mean_fidelity_closed, shrinking_factor
 from eqfid.montecarlo import (
     MEASUREMENT,
     UNIFIED_COLLECTIVE,
@@ -17,12 +17,7 @@ from eqfid.montecarlo import (
     simulate,
 )
 from eqfid.numerics import sqrt_binom_sum_scaled
-from eqfid.povm import (
-    mean_fidelity_closed,
-    mean_fidelity_numeric,
-    outcome_distribution,
-    povm_basis,
-)
+from eqfid.povm import mean_fidelity_numeric, outcome_distribution, povm_basis
 from eqfid.strategies import (
     p_cloning,
     p_measurement,

@@ -8,7 +8,9 @@ import pytest
 
 from eqfid import montecarlo, povm, strategies, verify
 from eqfid.cli import main
-from eqfid.povm import BASIS_CAP, mean_fidelity_closed, outcome_distribution
+from eqfid.cloning import mean_fidelity_closed
+from eqfid.numerics import BASIS_CAP
+from eqfid.povm import outcome_distribution
 from eqfid.strategies import p_measurement, p_unified_pair
 
 

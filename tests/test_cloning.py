@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from eqfid.cloning import eqcm_fidelity, gcnot_fidelity, shrinking_factor
-from eqfid.numerics import sqrt_binom_sum_scaled
-from eqfid.povm import mean_fidelity_closed
+from eqfid.cloning import eqcm_fidelity, gcnot_fidelity, mean_fidelity_closed, shrinking_factor
+from eqfid.numerics import BASIS_CAP, sqrt_binom_sum_scaled
 
 # eta(N, inf) = S_N / 2^N, the many-copy limit of eta(N, M).
 limit = sqrt_binom_sum_scaled
@@ -115,5 +114,9 @@ def test_eqcm_fidelity_values():
 
 
 def test_eqcm_equals_mean_estimation_fidelity():
-    for n in range(1, 51):
-        assert abs(eqcm_fidelity(n) - mean_fidelity_closed(n)) <= 1e-12
+    # The asymptotic cloner is state estimation: f_eqcm is fbar to the bit,
+    # the cloner's own (1 + eta(N, inf)) / 2, on both routes of S. Halving is
+    # exact, so 1/2 + eta / 2 is the same float.
+    for n in [*range(1, BASIS_CAP + 3), *(10**k for k in range(4, 13))]:
+        s = limit(n)
+        assert eqcm_fidelity(n) == mean_fidelity_closed(n) == (1.0 + s) / 2.0 == 0.5 + s / 2.0, n

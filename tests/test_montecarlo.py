@@ -25,9 +25,8 @@ from eqfid.montecarlo import (
     mixed_ensemble_distribution,
     simulate,
 )
-from eqfid.numerics import TWO_PI
+from eqfid.numerics import BASIS_CAP, TWO_PI
 from eqfid.povm import (
-    BASIS_CAP,
     covariant_rows,
     mixed_coefficients,
     outcome_distribution,
@@ -166,6 +165,20 @@ def test_pair_is_the_collective_gate_at_one_copy(mode, phases):
     assert pair.pop("strategy") == UNIFIED_PAIR
     assert collective.pop("strategy") == UNIFIED_COLLECTIVE
     assert pair == collective
+
+
+def test_analytic_unified_strategies_draw_the_same_samples():
+    # Analytic mode samples the phase estimation of the pure difference state
+    # and multiplies in the closed-form gate factor, so at N = 12, where the
+    # two gates differ, the pair and collective runs still share their
+    # samples: what the Monte Carlo checks is fbar(N), not the gate.
+    pair, collective = (
+        simulate(config(strategy=strategy, n_copies=12, trials=20_000, seed=5))
+        for strategy in (UNIFIED_PAIR, UNIFIED_COLLECTIVE)
+    )
+    assert pair.analytic_probability < collective.analytic_probability
+    for field in ("tallies", "mean_abs_fidelity_error", "abs_fidelity_error_se"):
+        assert getattr(pair, field) == getattr(collective, field), field
 
 
 def test_report_ranges():

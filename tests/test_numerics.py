@@ -3,9 +3,12 @@ import hashlib
 import importlib.util
 import inspect
 import math
+import os
 import sys
+import types
 import warnings
 from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +26,7 @@ from eqfid.numerics import (
     sqrt_binom_sum,
     sqrt_binom_sum_scaled,
 )
-from eqfid.strategies import curve_table
+from eqfid.strategies import curve_table, p_unified_collective_unequal
 from eqfid.verify import run_checks
 import reference
 from reference import deficit_series
@@ -48,15 +51,32 @@ def exact(values):
 
 
 def test_numerics_loads_without_numpy(monkeypatch):
-    # numerics needs math and Python ints alone: loaded as a module of its
-    # own with numpy unimportable, it gives the package's S_n / 2^n on both
-    # sides of BASIS_CAP.
+    # numerics, cloning and strategies need math and Python ints alone: with
+    # numpy unimportable, numerics loaded as a module of its own gives the
+    # package's S_n / 2^n on both sides of BASIS_CAP, and strategies, loaded
+    # with what it imports from an alias package over eqfid's directory
+    # (eqfid/__init__ imports numpy), gives the package's closed forms.
     monkeypatch.setitem(sys.modules, "numpy", None)
     spec = importlib.util.spec_from_file_location("standalone_numerics", numerics.__file__)
     standalone = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(standalone)
     for n in (60, 2000):
         assert standalone.sqrt_binom_sum_scaled(n) == sqrt_binom_sum_scaled(n)
+    alias = types.ModuleType("numpy_free")
+    alias.__path__ = [os.path.dirname(numerics.__file__)]
+    monkeypatch.setitem(sys.modules, alias.__name__, alias)
+    before = set(sys.modules)
+    try:
+        closed = importlib.import_module("numpy_free.strategies")
+        assert set(sys.modules) - before == {
+            "numpy_free.numerics", "numpy_free.cloning", "numpy_free.strategies"}
+        assert ([astuple(p) for p in closed.curve_table(1, 60)]
+                == [astuple(p) for p in curve_table(1, 60)])
+        assert (closed.p_unified_collective_unequal(3, 10**6)
+                == p_unified_collective_unequal(3, 10**6))
+    finally:
+        for name in set(sys.modules) - before:
+            del sys.modules[name]
 
 
 # Below 2^(1022 - bits(5000)) = 2^1009, the exact sum's bound at every length

@@ -11,10 +11,10 @@ import math
 import pytest
 
 from eqfid import numerics
-from eqfid.cloning import shrinking_factor
+from eqfid.cloning import mean_fidelity_closed, shrinking_factor
 from eqfid.montecarlo import FULL_MIXED, UNIFIED_COLLECTIVE, TrialConfig, simulate
 from eqfid.numerics import DEFICIT_SERIES, sqrt_binom_sum_scaled
-from eqfid.povm import mean_fidelity_closed, mixed_coefficients, outcome_distribution, outcome_rows
+from eqfid.povm import mixed_coefficients, outcome_distribution, outcome_rows
 from eqfid.strategies import curve_table, p_unified_collective, p_unified_collective_unequal
 
 mpmath = pytest.importorskip("mpmath")

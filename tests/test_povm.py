@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqfid import povm, symmetric
-from eqfid.cloning import shrinking_factor
+from eqfid.cloning import mean_fidelity_closed, shrinking_factor
+from eqfid.numerics import BASIS_CAP
 from eqfid.povm import (
-    BASIS_CAP,
     estimate_phase,
     guide_search,
-    mean_fidelity_closed,
     mean_fidelity_numeric,
     mixed_coefficients,
     offset_sampler,

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eqfid.cloning import gcnot_fidelity
-from eqfid.povm import mean_fidelity_closed
+from eqfid.cloning import gcnot_fidelity, mean_fidelity_closed
 from eqfid.strategies import (
     curve_table,
     p_cloning,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from eqfid import symmetric
-from eqfid.symmetric import BASIS_CAP, EMBEDDING_CAP, dicke_embedding, symmetric_state
+from eqfid.numerics import BASIS_CAP
+from eqfid.symmetric import EMBEDDING_CAP, dicke_embedding, symmetric_state
 from reference import dicke_weights
 
 
