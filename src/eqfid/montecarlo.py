@@ -5,8 +5,9 @@ measured phase: a (tally, outcome column, fixed phase or None) tuple built
 from the config, whose offset column is the outcome column + 2. The
 measurement strategy measures ensemble_a and ensemble_b at phi_a and phi_b;
 each unified strategy measures one register, difference, at
-(phi_b - phi_a) mod 2 pi. The pairwise gate is the collective N -> 2N gate
-at N = 1, so the two unified strategies differ only in the gate size.
+as_phase(phi_b - phi_a), in [0, 2 pi). The pairwise gate is the collective
+N -> 2N gate at N = 1, so the two unified strategies differ only in the
+gate size.
 
 Both outcome laws, pure and full-mixed, are shift covariant,
 p_k(phi) = q(phi - est_k), and one vector of Fourier coefficients describes
@@ -83,7 +84,6 @@ Per-trial uniform layout (columns of the draw matrix):
 """
 
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -92,7 +92,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cloning import _eta
-from .numerics import TWO_PI, as_phase, check_cap
+from .numerics import TWO_PI, as_phase, check_cap, check_int
 from .povm import (
     covariant_rows,
     guide_search,
@@ -138,13 +138,10 @@ class TrialConfig:
     def __post_init__(self):
         # Integer fields become ints (bools and numpy ints too); a float raises
         # TypeError here, not deep inside simulate.
-        for name in ("n_copies", "trials", "seed"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        check_cap(self.n_copies)
-        if not 1 <= self.trials <= TRIALS_CAP:
-            raise ValueError(f"trials must lie in 1..{TRIALS_CAP}, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        for name, value in (("n_copies", check_cap(self.n_copies)),
+                            ("trials", check_int(self.trials, "trials", 1, TRIALS_CAP)),
+                            ("seed", check_int(self.seed, "seed", 0))):
+            object.__setattr__(self, name, value)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.mixed_mode not in MIXED_MODES:
@@ -194,11 +191,7 @@ def mixed_ensemble_distribution(n_copies: int, delta, eta_value: float) -> np.nd
     subspace, where the phase measurement is undefined. Entries are clamped
     at zero and sum to one.
     """
-    n_copies = operator.index(n_copies)
-    if n_copies < 1:
-        raise ValueError("n_copies must be >= 1")
-    if n_copies > EMBEDDING_CAP:
-        raise ValueError(f"full-space evaluation capped at n_copies <= {EMBEDDING_CAP}")
+    n_copies = check_int(n_copies, "n_copies", 1, EMBEDDING_CAP)
     if not 0.0 <= eta_value <= 1.0:
         raise ValueError(f"shrinking factor must lie in [0, 1], got {eta_value}")
     # The shrunk copy eta |psi(delta)><psi(delta)| + (1 - eta) I/2.
@@ -251,7 +244,7 @@ def simulate(config: TrialConfig) -> TrialReport:
         analytic = p_measurement(n)
     else:
         a, b = config.phase_a, config.phase_b
-        registers = [("difference", 0, None if a is None or b is None else (b - a) % TWO_PI)]
+        registers = [("difference", 0, None if a is None or b is None else as_phase(b - a))]
         pair = config.strategy == UNIFIED_PAIR
         analytic = p_unified_pair(n) if pair else p_unified_collective(n)
         size = 1 if pair else n

@@ -12,12 +12,11 @@ estimation fidelity by direct quadrature; its closed form is in cloning.
 """
 
 import math
-import operator
 from typing import Callable
 
 import numpy as np
 
-from .numerics import TWO_PI, as_phase, check_cap
+from .numerics import TWO_PI, as_phase, check_cap, check_int
 from .symmetric import _dicke_weights
 
 # offset_sampler interpolates the offset CDF on a theta grid of 2^k cells,
@@ -38,8 +37,7 @@ def povm_basis(n_copies: int) -> np.ndarray:
     The outcome law is built from Fourier coefficients instead; verify holds
     it to this basis.
     """
-    check_cap(n_copies)
-    dim = n_copies + 1
+    dim = check_cap(n_copies) + 1
     k = np.arange(dim)
     roots = np.exp(2j * np.pi * k / dim) / math.sqrt(dim)
     return roots[np.outer(k, k) % dim]
@@ -56,8 +54,7 @@ def covariant_rows(coeffs, phis) -> np.ndarray:
     clamped into [0, 1]: rounding leaves tiny negative residues, and can lift
     a certain outcome just past one.
     """
-    n = len(coeffs) - 1
-    check_cap(n)
+    n = check_cap(len(coeffs) - 1)
     waves = np.exp(1j * np.outer(phis, np.arange(n + 1))) * coeffs
     return np.clip(np.fft.fft(waves, axis=-1).real, 0.0, 1.0)
 
@@ -260,10 +257,10 @@ def mixed_coefficients(n_copies: int, eta_value: float) -> np.ndarray:
     eta = 0 every term counts, and the recurrence loses the relative accuracy
     of c_m / c_0 at large N (0.2 at eta = 0, N = 200); the gates' eta is >= 0.7.
     """
-    check_cap(n_copies)
+    n = check_cap(n_copies)
     if not 0.0 <= eta_value <= 1.0:
         raise ValueError(f"shrinking factor must lie in [0, 1], got {eta_value}")
-    n, eta = operator.index(n_copies), float(eta_value)
+    eta = float(eta_value)
     w, p_plus, p_minus = _dicke_weights(n), (1.0 + eta) / 2.0, (1.0 - eta) / 2.0
     a = np.correlate(w, w, "full")[n:]
     c = p_plus**n * (a / a[0])  # h_0 = 1
@@ -296,21 +293,17 @@ def outcome_distribution(n_copies: int, phase) -> np.ndarray:
 
 
 def estimate_phase(outcome: int, n_copies: int) -> float:
-    """Phase estimate 2 pi k / (N+1) attached to outcome k; k and N are integers."""
-    outcome, n_copies = operator.index(outcome), operator.index(n_copies)
-    if n_copies < 1:
-        raise ValueError(f"n_copies must be >= 1, got {n_copies}")
-    if not 0 <= outcome <= n_copies:
-        raise ValueError(f"outcome must lie in 0..{n_copies}, got {outcome}")
-    return TWO_PI * outcome / (n_copies + 1)
+    """Phase estimate 2 pi k / (N+1) attached to outcome k, read from
+    phase_estimates(N); k in 0..N and N in 1..BASIS_CAP are integers."""
+    estimates = phase_estimates(n_copies)
+    return float(estimates[check_int(outcome, "outcome", 0, len(estimates) - 1)])
 
 
 def phase_estimates(n_copies: int) -> np.ndarray:
     """Phase estimates of all outcomes k = 0 .. N, in outcome order; N is an
     integer in 1..BASIS_CAP."""
-    n_copies = operator.index(n_copies)
-    check_cap(n_copies)
-    return TWO_PI * np.arange(n_copies + 1) / (n_copies + 1)
+    n = check_cap(n_copies)
+    return TWO_PI * np.arange(n + 1) / (n + 1)
 
 
 def mean_fidelity_numeric(n_copies: int) -> float:
@@ -329,8 +322,7 @@ def mean_fidelity_numeric(n_copies: int) -> float:
 def _fidelity_quadrature(n_copies: int, phases=()) -> tuple[np.ndarray, float]:
     """outcome_rows(N, phases) and mean_fidelity_numeric(N), the quadrature
     over one more row of the same call, at pi / (2(N+1)); N is checked first."""
-    n = operator.index(n_copies)
-    check_cap(n)
+    n = check_cap(n_copies)
     phi = math.pi / (2.0 * (n + 1))
     rows = outcome_rows(n, (*phases, phi))
     return rows[:-1], float(np.sum(rows[-1] * np.cos((phase_estimates(n) - phi) / 2.0) ** 2))

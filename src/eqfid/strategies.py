@@ -1,15 +1,16 @@
 """Closed-form success probabilities of the three fidelity-estimation
-strategies and their comparison curves, from cloning alone: no numpy.
+strategies and their comparison curves, from cloning, with each count
+checked by numerics.check_int: no numpy.
 
 Every closed form reads S_n / 2^n through numerics, which keeps it per n up
 to BASIS_CAP: a curve table of 60 rows computes the 90 distinct S_n it reads
 (S_N and S_2N) once each.
 """
 
-import operator
 from dataclasses import dataclass
 
 from .cloning import _eta, eqcm_fidelity, gcnot_fidelity, mean_fidelity_closed
+from .numerics import check_int
 
 # Curve tables and verify stop at the N range the comparison curves cover;
 # the closed forms themselves are finite and accurate at every N.
@@ -45,9 +46,7 @@ def p_unified_collective_unequal(n_a: int, n_b: int) -> float:
     factor is fbar(min) and the gate factor uses eta(min, N_a + N_b). The
     symmetric case reduces exactly to p_unified_collective.
     """
-    n_a, n_b = operator.index(n_a), operator.index(n_b)
-    if n_a < 1 or n_b < 1:
-        raise ValueError("ensemble sizes must be >= 1")
+    n_a, n_b = check_int(n_a, "n_a", 1), check_int(n_b, "n_b", 1)
     n = min(n_a, n_b)
     gate = (1.0 + _eta(n, n_a + n_b)) / 2.0
     return mean_fidelity_closed(n) * gate
@@ -86,9 +85,6 @@ def curve_table(n_min: int, n_max: int) -> list[StrategyCurvePoint]:
     """One StrategyCurvePoint per N in [n_min, n_max]; verify checks the
     paper's claims on these rows. The bounds are integers: a float is a
     TypeError, whatever its value."""
-    n_min, n_max = operator.index(n_min), operator.index(n_max)
-    if not 1 <= n_min <= n_max <= CURVE_N_CAP:
-        raise ValueError(
-            f"need 1 <= n_min <= n_max <= {CURVE_N_CAP}, got ({n_min}, {n_max})"
-        )
+    n_min = check_int(n_min, "n_min", 1, CURVE_N_CAP)
+    n_max = check_int(n_max, "n_max", n_min, CURVE_N_CAP)
     return [curve_point(n) for n in range(n_min, n_max + 1)]

@@ -7,17 +7,17 @@ which both outcome laws are built from, come from Python ints, each
 correctly rounded, so they are the same on every host; each N's weights are
 kept for the process, read-only: 8 (N+1) bytes, about 15 KB for N up to 60
 and at most about 4.3 MB for every N up to numerics.BASIS_CAP, the bound
-numerics.check_cap puts on every N-indexed state and law.
+numerics.check_cap puts on every N-indexed state and law. The full-space
+embedding takes its N through numerics.check_int, up to EMBEDDING_CAP.
 """
 
 import functools
 import itertools
 import math
-import operator
 
 import numpy as np
 
-from .numerics import as_phase, check_cap
+from .numerics import as_phase, check_cap, check_int
 
 # Largest N for which the 2^N-dimensional embedding is materialized (4096-dim
 # at the cap); only the full-space reference mixed_ensemble_distribution needs
@@ -34,8 +34,7 @@ def symmetric_state(n_copies: int, phase) -> np.ndarray:
     The weights are _dicke_weights(N). N is an integer in 1..BASIS_CAP: a
     float is a TypeError.
     """
-    check_cap(n_copies)
-    n = operator.index(n_copies)
+    n = check_cap(n_copies)
     return _dicke_weights(n) * np.exp(1j * as_phase(phase) * np.arange(n + 1))
 
 
@@ -80,13 +79,7 @@ def dicke_embedding(n_copies: int) -> np.ndarray:
     the row index is the state of qubit j. Columns are orthonormal, so the
     matrix maps symmetric amplitudes to full-space amplitudes exactly.
     """
-    n_copies = operator.index(n_copies)
-    if n_copies < 1:
-        raise ValueError("n_copies must be >= 1")
-    if n_copies > EMBEDDING_CAP:
-        raise ValueError(
-            f"full-space embedding capped at n_copies <= {EMBEDDING_CAP}, got {n_copies}"
-        )
+    n_copies = check_int(n_copies, "n_copies", 1, EMBEDDING_CAP)
     v = np.zeros((2**n_copies, n_copies + 1))
     for weight in range(n_copies + 1):
         rows = [sum(1 << p for p in positions)

@@ -1,13 +1,12 @@
 """Cross-module invariant suite backing the `verify` CLI command; the one
 owner of the paper's claims, read off one curve_table."""
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cloning import _eta, mean_fidelity_closed
-from .numerics import sqrt_binom_sum_scaled
+from .numerics import check_int, sqrt_binom_sum_scaled
 from .povm import _fidelity_quadrature, povm_basis
 from .strategies import CURVE_N_CAP, StrategyCurvePoint, curve_table
 from .symmetric import _dicke_weights
@@ -28,9 +27,7 @@ class CheckResult:
 def run_checks(n_max: int) -> list[CheckResult]:
     """Run all named invariant checks up to ensemble size n_max, an
     integer: a float is a TypeError, whatever its value."""
-    n_max = operator.index(n_max)
-    if not 1 <= n_max <= CURVE_N_CAP:
-        raise ValueError(f"n_max must lie in 1..{CURVE_N_CAP}, got {n_max}")
+    n_max = check_int(n_max, "n_max", 1, CURVE_N_CAP)
     table = curve_table(1, n_max)
     structure, numeric = _check_povm_structure(n_max)
     return [

@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -522,3 +526,22 @@ def test_verify_crossover_names_only_the_checked_n(n_max, detail, capsys):
 def test_verify_invalid_n_max_exits_2():
     assert run(["verify", "--n-max", "0"]) == 2
     assert run(["verify", "--n-max", "61"]) == 2
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # python -m eqfid runs __main__.py, whose sys.exit carries main's code.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("EQFID_OUT_DIR", None)
+
+    def eqfid(*args):
+        return subprocess.run([sys.executable, "-m", "eqfid", *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+
+    assert eqfid("verify", "--n-max", "3").returncode == 0
+    refused = eqfid("simulate", "--strategy", "measurement", "--n", "0", "--trials", "1")
+    assert refused.returncode == 2
+    assert refused.stderr == "error: n_copies must lie in 1..1029, got 0\n"
+    unknown = eqfid("verify", "--no-such-flag")
+    assert unknown.returncode == 2 and "Traceback" not in unknown.stderr
+    missing = tmp_path / "missing" / "x.csv"
+    assert eqfid("curves", "--n-min", "1", "--n-max", "2", "--out", str(missing)).returncode == 3

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import sys
@@ -632,6 +633,25 @@ def test_fixed_phase_builds_one_row_per_register_per_block(
     # Each fixed register builds one single-phase row for the whole run, over
     # every block; a uniform register builds none.
     assert built == [1] * len(fixed_registers.intersection(tallies))
+
+
+@pytest.mark.parametrize("strategy", [UNIFIED_PAIR, UNIFIED_COLLECTIVE])
+@pytest.mark.parametrize("mode", MIXED_MODES)
+def test_difference_phase_is_normalized(strategy, mode, monkeypatch):
+    # phase_b a hair below phase_a leaves b - a = -5.6e-17, whose plain
+    # remainder mod 2 pi rounds up to 2 pi itself: the difference register
+    # must read 0.0, the phase of phase_b = phase_a, and report its bytes.
+    recorded = []
+
+    def recording(coeffs, phis):
+        recorded.extend(phis)
+        return covariant_rows(coeffs, phis)
+
+    monkeypatch.setattr(montecarlo, "covariant_rows", recording)
+    run = functools.partial(config, strategy=strategy, mixed_mode=mode, n_copies=3, phase_a=0.4)
+    below = simulate(run(phase_b=math.nextafter(0.4, 0)))
+    assert recorded == [0.0]
+    assert repr(below) == repr(simulate(run(phase_b=0.4)))
 
 
 # --- full-mixed simulation -------------------------------------------------

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import math
 import os
+import re
 import sys
 import types
 import warnings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eqfid import montecarlo, numerics
-from eqfid.montecarlo import SUM_DENOMINATOR
+from eqfid.montecarlo import SUM_DENOMINATOR, TRIALS_CAP, TrialConfig, mixed_ensemble_distribution
 from eqfid.numerics import (
     BASIS_CAP,
     DEFICIT_SERIES,
@@ -26,7 +27,9 @@ from eqfid.numerics import (
     sqrt_binom_sum,
     sqrt_binom_sum_scaled,
 )
-from eqfid.strategies import curve_table, p_unified_collective_unequal
+from eqfid.povm import estimate_phase, mean_fidelity_numeric, mixed_coefficients, phase_estimates
+from eqfid.strategies import CURVE_N_CAP, curve_table, p_unified_collective_unequal
+from eqfid.symmetric import EMBEDDING_CAP, dicke_embedding, symmetric_state
 from eqfid.verify import run_checks
 import reference
 from reference import deficit_series
@@ -319,3 +322,54 @@ def test_as_phase_passthrough():
     p = as_phase(1.25)
     assert p == 1.25
     assert as_phase(p) == p
+
+
+# Every integer input with its gate: (call with the int under test, its name
+# in the message, lo, hi or None when unbounded, the largest accepted value
+# called). run_checks is called only up to 3, to stay fast.
+GATED_INPUTS = [
+    (phase_estimates, "n_copies", 1, BASIS_CAP, BASIS_CAP),
+    (lambda n: symmetric_state(n, 0.3), "n_copies", 1, BASIS_CAP, BASIS_CAP),
+    (lambda n: mixed_coefficients(n, 1.0), "n_copies", 1, BASIS_CAP, BASIS_CAP),
+    (mean_fidelity_numeric, "n_copies", 1, BASIS_CAP, BASIS_CAP),
+    (lambda k: estimate_phase(k, 5), "outcome", 0, 5, 5),
+    (lambda n: estimate_phase(0, n), "n_copies", 1, BASIS_CAP, BASIS_CAP),
+    (dicke_embedding, "n_copies", 1, EMBEDDING_CAP, EMBEDDING_CAP),
+    (lambda n: mixed_ensemble_distribution(n, 0.3, 0.5), "n_copies", 1, EMBEDDING_CAP,
+     EMBEDDING_CAP),
+    (lambda n: TrialConfig(n_copies=n, trials=1, seed=0), "n_copies", 1, BASIS_CAP, BASIS_CAP),
+    (lambda t: TrialConfig(n_copies=1, trials=t, seed=0), "trials", 1, TRIALS_CAP, TRIALS_CAP),
+    (lambda s: TrialConfig(n_copies=1, trials=1, seed=s), "seed", 0, None, 10**30),
+    (lambda n: curve_table(n, CURVE_N_CAP), "n_min", 1, CURVE_N_CAP, CURVE_N_CAP),
+    # n_max's floor is n_min.
+    (lambda n: curve_table(3, n), "n_max", 3, CURVE_N_CAP, CURVE_N_CAP),
+    (run_checks, "n_max", 1, CURVE_N_CAP, 3),
+    (lambda n: p_unified_collective_unequal(n, 3), "n_a", 1, None, 10**30),
+    (lambda n: p_unified_collective_unequal(3, n), "n_b", 1, None, 10**30),
+]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(GATED_INPUTS), st.data())
+def test_every_integer_input_has_one_gate(gate, data):
+    # At and just past each bound, and at +-10^30, an int in lo..hi is
+    # accepted and any other is refused in check_int's one message form; a
+    # numpy int or a bool acts as the int, and an integral float is a
+    # TypeError.
+    call, name, lo, hi, top = gate
+
+    def inside(v):
+        return lo <= v and (hi is None or v <= hi)
+
+    edges = {lo - 1, lo, lo + 1, -(10**30), 10**30} | ({hi - 1, hi, hi + 1} if hi else set())
+    value = data.draw(st.sampled_from(sorted(v for v in edges if v <= top or not inside(v))))
+    bound = f"must be >= {lo}" if hi is None else f"must lie in {lo}..{hi}"
+    for v in (value, True, *([np.int64(value)] if abs(value) < 2**63 else [])):
+        if inside(v):
+            call(v)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {bound}, got {int(v)}')}$"):
+                call(v)
+    for v in (2.0, np.float64(3)):
+        with pytest.raises(TypeError):
+            call(v)

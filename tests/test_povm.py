@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from eqfid import povm, symmetric
 from eqfid.cloning import mean_fidelity_closed, shrinking_factor
-from eqfid.numerics import BASIS_CAP
+from eqfid.numerics import BASIS_CAP, TWO_PI
 from eqfid.povm import (
     estimate_phase,
     guide_search,
@@ -100,10 +100,12 @@ def test_estimate_phase_values():
 
 
 def test_phase_estimates_match_estimate_phase():
-    # The vectorised estimates take the same IEEE operations per outcome.
+    # The vectorised estimates take the IEEE operations of 2 pi k / (N+1),
+    # spelled here in Python floats; estimate_phase reads them.
     for n in range(1, BASIS_CAP + 1):
-        expected = np.array([estimate_phase(k, n) for k in range(n + 1)])
+        expected = np.array([TWO_PI * k / (n + 1) for k in range(n + 1)])
         assert np.array_equal(phase_estimates(n), expected), n
+        assert estimate_phase(n // 2, n) == expected[n // 2], n
 
 
 def test_phase_estimates_domain_errors():
@@ -115,7 +117,7 @@ def test_phase_estimates_domain_errors():
     assert np.array_equal(phase_estimates(np.int64(5)), phase_estimates(5))
 
 
-@pytest.mark.parametrize("k,n", [(-1, 3), (4, 3), (2, 1), (0, 0)])
+@pytest.mark.parametrize("k,n", [(-1, 3), (4, 3), (2, 1), (0, 0), (0, BASIS_CAP + 1)])
 def test_estimate_phase_domain_errors(k, n):
     with pytest.raises(ValueError):
         estimate_phase(k, n)
