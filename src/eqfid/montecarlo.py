@@ -53,11 +53,12 @@ split into contiguous ranges, one per CPU the process may run on
 first range runs on the calling thread, each other one on a thread of its
 own, and the calling thread adds the ranges' partials; the integers add
 exactly in any order. Each range allocates one workspace, sized to its
-largest block: the draw matrix and float and intp scratch rows, which every
-block writes into with out= (the offset sampler's and the outcome search's
-too). No block allocates a block-sized array, so memory does not grow with
-the trial count (TRIALS_CAP bounds the run time instead) and no block faults
-in memory that the last one freed.
+largest block: twelve rows of eight bytes a trial, 96 B, the draw matrix's
+four included, which every block writes into with out= (the offset
+sampler's and the outcome search's too), each row holding several arrays in
+turn (_workspace gives the row map). No block allocates a block-sized array,
+so memory does not grow with the trial count (TRIALS_CAP bounds the run
+time instead) and no block faults in memory that the last one freed.
 
 Reproducibility contract
 ------------------------
@@ -270,6 +271,13 @@ def simulate(config: TrialConfig) -> TrialReport:
     cells = n_slots ** len(registers)
     by_cell = all(fixed is not None for fixed in phases) and cells <= BLOCK
 
+    # The draw columns a block still needs once every outcome is found:
+    # each uniform register's offsets and, in full-mixed mode, the perp
+    # estimate's.
+    kept = {column + 2 for _, column, fixed in registers if fixed is None}
+    if full:
+        kept.add(3)
+
     def cell_block(start: int, stop: int, ws: _Workspace) -> list:
         """The histogram of trials start .. stop - 1 over the outcome cells,
         with register i's slot as digit i base n_slots, and the exact
@@ -291,48 +299,58 @@ def simulate(config: TrialConfig) -> TrialReport:
         est *= TWO_PI
         value = floats[0, : counts[-1]]
         error = _score([est], [np.array([phases[0]])], value, floats[2, : counts[-1]])
-        return [counts, *_moment_sums(value, error, floats)]
+        # The draw matrix is spent: its memory is four more float rows.
+        return [counts, *_moment_sums(value, error, draws.reshape(DRAWS_PER_TRIAL, -1))]
 
     def trial_block(start: int, stop: int, ws: _Workspace) -> list:
         """Tallies (one row per register) and the exact numerators of the sums
         of value, value^2, error and error^2 over trials start .. stop - 1,
-        computed in the rows of ws."""
+        computed in the rows of ws, as _workspace lays them out."""
         m = stop - start
         draws, floats, ints = _draws(config.seed, start, stop, ws)
-        scratch = floats[5]
-        k, perp = ints[0], ints[1].view(bool)[:m]
         counts = np.empty((len(registers), n_slots), dtype=np.int64)
-        ests, phis = [], []
+        # Outcomes first, while the draw matrix is whole.
         for i, ((_, column, fixed), search) in enumerate(zip(registers, searches)):
-            outcome_draws, offset_draws = draws[:, column], draws[:, column + 2]
-            est, phi = floats[1 + 2 * i], floats[2 + 2 * i]
             if fixed is None:
                 # N+1 slots of weight c_0 each; a full-mixed draw past them
                 # lands in the perp slot, where the phase is uniform on its own.
                 # The quotient is capped before it becomes an int: from
                 # N = 243 the pair gate's c_0 is below 2^-63.
-                np.divide(outcome_draws, coeffs[0], out=scratch)
-                np.copyto(k, np.minimum(scratch, n_slots - 1, out=scratch), casting="unsafe")
+                scratch = np.divide(draws[:, column], coeffs[0], out=floats[0])
+                np.copyto(ints[i], np.minimum(scratch, n_slots - 1, out=scratch),
+                          casting="unsafe")
             else:
-                search(offset_draws, k, scratch, ints[1])
-            # Mode "clip" reads est_N at the perp slot, k = N+1.
-            np.take(estimates, k, out=est, mode="clip")
-            if fixed is None:
-                # Only cos^2 of phase differences is scored: phi needs no
-                # reduction mod 2 pi.
-                np.add(est, offsets(offset_draws, floats[5:], ints[1:]), out=phi)
-            else:
-                phi = np.array([fixed])
-            if full:
-                np.greater(k, n, out=perp)
-                if fixed is None:
-                    np.multiply(offset_draws, TWO_PI, out=phi, where=perp)
-                np.multiply(draws[:, 3], TWO_PI, out=est, where=perp)
-            ests.append(est)
+                search(draws[:, column + 2], ints[i], floats[0], ints[2])
+            counts[i] = np.bincount(ints[i], minlength=n_slots)
+        # Then the draw columns still needed, column c into float row c - 2;
+        # the draw matrix's memory is then four more float rows.
+        for column in kept:
+            np.copyto(floats[column - 2], draws[:, column])
+        spare = draws.reshape(DRAWS_PER_TRIAL, -1)
+        phis = []
+        for i, fixed in enumerate(phases):
+            if fixed is not None:
+                phis.append(np.array([fixed]))
+                continue
+            # The sixth scratch row is free: register 0 borrows register 1's
+            # phi row before it is written, register 1 register 0's spent
+            # offsets (only measurement has two registers, never full-mixed).
+            phi = offsets(floats[i], (floats[2 + i], *spare, floats[0 if i else 3]), ints[2:])
+            # Only cos^2 of phase differences is scored: phi needs no
+            # reduction mod 2 pi.
+            np.add(np.take(estimates, ints[i], out=spare[0], mode="clip"), phi, out=phi)
             phis.append(phi)
-            counts[i] = np.bincount(k, minlength=n_slots)
-        error = _score(ests, phis, floats[0], scratch)
-        return [counts, *_moment_sums(floats[0], error, floats)]
+        # Mode "clip" reads est_N at the perp slot, k = N+1.
+        ests = [np.take(estimates, ints[i], out=spare[i], mode="clip")
+                for i in range(len(registers))]
+        if full:
+            perp = np.greater(ints[0], n, out=ints[2].view(bool)[:m])
+            if phases[0] is None:
+                np.multiply(floats[0], TWO_PI, out=phis[0], where=perp)
+            np.multiply(floats[1], TWO_PI, out=ests[0], where=perp)
+        value = spare[2]
+        error = _score(ests, phis, value, spare[3])
+        return [counts, *_moment_sums(value, error, floats[:3])]
 
     counts, *sums = _sum_blocks(cell_block if by_cell else trial_block, config.trials)
     if by_cell:
@@ -381,15 +399,33 @@ class _Workspace(NamedTuple):
 
 
 def _workspace(rows: int) -> _Workspace:
-    """A workspace for blocks of up to rows trials. Float rows 0-4 hold the
-    score and each register's est and phi, rows 5-14 and int rows 1-2 the
-    offset sampler's scratch, float row 5 and int row 1 also the guide
-    search's and the scorer's, float rows 5-7 also the moment sums' (the
-    squares and _exact_sum's two scratch rows), int row 0 the outcomes;
-    block reuses a row once it is free. np.empty touches no page, so rows
-    that a run never writes take no memory."""
-    return _Workspace(np.empty((rows, DRAWS_PER_TRIAL)), np.empty((15, rows)),
-                      np.empty((3, rows), dtype=np.intp))
+    """A workspace for blocks of up to rows trials: twelve rows of eight
+    bytes a trial, 96 B. A block that scores its trials one by one uses them
+    in this order.
+
+    - Outcomes, while the draw matrix (four rows) is whole: int row i takes
+      register i's slot; float row 0 and int row 2 are scratch, for the
+      quotient of a uniform register's outcome draw or the guide search of
+      a fixed one's.
+    - Float row c - 2 then takes draw column c, each that is still needed:
+      column 2 + i for register i's offset uniforms, and column 3 for the
+      full-mixed perp estimate. The draw matrix's memory is then four more
+      float rows, spare rows 0-3.
+    - Register i's offsets: the offset sampler writes them into float row
+      2 + i, where they become phi, and takes as scratch spare rows 0-3,
+      float row 3 (register 0) or 0 (register 1, once register 0's offsets
+      are spent) and int rows 2-3.
+    - Scoring: spare row i takes register i's estimates and then, in the
+      last one, the fidelity error; spare row 2 the score, row 3 the
+      scorer's scratch; int row 2 the perp mask. The moment sums take float
+      rows 0-2.
+
+    The cell path writes the draw matrix, int rows 0-2 (cell, slot, the
+    search's index) and float row 0 (its upper entries); its perp trials use
+    the first entries of float rows 0-2 and of spare rows 0-2. np.empty
+    touches no page, so rows that a run never writes take no memory."""
+    return _Workspace(np.empty((rows, DRAWS_PER_TRIAL)), np.empty((4, rows)),
+                      np.empty((4, rows), dtype=np.intp))
 
 
 def _sum_blocks(block: Callable[[int, int, _Workspace], list], trials: int) -> list:
@@ -413,7 +449,8 @@ def _sum_blocks(block: Callable[[int, int, _Workspace], list], trials: int) -> l
 
     def run(i: int) -> None:
         try:
-            ws = _workspace(min(BLOCK, trials))
+            # A range's first block is its largest.
+            ws = _workspace(min(BLOCK, trials - ranges[i][0]))
             total = None
             for start in ranges[i]:
                 if failed.is_set():
@@ -492,15 +529,16 @@ def _draws(seed: int, start: int, stop: int, ws: _Workspace) -> tuple:
     return rng.random(out=ws.draws[:m]), ws.floats[:, :m], ws.ints[:, :m]
 
 
-def _moment_sums(value: np.ndarray, error: np.ndarray, floats: np.ndarray) -> list[int]:
+def _moment_sums(value: np.ndarray, error: np.ndarray, scratch: np.ndarray) -> list[int]:
     """The exact numerators of the sums of value, value^2, error and error^2;
-    floats row 5 holds each square, rows 6-7 are _exact_sum's scratch."""
+    row 0 of the float matrix scratch holds each square, rows 1-2 are
+    _exact_sum's scratch."""
     sums = []
     for x in (value, error):
         m = len(x)
-        scratch = floats[6:8, :m]
-        sums.append(_exact_sum(x, scratch))
-        sums.append(_exact_sum(np.multiply(x, x, out=floats[5, :m]), scratch))
+        rows = scratch[1:3, :m]
+        sums.append(_exact_sum(x, rows))
+        sums.append(_exact_sum(np.multiply(x, x, out=scratch[0, :m]), rows))
     return sums
 
 

@@ -11,6 +11,7 @@ rank-one sum (the pure law is its eta = 1 case), the estimator and the mean
 estimation fidelity by direct quadrature; its closed form is in cloning.
 """
 
+import itertools
 import math
 from typing import Callable
 
@@ -149,42 +150,44 @@ def offset_sampler(coeffs):
     settled = np.sqrt(2.0**-53 / np.maximum(bend_max, 2.0**-60))
     search = guide_search(cdf)
 
-    def sample(u: np.ndarray, floats: np.ndarray | None = None,
-               ints: np.ndarray | None = None) -> np.ndarray:
-        """Offsets of the uniforms u. They are written into a row of floats,
-        a float matrix of at least 10 rows, which with ints, an intp matrix of
-        at least 2 rows, holds every len(u)-sized array; both are allocated
-        when not given."""
+    def sample(u: np.ndarray, floats=None, ints=None) -> np.ndarray:
+        """Offsets of the uniforms u, which is not written. floats, six float
+        rows, and ints, two intp rows, each at least len(u) long, hold every
+        len(u)-sized array; the offsets are written into floats[0]. Both are
+        allocated when not given."""
         n = len(u)
         if floats is None:
-            floats, ints = np.empty((10, n)), np.empty((2, n), dtype=np.intp)
-        p, (t, upper, root) = floats[:6, :n], floats[6:9, :n]
-        j, index = ints[:2, :n]
+            floats, ints = np.empty((6, n)), np.empty((2, n), dtype=np.intp)
+        t, p0, p1, row, upper, root = (x[:n] for x in floats[:6])
+        j, index = (x[:n] for x in ints[:2])
         # u's cell j has cdf[j] <= u < cdf[j + 1] = upper.
         search(u, j, upper, index)
         j -= 1
         below = index.view(bool)[:n]
-        for row, coefficient in zip(p, quintic):
-            np.take(coefficient, j, out=row, mode="clip")
+        np.take(quintic[0], j, out=p0, mode="clip")
+        np.take(quintic[1], j, out=p1, mode="clip")
         # Start from the root of the quadratic through p(0), p'(0) and p(1):
         # t = 2 rise / (p'(0) + root).
-        rise = np.subtract(u, p[0], out=t)
+        rise = np.subtract(u, p0, out=t)
         curve = upper
-        curve -= p[0]
-        curve -= p[1]
+        curve -= p0
+        curve -= p1
         curve *= 4.0
         curve *= rise
-        np.multiply(p[1], p[1], out=root)
+        np.multiply(p1, p1, out=root)
         root += curve
         np.sqrt(np.maximum(root, 0.0, out=root), out=root)
-        root += p[1]
+        root += p1
         rise *= 2.0
         rise /= np.maximum(root, 1e-300, out=root)
         # np.clip holds the interpreter lock; maximum and minimum give its bits.
         np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
         # Newton steps, the first on every uniform, each later one on those the
-        # last left unsettled; then bisection for any still left.
-        value, rate = _quintic(p, t, floats[7:10, :n])
+        # last left unsettled; then bisection for any still left. The first
+        # gathers coefficients 5 to 2 into one row as Horner's rule reaches
+        # them; the later ones gather only their few cells.
+        gathered = (np.take(c, j, out=row, mode="clip") for c in quintic[:1:-1])
+        value, rate = _quintic(itertools.chain(gathered, (p1, p0)), t, (upper, root))
         dt = np.subtract(value, u, out=value)
         dt /= np.maximum(rate, 1e-300, out=rate)
         t -= dt
@@ -194,12 +197,12 @@ def offset_sampler(coeffs):
         for _ in range(2):
             if not todo.size:
                 break
-            value, rate = _quintic(p[:, todo], t[todo])
+            value, rate = _quintic(quintic[::-1, j[todo]], t[todo])
             dt = (value - u[todo]) / np.maximum(rate, 1e-300)
             t[todo] = np.clip(t[todo] - dt, 0.0, 1.0)
             todo = todo[np.abs(dt) > settled[j[todo]]]
         if todo.size:
-            t[todo] = _bisect(p[:, todo], u[todo])
+            t[todo] = _bisect(quintic[:, j[todo]], u[todo])
         # Counting cells from theta = 0 keeps the offsets near 0, where the
         # density peaks, free of the rounding of pi.
         j -= cells // 2
@@ -210,23 +213,26 @@ def offset_sampler(coeffs):
     return sample
 
 
-def _quintic(p: np.ndarray, t: np.ndarray, out: np.ndarray | None = None
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Value and t-derivative of the quintics with coefficient rows p at t,
-    written into the rows of out (value, rate, scratch) when it is given."""
-    value, rate, term = np.empty((3, len(t))) if out is None else out
-    np.multiply(p[5], t, out=value)
-    value += p[4]
-    np.multiply(p[5], 5, out=rate)
-    rate *= t
-    rate += np.multiply(p[4], 4, out=term)
-    for i in (3, 2, 1):
+def _quintic(rows, t: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Value and t-derivative at t of quintics, by Horner's rule: rows yields
+    their coefficient rows from degree 5 down to 0, and each is read before
+    the next is asked for, so one array may hold several in turn. The rows of
+    degrees 2 to 4 are scaled in place by their degree. The results are
+    written into out's two rows (value, rate) when it is given."""
+    value, rate = np.empty((2, len(t))) if out is None else out
+    rows = iter(rows)
+    p = next(rows)
+    np.multiply(p, t, out=value)
+    np.multiply(p, 5, out=rate)
+    for degree in (4, 3, 2, 1):
+        p = next(rows)
+        value += p
         value *= t
-        value += p[i]
         rate *= t
-        rate += np.multiply(p[i], i, out=term)
-    value *= t
-    value += p[0]
+        if degree > 1:
+            p *= degree
+        rate += p
+    value += next(rows)
     return value, rate
 
 
@@ -235,7 +241,7 @@ def _bisect(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     lo, hi = np.zeros(len(u)), np.ones(len(u))
     for _ in range(53):
         mid = 0.5 * (lo + hi)
-        below = _quintic(p, mid)[0] < u
+        below = _quintic(p[::-1].copy(), mid)[0] < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)

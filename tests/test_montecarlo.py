@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -430,6 +431,90 @@ def test_blocks_fault_in_no_memory_again(monkeypatch):
     assert min(faults(40), faults(40)) - min(faults(4), faults(4)) <= 500
 
 
+def test_each_range_sizes_its_workspace_to_its_largest_block(monkeypatch):
+    # Two workers share BLOCK + 7 trials: the second range runs one block of 7.
+    sizes = []
+    workspace = montecarlo._workspace
+
+    def recording(rows):
+        sizes.append(rows)
+        return workspace(rows)
+
+    monkeypatch.setattr(montecarlo, "_workspace", recording)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    simulate(config(trials=BLOCK + 7))
+    # The calling thread and the second worker may ask in either order.
+    assert sorted(sizes, reverse=True) == [BLOCK, 7]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "argv, block",
+    [
+        (["--strategy", "measurement", "--n", "1"], BLOCK),
+        (["--strategy", "measurement", "--n", "60"], BLOCK),
+        (["--strategy", "measurement", "--n", "3", "--phase-a", "0.4"], BLOCK),
+        (["--strategy", "measurement", "--n", "3", "--phase-b", "1.9"], BLOCK),
+        (["--strategy", "measurement", "--n", "181", "--phase-a", "0.4", "--phase-b", "1.9"],
+         BLOCK),
+        (["--strategy", "unified-pair", "--n", "3", "--mixed-mode", "full"], BLOCK),
+        (["--strategy", "unified-collective", "--n", "12", "--mixed-mode", "full",
+          "--phase-a", "0.4", "--phase-b", "1.9"], BLOCK),
+        # Blocks of 8 are fewer trials than the run has cells: every trial is
+        # scored, perp trials included.
+        (["--strategy", "unified-collective", "--n", "12", "--mixed-mode", "full",
+          "--phase-a", "0.4", "--phase-b", "1.9"], 8),
+        (["--strategy", "measurement", "--n", "3", "--phase-a", "0.4", "--phase-b", "1.9"], 8),
+    ],
+    ids=["uniform n1", "uniform n60", "a fixed", "b fixed", "both fixed n181",
+         "pair full uniform", "collective full fixed", "collective full fixed block 8",
+         "both fixed block 8"],
+)
+def test_no_stale_row_reaches_a_report(argv, block, workers, monkeypatch, capsys):
+    # Blocks reuse their worker's rows, each for several arrays in turn. A
+    # workspace handed out full of NaN (floats and the draw matrix) and -1
+    # (intp rows) must give the bytes of one from np.empty: no row is read
+    # before the block writes it. Two blocks and a short one per run.
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(montecarlo, "BLOCK", block)
+    workspace = montecarlo._workspace
+
+    def poisoned(rows):
+        ws = workspace(rows)
+        ws.draws.fill(np.nan)
+        ws.floats.fill(np.nan)
+        ws.ints.fill(-1)
+        return ws
+
+    reports = []
+    for make in (workspace, poisoned):
+        monkeypatch.setattr(montecarlo, "_workspace", make)
+        assert main(["simulate", *argv, "--trials", str(2 * block + 3), "--seed", "29"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(strategy=UNIFIED_PAIR, n_copies=3, mixed_mode=FULL_MIXED),
+], ids=["measurement uniform n1", "pair full uniform"])
+def test_workspace_budget(kw, monkeypatch):
+    # Twelve rows of 8 bytes a trial, the draw matrix's four included, and no
+    # other block-sized array: a two-worker run of two full blocks peaks at
+    # its two workspaces and less than 0.5 MB besides.
+    assert sum(a.nbytes for a in montecarlo._workspace(1000)) == 96 * 1000
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    c = config(trials=2 * BLOCK, **kw)
+    simulate(c)  # numpy.random's import and the per-N caches are not counted
+    tracemalloc.start()
+    try:
+        simulate(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 96 * BLOCK + 500_000, peak
+
+
 def test_exact_sum_equals_fsum():
     rng = np.random.default_rng(31)
     n = 200_003
@@ -470,19 +555,19 @@ def test_exact_sum_equals_fsum():
 
 
 def test_exact_sum_in_moment_sums_scratch_rows():
-    # A block hands _exact_sum two float workspace rows as scratch, beside the
-    # rows that hold its values: the sums are exact and the values stay.
+    # A block hands _moment_sums three float workspace rows as scratch, beside
+    # the rows that hold its values: the sums are exact and the values stay.
     rng = np.random.default_rng(17)
     n = 5000
-    floats = montecarlo._workspace(n).floats
-    value, error = floats[0], floats[1]
+    ws = montecarlo._workspace(n)
+    value, error = ws.draws.reshape(-1)[: 2 * n].reshape(2, n)
     value[:] = 0.5 + rng.random(n) / 2  # one exponent
     error[:] = rng.random(n) ** 8  # remainders past the second pass, more once squared
     error[::50] = 0.0
     kept = value.copy(), error.copy()
     expected = [SUM_DENOMINATOR * sum(map(Fraction, x.tolist()))
                 for x in (value, value * value, error, error * error)]
-    assert montecarlo._moment_sums(value, error, floats) == expected
+    assert montecarlo._moment_sums(value, error, ws.floats[:3]) == expected
     assert np.array_equal(value, kept[0]) and np.array_equal(error, kept[1])
 
 

@@ -394,12 +394,20 @@ def test_offset_sampler_ignores_batching():
             parts = np.split(u, [1, 2, 7, 999, 4096])
             split = np.concatenate([sample(part) for part in parts])
             assert np.array_equal(whole, split)
-            # One wider scratch, reused from part to part, as a worker reuses
+            # The fewest rows the sampler takes, six float and two intp, wider
+            # than any part and reused from part to part, as a worker reuses
             # its workspace: nothing may read what an earlier call left.
-            floats, ints = np.full((11, 4096), np.nan), np.full((3, 4096), -1, dtype=np.intp)
+            floats, ints = np.full((6, 4096), np.nan), np.full((2, 4096), -1, dtype=np.intp)
             reused = np.concatenate([sample(part, floats, ints).copy() for part in parts])
             assert np.array_equal(whole, reused)
             assert np.array_equal(sample(u[::-1])[::-1], whole)
+            # A strided u, a draw matrix's column, is read and not written.
+            draws = np.full((len(u), 4), np.nan)
+            draws[:, 2] = u
+            kept = draws.copy()
+            assert np.array_equal(sample(draws[:, 2]), whole)
+            assert np.array_equal(sample(draws[:4096, 2], floats, ints), whole[:4096])
+            assert np.array_equal(draws, kept, equal_nan=True)
 
 
 # SHA-256 of the output bytes of offset_sampler(coeffs)(u) for the uniforms of
