@@ -34,21 +34,25 @@ When every phase is fixed, a trial's score and fidelity error depend only on
 its outcome cell, one slot per register, apart from a full-mixed perp trial,
 whose estimate is random. If a run has at most BLOCK cells ((N+1)^2 for
 measurement, so N <= 180; N+1 or N+2 for the unified strategies), each
-block tallies its trials per cell and scores only its perp trials, one by
-one; after the blocks, each live cell is scored once as one of its trials
-and weighted by its count (_cell_sums). _score scores every trial and every
-cell, so the report has the bits of trial-by-trial scoring. Past the bound
-a block's histogram would cost more than its trials, and every trial is
-scored, as with a uniform phase.
+block builds its trials' cell indices in place, register i's slot as digit
+i base n_slots, histograms them and scores only its perp trials, one by
+one; after the blocks, the histogram serves only to score each live cell
+once, as one of its trials, weighted by its count (_cell_sums). _score
+scores every trial and every cell, so the report has the bits of
+trial-by-trial scoring. Past the bound a block's histogram would cost more
+than its trials, and every trial is scored, as with a uniform phase.
 
 Blocks and workers
 ------------------
-Trials run in blocks of BLOCK. Each block seeks its own place in the random
-stream, samples its trials and returns its partial results: a tally row per
-register, or the cell histogram, and the exact integer numerators
-(_exact_sum, by error-free extraction in float adds) of the sums of the
-score, its square, the fidelity error and its square. The blocks
-split into contiguous ranges, one per CPU the process may run on
+Trials run in blocks of BLOCK, all by one block function. A block seeks its
+own place in the random stream, finds every register's outcome and tallies
+each register by its own np.bincount; then it histograms the outcome cells
+(an all-fixed run within the bound) or samples and scores every trial. It
+returns its partial results: the tally rows, the cell histogram (0 when
+there is none) and the exact integer numerators (_exact_sum, by error-free
+extraction in float adds) of the sums of the score, its square, the
+fidelity error and its square over the trials it scored. The blocks split
+into contiguous ranges, one per CPU the process may run on
 (os.sched_getaffinity, which taskset limits), at most one per block. The
 first range runs on the calling thread, each other one on a thread of its
 own, and the calling thread adds the ranges' partials; the integers add
@@ -278,89 +282,80 @@ def simulate(config: TrialConfig) -> TrialReport:
     if full:
         kept.add(3)
 
-    def cell_block(start: int, stop: int, ws: _Workspace) -> list:
-        """The histogram of trials start .. stop - 1 over the outcome cells,
-        with register i's slot as digit i base n_slots, and the exact
-        numerators of the four sums over the block's perp trials."""
-        draws, floats, ints = _draws(config.seed, start, stop, ws)
-        cell, k = ints[0], ints[1]
-        for i, ((_, column, _), search) in enumerate(zip(registers, searches)):
-            search(draws[:, column + 2], k if i else cell, floats[0], ints[2])
-            if i:
-                cell *= n_slots
-                cell += k
-        counts = np.bincount(cell, minlength=cells)
-        if not full:
-            return [counts, 0, 0, 0, 0]
-        # Full-mixed runs have one register, difference, whose last cell is
-        # perp. A perp trial's estimate is random: score those trials one by one.
-        perp = np.greater(cell, n, out=ints[2].view(bool)[: len(cell)])
-        est = np.compress(perp, draws[:, 3], out=floats[1, : counts[-1]])
-        est *= TWO_PI
-        value = floats[0, : counts[-1]]
-        error = _score([est], [np.array([phases[0]])], value, floats[2, : counts[-1]])
-        # The draw matrix is spent: its memory is four more float rows.
-        return [counts, *_moment_sums(value, error, draws.reshape(DRAWS_PER_TRIAL, -1))]
-
-    def trial_block(start: int, stop: int, ws: _Workspace) -> list:
-        """Tallies (one row per register) and the exact numerators of the sums
-        of value, value^2, error and error^2 over trials start .. stop - 1,
-        computed in the rows of ws, as _workspace lays them out."""
+    def block(start: int, stop: int, ws: _Workspace) -> list:
+        """Tallies (one row per register), the cell histogram (0 unless the
+        run scores by cell) and the exact numerators of the sums of value,
+        value^2, error and error^2 over the trials start .. stop - 1 that it
+        scores, in the rows of ws, as _workspace lays them out."""
         m = stop - start
         draws, floats, ints = _draws(config.seed, start, stop, ws)
-        counts = np.empty((len(registers), n_slots), dtype=np.int64)
+        slots = ints[: len(registers)]
         # Outcomes first, while the draw matrix is whole.
-        for i, ((_, column, fixed), search) in enumerate(zip(registers, searches)):
+        for (_, column, fixed), search, k in zip(registers, searches, slots):
             if fixed is None:
                 # N+1 slots of weight c_0 each; a full-mixed draw past them
                 # lands in the perp slot, where the phase is uniform on its own.
                 # The quotient is capped before it becomes an int: from
                 # N = 243 the pair gate's c_0 is below 2^-63.
                 scratch = np.divide(draws[:, column], coeffs[0], out=floats[0])
-                np.copyto(ints[i], np.minimum(scratch, n_slots - 1, out=scratch),
-                          casting="unsafe")
+                np.copyto(k, np.minimum(scratch, n_slots - 1, out=scratch), casting="unsafe")
             else:
-                search(draws[:, column + 2], ints[i], floats[0], ints[2])
-            counts[i] = np.bincount(ints[i], minlength=n_slots)
-        # Then the draw columns still needed, column c into float row c - 2;
-        # the draw matrix's memory is then four more float rows.
-        for column in kept:
-            np.copyto(floats[column - 2], draws[:, column])
+                search(draws[:, column + 2], k, floats[0], ints[2])
+        counts = np.array([np.bincount(k, minlength=n_slots) for k in slots])
         spare = draws.reshape(DRAWS_PER_TRIAL, -1)
-        phis = []
-        for i, fixed in enumerate(phases):
-            if fixed is not None:
-                phis.append(np.array([fixed]))
-                continue
-            # The sixth scratch row is free: register 0 borrows register 1's
-            # phi row before it is written, register 1 register 0's spent
-            # offsets (only measurement has two registers, never full-mixed).
-            phi = offsets(floats[i], (floats[2 + i], *spare, floats[0 if i else 3]), ints[2:])
-            # Only cos^2 of phase differences is scored: phi needs no
-            # reduction mod 2 pi.
-            np.add(np.take(estimates, ints[i], out=spare[0], mode="clip"), phi, out=phi)
-            phis.append(phi)
-        # Mode "clip" reads est_N at the perp slot, k = N+1.
-        ests = [np.take(estimates, ints[i], out=spare[i], mode="clip")
-                for i in range(len(registers))]
-        if full:
-            perp = np.greater(ints[0], n, out=ints[2].view(bool)[:m])
-            if phases[0] is None:
-                np.multiply(floats[0], TWO_PI, out=phis[0], where=perp)
-            np.multiply(floats[1], TWO_PI, out=ests[0], where=perp)
-        value = spare[2]
-        error = _score(ests, phis, value, spare[3])
-        return [counts, *_moment_sums(value, error, floats[:3])]
+        histogram = 0
+        if by_cell:
+            # Register i's slot is digit i, base n_slots: one register's
+            # cells are its slots, whose tally is the histogram.
+            cell = slots[0]
+            for k in slots[1:]:
+                cell *= n_slots
+                cell += k
+            histogram = np.bincount(cell, minlength=cells) if len(slots) > 1 else counts[0]
+            if not full:
+                return [counts, histogram, 0, 0, 0, 0]
+            # Full-mixed runs have one register, difference, whose last cell
+            # is perp. A perp trial's estimate is random: score those trials
+            # one by one.
+            perp = np.greater(cell, n, out=ints[2].view(bool)[:m])
+            ests = [np.compress(perp, draws[:, 3], out=floats[3, : histogram[-1]])]
+            ests[0] *= TWO_PI
+            phis = [np.array([phases[0]])]
+        else:
+            # The draw columns still needed, column c into float row c - 2;
+            # the draw matrix's memory is then four more float rows.
+            for column in kept:
+                np.copyto(floats[column - 2], draws[:, column])
+            phis = []
+            for i, fixed in enumerate(phases):
+                if fixed is not None:
+                    phis.append(np.array([fixed]))
+                    continue
+                # The sixth scratch row is free: register 0 borrows register
+                # 1's phi row before it is written, register 1 register 0's
+                # spent offsets (only measurement has two registers, never
+                # full-mixed).
+                phi = offsets(floats[i], (floats[2 + i], *spare, floats[0 if i else 3]), ints[2:])
+                # Only cos^2 of phase differences is scored: phi needs no
+                # reduction mod 2 pi.
+                np.add(np.take(estimates, slots[i], out=spare[0], mode="clip"), phi, out=phi)
+                phis.append(phi)
+            # Mode "clip" reads est_N at the perp slot, k = N+1.
+            ests = [np.take(estimates, k, out=row, mode="clip") for k, row in zip(slots, spare)]
+            if full:
+                perp = np.greater(slots[0], n, out=ints[2].view(bool)[:m])
+                if phases[0] is None:
+                    np.multiply(floats[0], TWO_PI, out=phis[0], where=perp)
+                np.multiply(floats[1], TWO_PI, out=ests[0], where=perp)
+        value, scratch = spare[2:, : len(ests[0])]
+        error = _score(ests, phis, value, scratch)
+        return [counts, histogram, *_moment_sums(value, error, floats[:3])]
 
-    counts, *sums = _sum_blocks(cell_block if by_cell else trial_block, config.trials)
+    counts, histogram, *sums = _sum_blocks(block, config.trials)
     if by_cell:
-        counts = counts.reshape((n_slots,) * len(registers))
         # The blocks scored the perp cell's trials; score the other cells.
-        inside = counts[(slice(0, n + 1),) * len(registers)]
+        inside = histogram.reshape((n_slots,) * len(registers))[(slice(0, n + 1),) * len(registers)]
         sums = [a + b for a, b in zip(sums, _cell_sums(inside, phases, estimates))]
-        # Each register's tally is the histogram's marginal on its axis.
-        counts = [counts.sum(axis=tuple(j for j in range(len(registers)) if j != i))
-                  for i in range(len(registers))]
     value_sum, value_squares, error_sum, error_squares = sums
     mean, se = _mean_and_se(value_sum, value_squares, config.trials)
     err_mean, err_se = _mean_and_se(error_sum, error_squares, config.trials)
@@ -400,13 +395,18 @@ class _Workspace(NamedTuple):
 
 def _workspace(rows: int) -> _Workspace:
     """A workspace for blocks of up to rows trials: twelve rows of eight
-    bytes a trial, 96 B. A block that scores its trials one by one uses them
-    in this order.
+    bytes a trial, 96 B. Every block uses them in this order.
 
     - Outcomes, while the draw matrix (four rows) is whole: int row i takes
       register i's slot; float row 0 and int row 2 are scratch, for the
       quotient of a uniform register's outcome draw or the guide search of
       a fixed one's.
+    - The all-fixed branch then builds the cell index in int row 0. In
+      full-mixed mode it scores its perp trials alone: int row 2 takes the
+      perp mask, float row 3 their estimates, read from draw column 3, and
+      then the error; the first entries of spare rows 2-3 the score and
+      the scorer's scratch, and float rows 0-2 the moment sums. The other
+      blocks go on as follows.
     - Float row c - 2 then takes draw column c, each that is still needed:
       column 2 + i for register i's offset uniforms, and column 3 for the
       full-mixed perp estimate. The draw matrix's memory is then four more
@@ -420,10 +420,8 @@ def _workspace(rows: int) -> _Workspace:
       scorer's scratch; int row 2 the perp mask. The moment sums take float
       rows 0-2.
 
-    The cell path writes the draw matrix, int rows 0-2 (cell, slot, the
-    search's index) and float row 0 (its upper entries); its perp trials use
-    the first entries of float rows 0-2 and of spare rows 0-2. np.empty
-    touches no page, so rows that a run never writes take no memory."""
+    np.empty touches no page, so rows that a run never writes take no
+    memory."""
     return _Workspace(np.empty((rows, DRAWS_PER_TRIAL)), np.empty((4, rows)),
                       np.empty((4, rows), dtype=np.intp))
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,16 +8,20 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqfid import montecarlo, povm, strategies, verify
 from eqfid.cli import main
 from eqfid.cloning import mean_fidelity_closed
+from eqfid.montecarlo import TrialConfig, TrialReport
 from eqfid.numerics import BASIS_CAP
 from eqfid.povm import outcome_distribution
-from eqfid.strategies import p_measurement, p_unified_pair
+from eqfid.strategies import StrategyCurvePoint, p_measurement, p_unified_pair
 
 
 def run(args):
@@ -545,3 +551,65 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert unknown.returncode == 2 and "Traceback" not in unknown.stderr
     missing = tmp_path / "missing" / "x.csv"
     assert eqfid("curves", "--n-min", "1", "--n-max", "2", "--out", str(missing)).returncode == 3
+
+
+# --- the whole input domain ---------------------------------------------------
+
+# Phases as the shell passes them: any float's repr (NaN and both infinities
+# included), the word uniform, or junk. "--flag=value" hands argparse even a
+# value that starts with "-" as a value.
+PHASES = st.one_of(st.floats().map(repr), st.just("uniform"), st.text(max_size=8))
+COUNTS = st.integers(-2, BASIS_CAP + 2)
+SIMULATE_ARGV = st.builds(
+    lambda strategy, mode, n, trials, seed, a, b, degrees: [
+        "simulate", f"--strategy={strategy}", f"--mixed-mode={mode}", f"--n={n}",
+        f"--trials={trials}", f"--seed={seed}", f"--phase-a={a}", f"--phase-b={b}",
+        "--format=json", *(["--degrees"] if degrees else [])],
+    st.sampled_from(montecarlo.STRATEGIES), st.sampled_from(montecarlo.MIXED_MODES), COUNTS,
+    st.integers(-1, 64), st.integers(-1, 2**70), PHASES, PHASES, st.booleans())
+POVM_ARGV = st.builds(
+    lambda n, phase, degrees: ["povm", f"--n={n}", f"--phase={phase}", "--format=json",
+                               *(["--degrees"] if degrees else [])],
+    COUNTS, PHASES, st.booleans())
+CURVES_ARGV = st.builds(
+    lambda lo, hi: ["curves", f"--n-min={lo}", f"--n-max={hi}", "--format=json"],
+    st.integers(-2, 70), st.integers(-2, 70))
+
+
+def _documented_keys(command: str, payload) -> bool:
+    if command == "simulate":
+        return (list(payload) == ["config", "report"]
+                and list(payload["config"]) == [f.name for f in fields(TrialConfig)]
+                and list(payload["report"]) == [f.name for f in fields(TrialReport)])
+    if command == "povm":
+        return list(payload) == ["n_copies", "phase", "probabilities", "estimated_phases"]
+    names = ["n", *[f.name for f in fields(StrategyCurvePoint)][1:]]
+    return len(payload) > 0 and all(list(row) == names for row in payload)
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.one_of(SIMULATE_ARGV, POVM_ARGV, CURVES_ARGV))
+def test_every_input_answers_or_exits_2(argv):
+    # Each input either answers with JSON of the documented keys, or is
+    # refused with exit code 2: one "error:" line from main, or argparse's
+    # usage error. No input may end in a traceback, NaN or invalid JSON.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("usage", exc.code)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err, (argv, err)
+    if code == 0:
+        assert err == "", (argv, err)
+        assert _documented_keys(argv[0], json.loads(out, parse_constant=_reject)), (argv, out)
+    elif code == 2:
+        assert out == "", (argv, out)
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+    else:
+        assert code == ("usage", 2) and out == "", (argv, code, out, err)

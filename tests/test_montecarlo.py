@@ -278,8 +278,10 @@ def test_report_ignores_block_size(strategy, mode, monkeypatch):
     # exact, and with both phases fixed the outcome cells' histogram adds
     # over blocks, so blocks of 1000 give the report of one block. Blocks of
     # 8 are fewer trials than any N = 12 run has cells, so a both-fixed run
-    # scores every trial alone, and must give the cell path's report.
-    for phases in ({}, {"phase_a": 0.4, "phase_b": 1.9}):
+    # scores every trial alone, and must give the all-fixed branch's report.
+    # With one phase fixed, a fixed register's search and the joint sampler
+    # of a uniform one share each block.
+    for phases in ({}, {"phase_a": 0.4}, {"phase_a": 0.4, "phase_b": 1.9}):
         c = config(strategy=strategy, mixed_mode=mode, n_copies=12, trials=5_003, seed=21,
                    **phases)
         monkeypatch.setattr(montecarlo, "BLOCK", BLOCK)
