@@ -4,15 +4,14 @@ inspection and the invariant verification suite.
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error
 (an N past the measurement-basis cap or a trial count past TRIALS_CAP; a
 MemoryError when a simulate workspace or block allocation fails), 3 I/O
-error. The only environment override is EQFID_OUT_DIR, which prefixes
-relative --out paths; all science parameters are flags.
+error. Every parameter is a flag; --out takes any absolute or relative
+path, and without it the output goes to stdout.
 """
 
 import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -35,26 +34,26 @@ SIMULATE_COLUMNS = (
 )
 
 
-def fmt(x: float) -> str:
-    """Render a float at 17 significant digits (round-trips exactly)."""
-    return format(x, ".17g")
+def _write(args, header, rows, payload) -> None:
+    """Write a command's output in its --format, to --out or else stdout.
 
-
-def _resolve_out(path_str: str | None) -> Path | None:
-    if path_str is None:
-        return None
-    path = Path(path_str)
-    base = os.environ.get("EQFID_OUT_DIR")
-    if base and not path.is_absolute():
-        path = Path(base) / path
-    return path
-
-
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
+    Only CSV reads rows (each a sequence of cells under header) and only JSON
+    calls payload, so a command builds just the format asked for.
+    """
+    if args.format == "json":
+        text = json.dumps(payload(), indent=2) + "\n"
+    else:
+        # One rule for every cell: a float at 17 significant digits (it
+        # round-trips exactly), None empty, anything else as str.
+        cells = iter(["%.17g" % c if isinstance(c, float) else "" if c is None else str(c)
+                      for row in rows for c in row])
+        # Each zip step draws the next len(header) cells: one line.
+        lines = map(",".join, zip(*[cells] * len(header)))
+        text = "\n".join([",".join(header), *lines]) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text, newline="\n")
+        Path(args.out).write_text(text, newline="\n")
 
 
 def _parse_phase(raw: str, degrees: bool) -> float | None:
@@ -66,21 +65,16 @@ def _parse_phase(raw: str, degrees: bool) -> float | None:
 
 
 def cmd_curves(args) -> int:
-    out = _resolve_out(args.out)
     # The script goes to out with suffix .gp, so an out ending in .gp would be overwritten.
-    if args.gnuplot and (out is None or out.suffix == ".gp" or args.format != "csv"):
+    if args.gnuplot and (args.format != "csv" or args.out is None
+                         or Path(args.out).suffix == ".gp"):
         raise ValueError("--gnuplot requires --format csv and an --out path not ending in .gp")
-    rows = [tuple(vars(p).values()) for p in curve_table(args.n_min, args.n_max)]
+    rows = [vars(p).values() for p in curve_table(args.n_min, args.n_max)]
     # The first field, n_copies, is written as N in CSV and n in JSON.
     names = [f.name for f in fields(StrategyCurvePoint)][1:]
-    if args.format == "csv":
-        lines = [",".join(["N", *names])]
-        lines += [",".join([str(n), *map(fmt, values)]) for n, *values in rows]
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        table = [{"n": n, **dict(zip(names, values))} for n, *values in rows]
-        _emit(json.dumps(table, indent=2) + "\n", out)
+    _write(args, ["N", *names], rows, lambda: [dict(zip(["n", *names], row)) for row in rows])
     if args.gnuplot:
+        out = Path(args.out)
         out.with_suffix(".gp").write_text(_gnuplot_script(out.name), newline="\n")
     return 0
 
@@ -88,14 +82,16 @@ def cmd_curves(args) -> int:
 def _gnuplot_script(csv_name: str) -> str:
     # gnuplot counts columns from 1; the CSV's are StrategyCurvePoint's fields.
     column = {f.name: i for i, f in enumerate(fields(StrategyCurvePoint), 1)}
+    # A single-quoted gnuplot string writes each ' as ''.
+    name = csv_name.replace("'", "''")
     return (
         "set datafile separator ','\n"
         "set xlabel 'ensemble size N'\n"
         "set ylabel 'probability of correct fidelity reconstruction'\n"
         "set key bottom right\n"
-        f"plot '{csv_name}' skip 1 using 1:{column['p_measurement']}"
+        f"plot '{name}' skip 1 using 1:{column['p_measurement']}"
         " with points pt 7 title 'measurement', \\\n"
-        f"     '{csv_name}' skip 1 using 1:{column['p_unified_collective']}"
+        f"     '{name}' skip 1 using 1:{column['p_unified_collective']}"
         " with points pt 5 title 'collective unified'\n"
     )
 
@@ -111,48 +107,24 @@ def cmd_simulate(args) -> int:
         mixed_mode=args.mixed_mode,
     )
     report = asdict(simulate(config))
-    out = _resolve_out(args.out)
     # The config block echoes every field in order; a uniform phase is None.
     config_echo = {k: "uniform" if v is None else v for k, v in asdict(config).items()}
-    if args.format == "json":
-        payload = {"config": config_echo, "report": report}
-        _emit(json.dumps(payload, indent=2) + "\n", out)
-    else:
-        row = {**config_echo, **report}
-        lines = [
-            ",".join(SIMULATE_COLUMNS),
-            ",".join(_csv_cell(row[c]) for c in SIMULATE_COLUMNS),
-        ]
-        _emit("\n".join(lines) + "\n", out)
+    row = {**config_echo, **report}
+    _write(args, SIMULATE_COLUMNS, [[row[c] for c in SIMULATE_COLUMNS]],
+           lambda: {"config": config_echo, "report": report})
     return 0
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return fmt(value) if isinstance(value, float) else str(value)
 
 
 def cmd_povm(args) -> int:
     phase = _parse_phase(args.phase, args.degrees)
     if phase is None:
         raise ValueError("povm requires a literal phase, not 'uniform'")
-    probabilities = outcome_distribution(args.n, phase)
+    probabilities = outcome_distribution(args.n, phase).tolist()
     estimates = phase_estimates(args.n).tolist()
-    out = _resolve_out(args.out)
-    if args.format == "json":
-        payload = {
-            "n_copies": args.n,
-            "phase": phase,
-            "probabilities": probabilities.tolist(),
-            "estimated_phases": estimates,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", out)
-    else:
-        lines = ["outcome,probability,estimated_phase"]
-        for k, (p, est) in enumerate(zip(probabilities, estimates)):
-            lines.append(f"{k},{fmt(float(p))},{fmt(est)}")
-        _emit("\n".join(lines) + "\n", out)
+    _write(args, ["outcome", "probability", "estimated_phase"],
+           zip(range(args.n + 1), probabilities, estimates),
+           lambda: {"n_copies": args.n, "phase": phase, "probabilities": probabilities,
+                    "estimated_phases": estimates})
     return 0
 
 
@@ -217,12 +189,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # MemoryError: a simulate workspace or block allocation failed.
-    except (ValueError, OverflowError, MemoryError) as exc:
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

@@ -98,6 +98,14 @@ def test_curves_gnuplot_script(tmp_path):
     plotted = re.findall(r"using 1:(\d+) .* title '([a-z ]+)'", script)
     assert [(header[int(col) - 1], title) for col, title in plotted] == [
         ("p_measurement", "measurement"), ("p_unified_collective", "collective unified")]
+    # A single-quoted gnuplot string writes a ' in the CSV name as ''.
+    quoted = tmp_path / "it's.csv"
+    assert run(
+        ["curves", "--n-min", "1", "--n-max", "5", "--out", str(quoted), "--gnuplot"]
+    ) == 0
+    script = (tmp_path / "it's.gp").read_text()
+    assert script.count("'it''s.csv' skip 1 using 1:") == 2
+    assert "it's" not in script
 
 
 def test_curves_gnuplot_requires_out(tmp_path, capsys, monkeypatch):
@@ -114,10 +122,38 @@ def test_curves_gnuplot_requires_out(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_env_out_dir_prefixes_relative_paths(tmp_path, monkeypatch):
-    monkeypatch.setenv("EQFID_OUT_DIR", str(tmp_path))
-    assert run(["curves", "--n-min", "1", "--n-max", "1", "--out", "sub.csv"]) == 0
-    assert (tmp_path / "sub.csv").exists()
+# --- every writer -------------------------------------------------------------
+
+def _simulate_argv(*flags):
+    return ["simulate", "--n", "3", "--trials", "500", "--seed", "3", *flags]
+
+
+# The full-mixed run reports a perp rate, where every analytic run has None
+# (an empty CSV cell, null in JSON); the half-fixed run echoes one phase as
+# "uniform".
+WRITER_ARGV = {
+    "curves": ["curves", "--n-min", "1", "--n-max", "12"],
+    "povm": ["povm", "--n", "5", "--phase", "2.5"],
+    "simulate-full-mixed": _simulate_argv("--strategy", "unified-collective",
+                                          "--mixed-mode", "full"),
+    "simulate-half-fixed": _simulate_argv("--strategy", "measurement", "--phase-a", "0.4"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", WRITER_ARGV)
+def test_stdout_bytes_equal_out_bytes(command, fmt, tmp_path, capfdbinary):
+    # The digests are recorded through --out; stdout must carry the same bytes.
+    argv = WRITER_ARGV[command] + ["--format", fmt]
+    assert run(argv) == 0
+    printed = capfdbinary.readouterr().out
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capfdbinary.readouterr().out == b""
+    assert out.read_bytes() == printed
+    if command == "simulate-half-fixed":
+        # The None perp rate is JSON's null or the CSV row's empty last cell.
+        assert b"uniform" in printed and (b"null" in printed or printed.endswith(b",\n"))
 
 
 # --- simulate ---------------------------------------------------------------
@@ -537,7 +573,6 @@ def test_verify_invalid_n_max_exits_2():
 def test_module_entry_point_exit_codes(tmp_path):
     # python -m eqfid runs __main__.py, whose sys.exit carries main's code.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    env.pop("EQFID_OUT_DIR", None)
 
     def eqfid(*args):
         return subprocess.run([sys.executable, "-m", "eqfid", *args], env=env, cwd=tmp_path,

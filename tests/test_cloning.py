@@ -120,3 +120,17 @@ def test_eqcm_equals_mean_estimation_fidelity():
     for n in [*range(1, BASIS_CAP + 3), *(10**k for k in range(4, 13))]:
         s = limit(n)
         assert eqcm_fidelity(n) == mean_fidelity_closed(n) == (1.0 + s) / 2.0 == 0.5 + s / 2.0, n
+
+
+def test_mean_fidelity_closed_values():
+    assert mean_fidelity_closed(1) == 0.75
+    assert abs(mean_fidelity_closed(2) - 0.8535533905932737) < 1e-15
+    assert abs(mean_fidelity_closed(2) - (0.5 + math.sqrt(2.0) / 4.0)) < 1e-15
+    assert abs(mean_fidelity_closed(3) - 0.9040063509461096) < 1e-15
+    assert abs(mean_fidelity_closed(3) - (0.5 + (3 + 2 * math.sqrt(3.0)) / 16.0)) < 1e-15
+
+
+def test_mean_fidelity_closed_increasing_and_bounded():
+    values = [mean_fidelity_closed(n) for n in range(1, 51)]
+    assert all(b > a for a, b in zip(values, values[1:]))
+    assert values[-1] < 1.0

@@ -131,20 +131,6 @@ def test_estimate_phase_takes_integers_only():
             estimate_phase(k, n)
 
 
-def test_mean_fidelity_closed_values():
-    assert mean_fidelity_closed(1) == 0.75
-    assert abs(mean_fidelity_closed(2) - 0.8535533905932737) < 1e-15
-    assert abs(mean_fidelity_closed(2) - (0.5 + math.sqrt(2.0) / 4.0)) < 1e-15
-    assert abs(mean_fidelity_closed(3) - 0.9040063509461096) < 1e-15
-    assert abs(mean_fidelity_closed(3) - (0.5 + (3 + 2 * math.sqrt(3.0)) / 16.0)) < 1e-15
-
-
-def test_mean_fidelity_closed_increasing_and_bounded():
-    values = [mean_fidelity_closed(n) for n in range(1, 51)]
-    assert all(b > a for a, b in zip(values, values[1:]))
-    assert values[-1] < 1.0
-
-
 def test_numeric_matches_closed_any_grid():
     # The integrand's only non-constant harmonic, cos((N+1) phi), averages
     # to zero over a uniform grid offset by pi / (2(N+1)) of any size, so
