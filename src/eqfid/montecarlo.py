@@ -326,22 +326,20 @@ def simulate(config: TrialConfig) -> TrialReport:
             # the draw matrix's memory is then four more float rows.
             for column in kept:
                 np.copyto(floats[column - 2], draws[:, column])
-            phis = []
-            for i, fixed in enumerate(phases):
-                if fixed is not None:
-                    phis.append(np.array([fixed]))
-                    continue
-                # The sixth scratch row is free: register 0 borrows register
-                # 1's phi row before it is written, register 1 register 0's
-                # spent offsets (only measurement has two registers, never
-                # full-mixed).
-                phi = offsets(floats[i], (floats[2 + i], *spare, floats[0 if i else 3]), ints[2:])
-                # Only cos^2 of phase differences is scored: phi needs no
-                # reduction mod 2 pi.
-                np.add(np.take(estimates, slots[i], out=spare[0], mode="clip"), phi, out=phi)
-                phis.append(phi)
+            # The offsets theta first: the sampler's scratch is the spare rows
+            # the estimates go to, and a sixth row: register 0 borrows register
+            # 1's theta row before it is written, register 1 register 0's spent
+            # uniforms (only measurement, never full-mixed, has two registers).
+            phis = [np.array([fixed]) if fixed is not None else
+                    offsets(floats[i], (floats[2 + i], *spare, floats[0 if i else 3]), ints[2:])
+                    for i, fixed in enumerate(phases)]
             # Mode "clip" reads est_N at the perp slot, k = N+1.
             ests = [np.take(estimates, k, out=row, mode="clip") for k, row in zip(slots, spare)]
+            for est, phi, fixed in zip(ests, phis, phases):
+                if fixed is None:
+                    # Only cos^2 of phase differences is scored: phi = est +
+                    # theta needs no reduction mod 2 pi.
+                    np.add(est, phi, out=phi)
             if full:
                 perp = np.greater(slots[0], n, out=ints[2].view(bool)[:m])
                 if phases[0] is None:
@@ -411,12 +409,13 @@ def _workspace(rows: int) -> _Workspace:
       column 2 + i for register i's offset uniforms, and column 3 for the
       full-mixed perp estimate. The draw matrix's memory is then four more
       float rows, spare rows 0-3.
-    - Register i's offsets: the offset sampler writes them into float row
-      2 + i, where they become phi, and takes as scratch spare rows 0-3,
-      float row 3 (register 0) or 0 (register 1, once register 0's offsets
-      are spent) and int rows 2-3.
+    - Register i's offsets, every uniform register's before any estimate:
+      the offset sampler writes them into float row 2 + i and takes as
+      scratch spare rows 0-3, float row 3 (register 0) or 0 (register 1,
+      once register 0's uniforms are spent) and int rows 2-3.
     - Scoring: spare row i takes register i's estimates and then, in the
-      last one, the fidelity error; spare row 2 the score, row 3 the
+      last one, the fidelity error; float row 2 + i adds the estimates to
+      its offsets, which become phi; spare row 2 the score, row 3 the
       scorer's scratch; int row 2 the perp mask. The moment sums take float
       rows 0-2.
 

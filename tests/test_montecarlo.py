@@ -460,6 +460,8 @@ def test_each_range_sizes_its_workspace_to_its_largest_block(monkeypatch):
         (["--strategy", "measurement", "--n", "181", "--phase-a", "0.4", "--phase-b", "1.9"],
          BLOCK),
         (["--strategy", "unified-pair", "--n", "3", "--mixed-mode", "full"], BLOCK),
+        # One analytic register with a uniform phase.
+        (["--strategy", "unified-collective", "--n", "12"], BLOCK),
         (["--strategy", "unified-collective", "--n", "12", "--mixed-mode", "full",
           "--phase-a", "0.4", "--phase-b", "1.9"], BLOCK),
         # Blocks of 8 are fewer trials than the run has cells: every trial is
@@ -469,8 +471,8 @@ def test_each_range_sizes_its_workspace_to_its_largest_block(monkeypatch):
         (["--strategy", "measurement", "--n", "3", "--phase-a", "0.4", "--phase-b", "1.9"], 8),
     ],
     ids=["uniform n1", "uniform n60", "a fixed", "b fixed", "both fixed n181",
-         "pair full uniform", "collective full fixed", "collective full fixed block 8",
-         "both fixed block 8"],
+         "pair full uniform", "collective uniform", "collective full fixed",
+         "collective full fixed block 8", "both fixed block 8"],
 )
 def test_no_stale_row_reaches_a_report(argv, block, workers, monkeypatch, capsys):
     # Blocks reuse their worker's rows, each for several arrays in turn. A
